@@ -283,6 +283,8 @@ def _window_vertices(tree: TruncatedTree, window_depth: int | None) -> np.ndarra
 
 
 def _chunk_sizes(replicas: int) -> list[int]:
+    if replicas < 1:
+        raise ValueError("need at least 1 replica")
     out = [_CHUNK] * (replicas // _CHUNK)
     if replicas % _CHUNK:
         out.append(replicas % _CHUNK)

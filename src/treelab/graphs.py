@@ -90,6 +90,8 @@ def graph_from_edges(n: int, d: int, edge_list) -> RegularGraph:
     free = [list(range(v * d, (v + 1) * d)) for v in range(n)]
     pairing = np.full(n * d, -1, dtype=np.int64)
     for u, v in edge_list:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) names a vertex outside 0..{n - 1}")
         if not free[u] or not free[v] or (u == v and len(free[u]) < 2):
             raise ValueError(f"vertex degrees exceed {d}")
         su = free[u].pop()

@@ -10,6 +10,7 @@ balls support exact total variation computations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,9 +162,13 @@ def ball_distribution(graph, coloring, r: int) -> dict[bytes, float]:
 
 
 def tv_distance(a: dict, b: dict) -> float:
-    """Half the L1 distance over the union support; exact for exact inputs."""
+    """Half the L1 distance over the union support; exact for exact inputs.
+
+    ``math.fsum`` makes the result independent of the order of the keys,
+    which for a set of bytes follows the process's hash seed.
+    """
     keys = set(a) | set(b)
-    return 0.5 * sum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
+    return 0.5 * math.fsum(abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys)
 
 
 def hausdorff_distance(set_a, set_b) -> float:

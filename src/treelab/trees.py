@@ -239,6 +239,8 @@ def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
     mean = float(kernel.pi @ encoding)
     if float(kernel.pi @ (encoding - mean) ** 2) <= 0.0:
         raise ValueError("encoding has zero variance under the stationary law")
+    if distance < 0:
+        raise ValueError("distance must be nonnegative")
     if distance == 0:
         return CorrelationEstimate(1.0, 0.0, replicas, 0)
     if replicas < 2:

@@ -196,6 +196,29 @@ class TestContracts:
     def test_missing_file_exits_2(self, capsys):
         assert run(["spectral", "--kernel", "/nonexistent/kernel.txt"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["spectral", "--kernel", "walk({neg})"],
+        ["spectral", "--kernel", "walk({big})"],
+        ["correlation", "--kernel", "ising(0.5)", "--d", "3", "--distance", "-2",
+         "--seed", "1", "--replicas", "2000"],
+        ["glauber-fixed-point", "--kernel", "ising(0.25)", "--d", "3", "--depth", "4",
+         "--sweeps", "1", "--replicas", "0", "--seed", "1"],
+        ["glauber-contraction", "--kernel", "ising(0.25)", "--d", "3", "--depth", "4",
+         "--sweeps", "1", "--replicas", "0", "--seed", "1"],
+        ["glauber-converge", "--kernel", "ising(0.25)", "--d", "3", "--depth", "4",
+         "--sweeps", "1", "--replicas", "0", "--seed", "1"],
+    ])
+    def test_bad_input_exits_2(self, capsys, tmp_path, argv):
+        # K4 with vertex 3 written as -1, and with an edge to vertex 4
+        neg = tmp_path / "neg.txt"
+        neg.write_text("4 3\n0 1\n0 2\n0 -1\n1 2\n1 -1\n2 -1\n")
+        big = tmp_path / "big.txt"
+        big.write_text("4 3\n0 1\n0 2\n0 4\n1 2\n1 3\n2 3\n")
+        assert run([a.format(neg=neg, big=big) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
     def test_budget_exits_3(self, capsys):
         assert run(["dobrushin", "--kernel", "potts(30,0.5)", "--d", "8",
                     "--budget", "1000000"]) == 3

@@ -56,6 +56,12 @@ class TestSampling:
             not g.simple and all(int(w) == 1 for w in g.neighbors[0]) for g in graphs
         )
 
+    def test_edge_ids_out_of_range(self):
+        k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for bad in ((0, -1), (0, 4)):
+            with pytest.raises(ValueError):
+                graph_from_edges(4, 3, k4[:-1] + [bad])
+
     def test_unique_simple_cubic_on_four_vertices(self):
         rng = np.random.default_rng(2)
         for _ in range(5):

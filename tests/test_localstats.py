@@ -1,8 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import treelab
 from treelab.errors import BudgetExceededError
 from treelab.graphs import (bs_ball_sample, complete_bipartite, complete_graph, cycle_graph,
                             graph_from_edges, sample_regular_graph)
@@ -111,6 +116,31 @@ class TestDistances:
         assert tv_distance(a, a) == 0.0
         assert tv_distance({b"x": 1.0}, {b"y": 1.0}) == 1.0
         assert tv_distance(a, {b"x": 0.4, b"y": 0.6}) == pytest.approx(0.2)
+
+    def test_tv_independent_of_hash_seed(self):
+        # ball codes are bytes, whose set order follows PYTHONHASHSEED
+        script = (
+            "import numpy as np\n"
+            "from treelab.graphs import sample_regular_graph\n"
+            "from treelab.localstats import ball_distribution, tv_distance\n"
+            "for seed in range(6):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    ga = sample_regular_graph(30, 3, True, rng)\n"
+            "    gb = sample_regular_graph(30, 3, True, rng)\n"
+            "    a = ball_distribution(ga, rng.integers(0, 2, size=30).tolist(), 2)\n"
+            "    b = ball_distribution(gb, rng.integers(0, 2, size=30).tolist(), 2)\n"
+            "    print(repr(tv_distance(a, b)), not set(a) & set(b))\n"
+        )
+        src = str(Path(treelab.__file__).resolve().parents[1])
+        outs = []
+        for hash_seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            outs.append(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                       capture_output=True, text=True).stdout)
+        assert outs[0] == outs[1]
+        rows = [line.split() for line in outs[0].splitlines()]
+        disjoint = [value for value, flag in rows if flag == "True"]
+        assert disjoint and all(value == "1.0" for value in disjoint)
 
     def test_tv_metric_properties(self):
         rng = np.random.default_rng(3)

@@ -204,6 +204,11 @@ class TestCorrelations:
                                    np.random.default_rng(0))
         assert est.value == 1.0 and est.stderr == 0.0
 
+    def test_negative_distance(self):
+        with pytest.raises(ValueError):
+            estimate_correlation(make_ising(0.3), -2, [1.0, -1.0], 1000,
+                                 np.random.default_rng(0))
+
     def test_zero_variance_encoding(self):
         with pytest.raises(ValueError):
             estimate_correlation(make_ising(0.3), 2, [1.0, 1.0], 1000,

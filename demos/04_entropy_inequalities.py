@@ -13,9 +13,8 @@ the vertex count k exceeds q^(d/(d-2)).
 
 import numpy as np
 
-from treelab import (bmc_entropy_report, check_edge_vertex, check_star_edge,
-                     circulant_graph, expander_counterexample, make_ising,
-                     make_walk_kernel, pinsker_tv_bound, total_correlation,
+from treelab import (bmc_entropy_report, circulant_graph, expander_counterexample,
+                     make_ising, make_walk_kernel, pinsker_tv_bound, total_correlation,
                      uniform_kernel)
 
 print("Chain entropies at d=3 (nats):")
@@ -27,10 +26,9 @@ for name, kernel in (
     ("walk(70, 4-reg)", make_walk_kernel(circulant_graph(70, [1, 2]))),
 ):
     rep = bmc_entropy_report(kernel, 3)
-    ev = check_edge_vertex(rep, 3)
-    se = check_star_edge(rep, 3)
     print(f"{name:15s} {rep.h_vertex:8.4f} {rep.h_edge:8.4f} {rep.h_star:8.4f}"
-          f"   {ev.label} ({ev.slack:+.4f})  {se.label} ({se.slack:+.4f})")
+          f"   {rep.edge_vertex_verdict} ({rep.slack_edge_vertex:+.4f})"
+          f"  {rep.star_edge_verdict} ({rep.slack_star_edge:+.4f})")
 
 print()
 print("The walk-chain violation, by pure arithmetic: k vertices, degree q,")

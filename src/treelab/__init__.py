@@ -12,16 +12,15 @@ from .covering import (CoveringMatrix, IndependenceRow, RigidityVerdict, Thresho
                        independence_threshold,
                        is_covering_at, min_error_exact, min_error_local_search,
                        read_covering_matrix, rigidity_check, write_covering_matrix)
-from .entropy import (CounterexampleCertificate, EntropyReport, Verdict, bmc_entropy_report,
-                      check_edge_vertex, check_star_edge, expander_counterexample,
-                      pinsker_tv_bound, shannon, total_correlation)
+from .entropy import (CounterexampleCertificate, EntropyReport, bmc_entropy_report,
+                      expander_counterexample, pinsker_tv_bound, shannon, total_correlation)
 from .errors import BudgetExceededError, ImpossibleConfigurationError
 from .glauber import (ConvergenceReport, CoupledPair, DecayReport, FixedPointReport,
                       WakingSet, conditional_dist, converge_from_iid, coupled_sweep,
                       estimate_hamming_decay, fixed_point_test, glauber_sweep,
                       maximal_coupling, wake_probability, waking_set)
-from .graphs import (EigenReport, RegularGraph, adjacency_matrix, bs_ball_sample,
-                     circulant_graph, complete_bipartite, complete_graph, cycle_graph,
+from .graphs import (EigenReport, RegularGraph, adjacency_matrix, circulant_graph,
+                     complete_bipartite, complete_graph, cycle_graph,
                      eigen_experiment, girth_profile, graph_from_edges,
                      iter_perfect_matchings, matching_color_count, matching_identity_check,
                      pm_count, read_graph, sample_regular_graph, write_graph)

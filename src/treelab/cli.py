@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -77,14 +76,23 @@ def _write_curve_csv(path: str, sweeps, means, stderrs) -> None:
             fh.write(f"{int(s)},{m!r},{e!r}\n")
 
 
+# Glauber subcommands: driver, report fields emitted, whether a decay curve
+# (and so --csv) comes with the report.
+_GLAUBER = {
+    "glauber-fixed-point": (glauber.fixed_point_test, (
+        "tv_vertex", "floor_vertex", "tv_edge", "floor_edge", "tv_star", "floor_star",
+        "vertex_ok", "edge_ok", "star_ok"), False),
+    "glauber-contraction": (glauber.estimate_hamming_decay, (
+        "rate", "rate_interval", "dobrushin", "p_wake", "contraction_bound",
+        "mean_distance", "stderr"), True),
+    "glauber-converge": (glauber.converge_from_iid, (
+        "predicted_initial", "final_distance", "final_stderr", "dobrushin",
+        "contraction_bound", "mean_distance", "stderr"), True),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="treelab")
-    parser.add_argument(
-        "--workers", type=int,
-        default=int(os.environ.get("TREELAB_WORKERS", "1")),
-        help="worker budget for parallel backends; computations are "
-             "vectorized and outputs do not depend on this value",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("dobrushin", help="exact Dobrushin coefficient of a kernel at degree d")
@@ -111,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoding", choices=["index", "pm1"], default="index")
     p.add_argument("--k-max", type=int, default=0, help="also classify decay up to this distance")
 
-    for name in ("glauber-fixed-point", "glauber-contraction", "glauber-converge"):
+    for name, (_, _, curve) in _GLAUBER.items():
         p = sub.add_parser(name)
         p.add_argument("--kernel", required=True)
         p.add_argument("--d", type=int, required=True)
@@ -120,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replicas", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--window-depth", type=int, default=None)
-        if name != "glauber-fixed-point":
+        if curve:
             p.add_argument("--csv", help="write the decay curve here")
 
     p = sub.add_parser("entropy-check", help="pattern entropies and both inequalities")
@@ -237,61 +245,22 @@ def _cmd_correlation(args) -> dict:
     return out
 
 
-def _cmd_glauber_fixed_point(args) -> dict:
+def _cmd_glauber(args) -> dict:
+    driver, fields, curve = _GLAUBER[args.command]
     kernel = parse_kernel(args.kernel)
-    report = glauber.fixed_point_test(
-        kernel, args.d, args.depth, args.sweeps, args.replicas,
-        np.random.default_rng(args.seed), window_depth=args.window_depth,
-    )
-    return {
-        "command": "glauber-fixed-point", "kernel": args.kernel, "d": args.d,
+    report = driver(kernel, args.d, args.depth, args.sweeps, args.replicas,
+                    np.random.default_rng(args.seed), window_depth=args.window_depth)
+    out = {
+        "command": args.command, "kernel": args.kernel, "d": args.d,
         "depth": args.depth, "sweeps": args.sweeps, "replicas": args.replicas,
         "seed": args.seed, "window_depth": report.window_depth,
-        "tv_vertex": report.tv_vertex, "floor_vertex": report.floor_vertex,
-        "tv_edge": report.tv_edge, "floor_edge": report.floor_edge,
-        "tv_star": report.tv_star, "floor_star": report.floor_star,
-        "vertex_ok": report.vertex_ok, "edge_ok": report.edge_ok, "star_ok": report.star_ok,
     }
-
-
-def _cmd_glauber_contraction(args) -> dict:
-    kernel = parse_kernel(args.kernel)
-    report = glauber.estimate_hamming_decay(
-        kernel, args.d, args.depth, args.sweeps, args.replicas,
-        np.random.default_rng(args.seed), window_depth=args.window_depth,
-    )
-    if args.csv:
-        _write_curve_csv(args.csv, report.sweeps, report.mean_distance, report.stderr)
-    return {
-        "command": "glauber-contraction", "kernel": args.kernel, "d": args.d,
-        "depth": args.depth, "sweeps": args.sweeps, "replicas": args.replicas,
-        "seed": args.seed, "window_depth": report.window_depth,
-        "rate": report.rate, "rate_interval": list(report.rate_interval),
-        "dobrushin": report.dobrushin, "p_wake": report.p_wake,
-        "contraction_bound": report.contraction_bound,
-        "mean_distance": report.mean_distance, "stderr": report.stderr,
-        "csv": args.csv,
-    }
-
-
-def _cmd_glauber_converge(args) -> dict:
-    kernel = parse_kernel(args.kernel)
-    report = glauber.converge_from_iid(
-        kernel, args.d, args.depth, args.sweeps, args.replicas,
-        np.random.default_rng(args.seed), window_depth=args.window_depth,
-    )
-    if args.csv:
-        _write_curve_csv(args.csv, report.sweeps, report.mean_distance, report.stderr)
-    return {
-        "command": "glauber-converge", "kernel": args.kernel, "d": args.d,
-        "depth": args.depth, "sweeps": args.sweeps, "replicas": args.replicas,
-        "seed": args.seed, "window_depth": report.window_depth,
-        "predicted_initial": report.predicted_initial,
-        "final_distance": report.final_distance, "final_stderr": report.final_stderr,
-        "dobrushin": report.dobrushin, "contraction_bound": report.contraction_bound,
-        "mean_distance": report.mean_distance, "stderr": report.stderr,
-        "csv": args.csv,
-    }
+    out.update((name, getattr(report, name)) for name in fields)
+    if curve:
+        if args.csv:
+            _write_curve_csv(args.csv, report.sweeps, report.mean_distance, report.stderr)
+        out["csv"] = args.csv
+    return out
 
 
 def _cmd_entropy_check(args) -> dict:
@@ -443,9 +412,7 @@ _DISPATCH = {
     "spectral": _cmd_spectral,
     "bmc-sample": _cmd_bmc_sample,
     "correlation": _cmd_correlation,
-    "glauber-fixed-point": _cmd_glauber_fixed_point,
-    "glauber-contraction": _cmd_glauber_contraction,
-    "glauber-converge": _cmd_glauber_converge,
+    **dict.fromkeys(_GLAUBER, _cmd_glauber),
     "entropy-check": _cmd_entropy_check,
     "counterexample": _cmd_counterexample,
     "graph-sample": _cmd_graph_sample,

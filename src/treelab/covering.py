@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError
+from .graphs import bfs
 
 
 @dataclass(frozen=True)
@@ -52,38 +53,19 @@ class CoveringMatrix:
         return int(self.mat[0].sum())
 
 
-def _strongly_connected(support: np.ndarray) -> bool:
-    def reach(adj):
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in np.flatnonzero(adj[v]):
-                if int(u) not in seen:
-                    seen.add(int(u))
-                    stack.append(int(u))
-        return len(seen) == adj.shape[0]
+def _successors(support: np.ndarray) -> list[np.ndarray]:
+    return [np.flatnonzero(row) for row in support]
 
-    return reach(support) and reach(support.T)
+
+def _strongly_connected(support: np.ndarray) -> bool:
+    s = support.shape[0]
+    return all(len(bfs(0, succ.__getitem__)) == s
+               for succ in (_successors(support), _successors(support.T)))
 
 
 def _support_diameter(mat: np.ndarray) -> int:
-    s = mat.shape[0]
-    support = mat > 0
-    diam = 0
-    for src in range(s):
-        dist = {src: 0}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in np.flatnonzero(support[v]):
-                    if int(u) not in dist:
-                        dist[int(u)] = dist[v] + 1
-                        nxt.append(int(u))
-            frontier = nxt
-        diam = max(diam, max(dist.values()))
-    return diam
+    succ = _successors(mat > 0)
+    return max(max(bfs(src, succ.__getitem__).values()) for src in range(mat.shape[0]))
 
 
 def dominating_matrix(d: int) -> CoveringMatrix:
@@ -144,19 +126,8 @@ def min_error_exact(graph, matrix: CoveringMatrix, budget: int = 10**8):
         raise BudgetExceededError(f"{s}^{n} colorings exceed the search budget")
 
     # breadth-first vertex order from 0
-    order = []
-    seen = [False] * n
-    queue = [0]
-    seen[0] = True
-    while queue:
-        v = queue.pop(0)
-        order.append(v)
-        for w in graph.neighbors[v]:
-            w = int(w)
-            if not seen[w]:
-                seen[w] = True
-                queue.append(w)
-    order += [v for v in range(n) if not seen[v]]
+    reach = bfs(0, graph.neighbors.__getitem__)
+    order = list(reach) + [v for v in range(n) if v not in reach]
     pos = {v: i for i, v in enumerate(order)}
     # vertex u is decided once u and all its neighbors are colored
     decided_at: list[list[int]] = [[] for _ in range(n)]
@@ -272,13 +243,7 @@ def delta_lower_bound(matrix: CoveringMatrix, eps: float) -> float:
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    d = matrix.d
-    if np.array_equal(matrix.mat, dominating_matrix(d).mat):
-        value = _delta_dominating(d, eps)
-    elif np.array_equal(matrix.mat, bipartite_matrix(d).mat):
-        value = _delta_bipartite(eps)
-    else:
-        value = _delta_generic(matrix, eps)
+    value = _resolve_delta(matrix, None)[0](eps)
     if value <= 0.0:
         raise ValueError(f"delta bound is nonpositive at eps={eps}: premise fails")
     return value

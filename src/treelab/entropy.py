@@ -39,16 +39,6 @@ def shannon(dist) -> float:
 
 
 @dataclass(frozen=True)
-class Verdict:
-    passed: bool
-    slack: float
-
-    @property
-    def label(self) -> str:
-        return "PASSES" if self.passed else "FAILS"
-
-
-@dataclass(frozen=True)
 class EntropyReport:
     """Vertex/edge/star entropies (nats) of a branching chain with both slacks."""
 
@@ -83,22 +73,6 @@ def bmc_entropy_report(kernel: TransitionKernel, d: int) -> EntropyReport:
         slack_edge_vertex=(d / 2.0) * h_e - (d - 1.0) * h_v,
         slack_star_edge=h_s - (d / 2.0) * h_e,
     )
-
-
-def check_edge_vertex(report: EntropyReport, d: int) -> Verdict:
-    """(d/2) h_edge >= (d-1) h_vertex; failure certifies the process non-realizable.
-
-    A failing chain cannot appear as a coloring limit of random d-regular
-    graphs, so in particular it is not a factor of an i.i.d. field.
-    """
-    slack = (d / 2.0) * report.h_edge - (d - 1.0) * report.h_vertex
-    return Verdict(passed=slack >= -_TOL, slack=slack)
-
-
-def check_star_edge(report: EntropyReport, d: int) -> Verdict:
-    """h_star >= (d/2) h_edge, same consequence on failure."""
-    slack = report.h_star - (d / 2.0) * report.h_edge
-    return Verdict(passed=slack >= -_TOL, slack=slack)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ImpossibleConfigurationError
 from .kernels import NeighborConfig, TransitionKernel, dobrushin_coefficient
-from .trees import (Configuration, RealField, TruncatedTree, build_tree,
+from .trees import (Configuration, RealField, TruncatedTree, _draw_rows, build_tree,
                     exact_bmc_marginals, sample_bmc_batch)
 
 # Replica block size for the vectorized drivers; fixed so that results are a
@@ -139,12 +139,6 @@ def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
     return v_idx, r_idx, w / totals[:, None]
 
 
-def _draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(probs, axis=1)
-    cum /= cum[:, -1:]
-    return (u[:, None] < cum).argmax(axis=1)
-
-
 def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKernel,
                   rng: np.random.Generator) -> None:
     """One in-place sweep of an (n, R) state block."""
@@ -173,25 +167,15 @@ def maximal_coupling(p, q, rng: np.random.Generator) -> tuple[int, int]:
 
     Construction: with probability 1 - TV sample both from the overlap
     min(p, q); otherwise draw X and Y independently from the normalized
-    residuals, whose supports are disjoint.
+    residuals, whose supports are disjoint.  Consumes three uniforms of
+    ``rng`` per call, as one row of the sweep's coupled draw.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("distributions must share a support size")
-    common = np.minimum(p, q)
-    c = common.sum()
-    if rng.random() < c:
-        x = int(_draw_rows((common / c)[None, :], rng.random(1))[0])
-        return x, x
-    rp, rq = p - common, q - common
-    sp, sq = rp.sum(), rq.sum()
-    if sp <= 0.0 or sq <= 0.0:  # identical inputs: residual branch unreachable mass
-        x = int(_draw_rows(p[None, :], rng.random(1))[0])
-        return x, x
-    x = int(_draw_rows((rp / sp)[None, :], rng.random(1))[0])
-    y = int(_draw_rows((rq / sq)[None, :], rng.random(1))[0])
-    return x, y
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ValueError("distributions must be vectors on one support")
+    xa, xb = _coupled_draw(p[None, :], q[None, :], rng)
+    return int(xa[0]), int(xb[0])
 
 
 def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator):
@@ -282,13 +266,12 @@ def _window_vertices(tree: TruncatedTree, window_depth: int | None) -> np.ndarra
     return np.flatnonzero(tree.depth_of <= wd)
 
 
-def _chunk_sizes(replicas: int) -> list[int]:
+def _chunks(replicas: int, rng: np.random.Generator):
+    """Replica blocks of at most _CHUNK, each with its own spawned generator."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    out = [_CHUNK] * (replicas // _CHUNK)
-    if replicas % _CHUNK:
-        out.append(replicas % _CHUNK)
-    return out
+    for start in range(0, replicas, _CHUNK):
+        yield min(_CHUNK, replicas - start), rng.spawn(1)[0]
 
 
 def _fit_rate(sweeps: np.ndarray, means: np.ndarray, stderrs: np.ndarray):
@@ -327,8 +310,7 @@ def _run_coupled_curve(kernel, tree, sweeps, replicas, rng, window, init):
     sums = np.zeros(sweeps + 1)
     sums_sq = np.zeros(sweeps + 1)
     sample_pair = None
-    for size in _chunk_sizes(replicas):
-        sub = rng.spawn(1)[0]
+    for size, sub in _chunks(replicas, rng):
         sa, sb = init(size, sub)
         frac = (sa[window] != sb[window]).mean(axis=0)
         sums[0] += frac.sum()
@@ -444,8 +426,7 @@ def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     vertex_counts = np.zeros(k)
     edge_counts = np.zeros((k, k))
     star_counts = np.zeros((k,) * (d + 1)).reshape(-1) if do_star else None
-    for size in _chunk_sizes(replicas):
-        sub = rng.spawn(1)[0]
+    for size, sub in _chunks(replicas, rng):
         states = sample_bmc_batch(kernel, tree, sub, size)
         for _ in range(sweeps):
             _sweep_states(states, tree, kernel, sub)

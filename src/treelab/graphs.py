@@ -282,6 +282,27 @@ def matching_identity_check(n: int) -> list[MatchingIdentityRecord]:
     return records
 
 
+def bfs(start: int, neighbors, max_depth: int | None = None) -> dict[int, int]:
+    """Breadth-first distances from ``start``, keyed in discovery order.
+
+    ``neighbors(v)`` returns the vertices adjacent to v (numpy integers are
+    stored as ints); vertices farther than ``max_depth`` are left out.
+    """
+    dist = {start: 0}
+    frontier = [start]
+    depth = 0
+    while frontier and (max_depth is None or depth < max_depth):
+        depth += 1
+        nxt = []
+        for v in frontier:
+            for w in map(int, neighbors(v)):
+                if w not in dist:
+                    dist[w] = depth
+                    nxt.append(w)
+        frontier = nxt
+    return dist
+
+
 def _shortest_cycle_through(graph: RegularGraph, v: int, cap: int) -> int:
     """Length of the shortest cycle through v, or a large value if above cap."""
     best = cap + 1
@@ -416,13 +437,3 @@ def eigen_experiment(graph: RegularGraph, which: int, levels: int | None,
         error_ratio=float((np.abs(residual) > tol).mean()),
         max_residual=float(np.max(np.abs(residual))),
     )
-
-
-def bs_ball_sample(graph: RegularGraph, coloring, r: int):
-    """Exact distribution of canonical rooted colored r-balls over all roots.
-
-    Thin delegation to the local-statistics machinery.
-    """
-    from .localstats import ball_distribution
-
-    return ball_distribution(graph, coloring, r)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
+from .graphs import bfs
 
 ATOL = 1e-12
 
@@ -136,19 +137,7 @@ def make_walk_kernel(graph) -> TransitionKernel:
 
 
 def _connected(graph) -> bool:
-    n = graph.n
-    if n == 0:
-        return False
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w in graph.neighbors[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(int(w))
-    return bool(seen.all())
+    return graph.n > 0 and len(bfs(0, graph.neighbors.__getitem__)) == graph.n
 
 
 def kernel_from_matrix(q) -> TransitionKernel:
@@ -192,16 +181,6 @@ def write_kernel(kernel: TransitionKernel, path) -> None:
     with open(path, "w") as fh:
         for row in kernel.q:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def conditional_weights(kernel: TransitionKernel, neighbor_states) -> np.ndarray:
-    """Unnormalized heat-bath weights pi[s] * prod_u q[s, omega_u]."""
-    if isinstance(neighbor_states, NeighborConfig):
-        neighbor_states = neighbor_states.states
-    w = kernel.pi.copy()
-    for u in neighbor_states:
-        w = w * kernel.q[:, int(u)]
-    return w
 
 
 def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8) -> float:

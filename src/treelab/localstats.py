@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
+from .graphs import bfs
 
 
 # ---------------------------------------------------------------------------
@@ -95,17 +96,8 @@ def canonical_ball(edges, colors, root: int, max_vertices: int = 200) -> bytes:
         if u != v:
             adj[v][u] = adj[v].get(u, 0) + 1
     # distance from the root is invariant under root-preserving isomorphism
-    dist = [n + 1] * n
-    dist[root] = 0
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adj[v]:
-                if dist[u] > dist[v] + 1:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
+    reach = bfs(root, adj.__getitem__)
+    dist = [reach.get(v, n + 1) for v in range(n)]
     keys = sorted(set(zip(dist, colors)))
     order = {key: i for i, key in enumerate(keys)}
     classes = [order[(dist[v], colors[v])] for v in range(n)]
@@ -118,30 +110,15 @@ def canonical_ball(edges, colors, root: int, max_vertices: int = 200) -> bytes:
 
 def _extract_ball(graph, coloring, root: int, r: int):
     """Vertices within distance r of the root, induced edges, local colors."""
-    dist = {root: 0}
-    order = [root]
-    frontier = [root]
-    depth = 0
-    while frontier and depth < r:
-        nxt = []
-        for v in frontier:
-            for w in graph.neighbors[v]:
-                w = int(w)
-                if w not in dist:
-                    dist[w] = depth + 1
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
-        depth += 1
-    local = {v: i for i, v in enumerate(order)}
+    local = {v: i for i, v in enumerate(bfs(root, graph.neighbors.__getitem__, r))}
     edges = []
-    for v in order:
+    for v in local:
         for slot in range(v * graph.d, (v + 1) * graph.d):
             partner = int(graph.pairing[slot])
             w = partner // graph.d
             if w in local and slot < partner:
                 edges.append((local[v], local[w]))
-    colors = [coloring[v] for v in order]
+    colors = [coloring[v] for v in local]
     return edges, colors
 
 

@@ -136,18 +136,19 @@ class RealField:
             raise ValueError("value array length must equal the vertex count")
 
 
-def _categorical_rows(cum_rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Draw one category per row from row-wise cumulative distributions.
+def _draw_rows(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Inverse-CDF draw of one category per uniform in ``u``.
 
-    ``cum_rows`` must end at exactly 1.0 per row (callers rescale), so every
-    u in [0, 1) lands in a bin.
+    Each law in ``probs`` (one per row, or a single vector) is cumulated and
+    rescaled to end at exactly 1.0, so every u in [0, 1) lands in a bin.  With
+    ``rows`` given, draw i uses the law ``probs[rows[i]]``: a kernel is
+    cumulated once and its cumulative rows are gathered.
     """
-    return (u[..., None] < cum_rows).argmax(axis=-1)
-
-
-def _normalized_cumsum(probs: np.ndarray) -> np.ndarray:
     cum = np.cumsum(probs, axis=-1)
-    return cum / cum[..., -1:]
+    cum /= cum[..., -1:]
+    if rows is not None:
+        cum = cum[rows]
+    return (u[..., None] < cum).argmax(axis=-1)
 
 
 def sample_bmc_batch(kernel: TransitionKernel, tree: TruncatedTree, rng: np.random.Generator,
@@ -159,14 +160,12 @@ def sample_bmc_batch(kernel: TransitionKernel, tree: TruncatedTree, rng: np.rand
     """
     n = tree.n
     states = np.empty((n, replicas), dtype=np.int64)
-    cum_pi = _normalized_cumsum(kernel.pi)
-    states[0] = _categorical_rows(cum_pi[None, :], rng.random(replicas))
-    cum_q = _normalized_cumsum(kernel.q)
+    states[0] = _draw_rows(kernel.pi, rng.random(replicas))
     for ell in range(1, tree.depth + 1):
         verts = tree.level(ell)
         par_states = states[tree.parent[verts]]
         u = rng.random((verts.size, replicas))
-        states[verts] = _categorical_rows(cum_q[par_states], u)
+        states[verts] = _draw_rows(kernel.q, u, par_states)
     return states
 
 
@@ -180,8 +179,7 @@ def sample_iid(dist, tree: TruncatedTree, rng: np.random.Generator) -> Configura
     dist = np.asarray(dist, dtype=float)
     if dist.ndim != 1 or abs(dist.sum() - 1.0) > 1e-9 or np.any(dist < 0):
         raise ValueError("dist must be a probability vector")
-    cum = _normalized_cumsum(dist)
-    states = _categorical_rows(cum[None, :], rng.random(tree.n))
+    states = _draw_rows(dist, rng.random(tree.n))
     return Configuration(tree, states.astype(np.int64))
 
 
@@ -245,12 +243,10 @@ def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
         return CorrelationEstimate(1.0, 0.0, replicas, 0)
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
-    cum_pi = _normalized_cumsum(kernel.pi)
-    cum_q = _normalized_cumsum(kernel.q)
-    x = _categorical_rows(cum_pi[None, :], rng.random(replicas))
+    x = _draw_rows(kernel.pi, rng.random(replicas))
     g0 = encoding[x]
     for _ in range(distance):
-        x = _categorical_rows(cum_q[x], rng.random(replicas))
+        x = _draw_rows(kernel.q, rng.random(replicas), x)
     gk = encoding[x]
     c = np.corrcoef(g0, gk)
     r = float(c[0, 1])

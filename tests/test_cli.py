@@ -157,14 +157,6 @@ class TestCommands:
 
 
 class TestContracts:
-    def test_worker_count_never_changes_output(self, capsys):
-        base = ["bmc-sample", "--kernel", "ising(0.3)", "--d", "3", "--depth", "4",
-                "--seed", "5"]
-        assert run(["--workers", "1"] + base) == 0
-        first = capsys.readouterr().out
-        assert run(["--workers", "8"] + base) == 0
-        assert capsys.readouterr().out == first
-
     def test_dominating_table_text_output(self, capsys, tmp_path):
         text = tmp_path / "table.txt"
         assert run(["dominating-table", "--d-from", "3", "--d-to", "3",

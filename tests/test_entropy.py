@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from treelab.entropy import (bmc_entropy_report, check_edge_vertex, check_star_edge,
-                             expander_counterexample, pinsker_tv_bound, shannon,
-                             total_correlation)
+from treelab.entropy import (bmc_entropy_report, expander_counterexample, pinsker_tv_bound,
+                             shannon, total_correlation)
 from treelab.graphs import circulant_graph
 from treelab.kernels import (TransitionKernel, make_ising, make_potts, make_walk_kernel,
                              uniform_kernel)
@@ -81,28 +80,27 @@ class TestInequalities:
     def test_edge_vertex_uniform_passes_all_degrees(self):
         for d in range(3, 11):
             report = bmc_entropy_report(uniform_kernel(3), d)
-            assert check_edge_vertex(report, d).passed
+            assert report.edge_vertex_verdict == "PASSES"
 
     def test_walk_chain_violation_at_70(self):
         report = bmc_entropy_report(make_walk_kernel(circulant_graph(70, [1, 2])), 3)
-        verdict = check_edge_vertex(report, 3)
-        assert not verdict.passed
+        assert report.edge_vertex_verdict == "FAILS"
         assert 1.5 * (math.log(70) + math.log(4)) < 2 * math.log(70)
-        assert verdict.slack == pytest.approx(
+        assert report.slack_edge_vertex == pytest.approx(
             1.5 * (math.log(70) + math.log(4)) - 2 * math.log(70), abs=1e-12
         )
 
     def test_walk_chain_passes_at_60(self):
         report = bmc_entropy_report(make_walk_kernel(circulant_graph(60, [1, 2])), 3)
-        assert check_edge_vertex(report, 3).passed
+        assert report.edge_vertex_verdict == "PASSES"
 
     def test_ising_passes(self):
         report = bmc_entropy_report(make_ising(0.2), 3)
-        assert check_edge_vertex(report, 3).passed
+        assert report.edge_vertex_verdict == "PASSES"
 
     def test_star_edge_iid_passes(self):
         report = bmc_entropy_report(uniform_kernel(4), 3)
-        assert check_star_edge(report, 3).passed
+        assert report.star_edge_verdict == "PASSES"
 
     def test_star_edge_chain_value(self):
         # for any chain the slack is (1 - d/2) h_vertex + (d/2) mean row entropy
@@ -111,7 +109,7 @@ class TestInequalities:
         report = bmc_entropy_report(kernel, d)
         row = sum(kernel.pi[s] * shannon(kernel.q[s]) for s in range(2))
         expect = (1 - d / 2) * report.h_vertex + (d / 2) * row
-        assert check_star_edge(report, d).slack == pytest.approx(expect, abs=1e-12)
+        assert report.slack_star_edge == pytest.approx(expect, abs=1e-12)
 
     def test_permutation_kernel_fails_star_edge(self):
         swap = TransitionKernel(q=[[0.0, 1.0], [1.0, 0.0]], pi=[0.5, 0.5])
@@ -119,7 +117,7 @@ class TestInequalities:
         assert report.h_vertex == pytest.approx(math.log(2), abs=1e-12)
         assert report.h_edge == pytest.approx(math.log(2), abs=1e-12)
         assert report.h_star == pytest.approx(math.log(2), abs=1e-12)
-        assert not check_star_edge(report, 3).passed
+        assert report.star_edge_verdict == "FAILS"
 
 
 class TestCounterexample:

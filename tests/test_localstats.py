@@ -9,8 +9,8 @@ import pytest
 
 import treelab
 from treelab.errors import BudgetExceededError
-from treelab.graphs import (bs_ball_sample, complete_bipartite, complete_graph, cycle_graph,
-                            graph_from_edges, sample_regular_graph)
+from treelab.graphs import (complete_bipartite, complete_graph, cycle_graph, graph_from_edges,
+                            sample_regular_graph)
 from treelab.localstats import (ball_distribution, canonical_ball, dcn_estimate,
                                 hausdorff_distance, load_ball_distribution,
                                 save_ball_distribution, tv_distance)
@@ -97,11 +97,6 @@ class TestBallDistribution:
         assert set(one) == set(two)
         for code in one:
             assert one[code] == pytest.approx(two[code], abs=1e-12)
-
-    def test_bs_ball_sample_delegates(self):
-        graph = complete_bipartite(3, 3)
-        coloring = [0, 0, 0, 1, 1, 1]
-        assert bs_ball_sample(graph, coloring, 1) == ball_distribution(graph, coloring, 1)
 
     def test_probabilities_sum_to_one(self):
         graph = sample_regular_graph(20, 3, simple=True, rng=np.random.default_rng(1))

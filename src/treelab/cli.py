@@ -76,8 +76,8 @@ def _write_curve_csv(path: str, sweeps, means, stderrs) -> None:
             fh.write(f"{int(s)},{m!r},{e!r}\n")
 
 
-# Glauber subcommands: driver, report fields emitted, whether a decay curve
-# (and so --csv) comes with the report.
+# Glauber subcommands: the experiment each runs, the report fields it emits,
+# and whether a decay curve (and so --csv) comes with the report.
 _GLAUBER = {
     "glauber-fixed-point": (glauber.fixed_point_test, (
         "tv_vertex", "floor_vertex", "tv_edge", "floor_edge", "tv_star", "floor_star",
@@ -246,10 +246,10 @@ def _cmd_correlation(args) -> dict:
 
 
 def _cmd_glauber(args) -> dict:
-    driver, fields, curve = _GLAUBER[args.command]
+    experiment, fields, curve = _GLAUBER[args.command]
     kernel = parse_kernel(args.kernel)
-    report = driver(kernel, args.d, args.depth, args.sweeps, args.replicas,
-                    np.random.default_rng(args.seed), window_depth=args.window_depth)
+    report = experiment(kernel, args.d, args.depth, args.sweeps, args.replicas,
+                        np.random.default_rng(args.seed), window_depth=args.window_depth)
     out = {
         "command": args.command, "kernel": args.kernel, "d": args.d,
         "depth": args.depth, "sweeps": args.sweeps, "replicas": args.replicas,

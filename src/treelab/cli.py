@@ -256,6 +256,9 @@ def _cmd_glauber(args) -> dict:
         "seed": args.seed, "window_depth": report.window_depth,
     }
     out.update((name, getattr(report, name)) for name in fields)
+    if "rate" in fields and not np.isfinite(report.rate):
+        out.update(rate=None, rate_interval=None, rate_note=(
+            "undefined: fewer than two sweeps have a mean distance above 10 standard errors"))
     if curve:
         if args.csv:
             _write_curve_csv(args.csv, report.sweeps, report.mean_distance, report.stderr)

@@ -302,6 +302,8 @@ def epsilon0(family, d: int | None = None, s_count: int | None = None,
     if d < 3:
         raise ValueError("d must be at least 3")
     s = s_default if s_count is None else s_count
+    if s < 2:
+        raise ValueError("s_count must be at least 2")
     coef = math.log(s) * (d - 1.0) / (d - 2.0)
 
     def g(eps: float) -> float:

@@ -12,6 +12,15 @@ Hamming distance between two processes.
 Waking is restricted to vertices with all d neighbors present (depth <= R-1),
 and all reported statistics are read off an interior window (depth <= R/2 by
 default) to quarantine boundary effects of the truncation.
+
+The sweep works on (n, R) blocks of replicas and leans on the breadth-first
+layout of the tree.  The radius-2 maximum of the float labels is two
+self-plus-neighbor max hops, each a pair of block reshapes; exact ties are
+broken toward the smaller index by comparing each vertex with its earlier
+ball members (parent, grandparent, earlier siblings).  When k^d is small the
+conditional laws of all ordered neighbor tuples are tabulated once per sweep
+and looked up by the base-k code of the neighbor states.  All of this gives
+bitwise the same draws as evaluating the definitions one site at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +33,15 @@ import numpy as np
 from .errors import ImpossibleConfigurationError
 from .kernels import NeighborConfig, TransitionKernel, dobrushin_coefficient
 from .trees import (Configuration, RealField, TruncatedTree, _draw_rows, build_tree,
-                    exact_bmc_marginals, sample_bmc_batch)
+                    exact_bmc_marginals, sample_bmc_batch, tree_vertex_count)
 
 # Replica block size for the vectorized drivers; fixed so that results are a
 # deterministic function of (arguments, seed).
 _CHUNK = 2048
+
+# Largest k^d for which a sweep tabulates the conditional law of every ordered
+# neighbor tuple once instead of evaluating one law per woken vertex.
+_LAW_TABLE_MAX = 4096
 
 
 def wake_probability(d: int) -> float:
@@ -45,50 +58,58 @@ class WakingSet:
     density: float
 
 
-def _lex_hop(tree: TruncatedTree, lab_ext: np.ndarray, idx_ext: np.ndarray):
-    """Max over {self} + neighbors of (label, -index) lexicographic keys.
+def _closed_max(tree: TruncatedTree, x: np.ndarray) -> np.ndarray:
+    """Max of an (n, R) block over each vertex and its neighbors.
 
-    Inputs carry one sentinel row (label -inf) so the padded neighbor table
-    can be gathered directly; returns the per-vertex best label and the
-    smallest vertex index attaining it.
+    Uses the breadth-first layout: the children of every non-root vertex of
+    depth < R form one block of d-1 consecutive rows, so both directions are
+    block reshapes, with no index gather.
     """
-    n = tree.n
-    best = lab_ext[:n].copy()
-    win = idx_ext[:n].copy()
-    for j in range(tree.d):
-        col = tree.neighbors[:, j]
-        cl = lab_ext[col]
-        ci = idx_ext[col]
-        take = (cl > best) | ((cl == best) & (ci < win))
-        np.copyto(best, cl, where=take)
-        np.copyto(win, ci, where=take)
-    return best, win
+    d, internal = tree.d, tree_vertex_count(tree.d, tree.depth - 1)
+    out = x.copy()
+    kids = x[d + 1 :].reshape((internal - 1, d - 1) + x.shape[1:])
+    for j in range(d - 1):
+        np.maximum(out[1:internal], kids[:, j], out=out[1:internal])
+    np.maximum(out[0], x[1 : d + 1].max(axis=0), out=out[0])
+    np.maximum(out[1 : d + 1], x[0], out=out[1 : d + 1])
+    out_kids = out[d + 1 :].reshape(kids.shape)
+    np.maximum(out_kids, x[1:internal, None], out=out_kids)
+    return out
 
 
-def _ball2_winner(tree: TruncatedTree, labels: np.ndarray) -> np.ndarray:
-    """Index of the label-maximal vertex of each radius-2 ball, ties to the smallest index.
+def _waking_sites(tree: TruncatedTree, labels: np.ndarray):
+    """Row-major (vertex, replica) indices of the waking set of an (n, R) label block.
 
-    ``labels`` has shape (n, R); the result w[v, r] is the winning vertex index
-    within the truncated ball of radius 2 around v in replica r.  Propagating
-    (max, attaining index) along two self-plus-neighbors hops covers the ball
-    exactly: the smallest global attainer is the one-hop winner of some
-    neighbor on the path toward it.
+    Two self-plus-neighbor max hops give each vertex the float maximum of its
+    radius-2 ball; a vertex with all d neighbors (in breadth-first numbering,
+    the vertices of depth < R, which come first) wakes when its label equals
+    it, unless an earlier member of its ball carries the same label (the
+    smallest-index tie rule).  The earlier members are the parent, the
+    grandparent and the earlier siblings, compared block by block.
     """
-    n, reps = labels.shape
-    pad_lab = np.full((1, reps), -np.inf)
-    pad_idx = np.full((1, reps), n + 1, dtype=np.int64)
-    idx0 = np.tile(np.arange(n, dtype=np.int64)[:, None], (1, reps))
-    lab1, win1 = _lex_hop(tree, np.vstack([labels, pad_lab]), np.vstack([idx0, pad_idx]))
-    _, win2 = _lex_hop(tree, np.vstack([lab1, pad_lab]), np.vstack([win1, pad_idx]))
-    return win2
+    reps = labels.shape[1]
+    d, internal = tree.d, tree_vertex_count(tree.d, tree.depth - 1)
+    ball_max = _closed_max(tree, _closed_max(tree, labels))
+    tie = np.zeros((internal, reps), dtype=bool)
+    for j in range(1, min(d + 1, internal)):  # the root's children
+        tie[j] = (labels[:j] == labels[j]).any(axis=0)
+    blocks = labels[d + 1 : internal].reshape(-1, d - 1, reps)  # children of 1, 2, ...
+    owners = slice(1, 1 + len(blocks))
+    par, gpar = labels[owners], labels[tree.parent[owners]]
+    for j in range(d - 1):
+        kid = blocks[:, j]
+        hit = (kid == par) | (kid == gpar) | (kid == blocks[:, :j].transpose(1, 0, 2)).any(axis=0)
+        tie[d + 1 + j : internal : d - 1] = hit
+    flat = np.flatnonzero((labels[:internal] == ball_max[:internal]) & ~tie)
+    v_idx = flat // reps
+    return v_idx, flat - v_idx * reps
 
 
 def _waking_mask(tree: TruncatedTree, labels: np.ndarray) -> np.ndarray:
-    """(n, R) membership flags: radius-2 ball maxima among vertices with all d neighbors."""
-    winner = _ball2_winner(tree, labels)
-    own = np.arange(tree.n, dtype=np.int64)[:, None]
-    eligible = (tree.neighbor_count == tree.d)[:, None]
-    return (winner == own) & eligible
+    """(n, R) membership flags of the waking set, from ``_waking_sites``."""
+    member = np.zeros(labels.shape, dtype=bool)
+    member[_waking_sites(tree, labels)] = True
+    return member
 
 
 def waking_set(tree: TruncatedTree, labels: RealField) -> WakingSet:
@@ -97,7 +118,9 @@ def waking_set(tree: TruncatedTree, labels: RealField) -> WakingSet:
     A vertex joins iff its label strictly exceeds every other label in its
     radius-2 truncated ball (exact ties, a measure-zero event, are broken
     toward the smaller vertex index) and it has all d neighbors.  Members are
-    pairwise at tree distance >= 3.
+    pairwise at tree distance >= 3.  Computed as the label equalling the float
+    maximum of its ball, with no earlier ball member (parent, grandparent or
+    earlier sibling) carrying the same label.
     """
     member = _waking_mask(tree, labels.values[:, None])[:, 0]
     return WakingSet(tree, member, float(member.mean()))
@@ -123,30 +146,52 @@ def conditional_dist(kernel: TransitionKernel, neighbors) -> np.ndarray:
     return w / total
 
 
+def _woken_laws(states: np.ndarray, v_idx: np.ndarray, r_idx: np.ndarray,
+                tree: TruncatedTree, kernel: TransitionKernel):
+    """Conditional laws of the woken (vertex, replica) pairs, as (laws, rows).
+
+    When k^d is at most _LAW_TABLE_MAX and at most the number of woken pairs,
+    ``laws`` holds the law of every ordered neighbor tuple and pair i uses row
+    ``rows[i]``, the base-k code of its neighbor states; otherwise ``rows`` is
+    None and ``laws`` has one row per pair.  Both evaluate the same expression
+    per row, so they agree bit for bit.
+    """
+    k, d = kernel.state_count, tree.d
+    nbr_states = states[tree.neighbors[v_idx], r_idx[:, None]]  # (m, d)
+    rows = None
+    if k**d <= min(_LAW_TABLE_MAX, v_idx.size):
+        rows = nbr_states @ k ** np.arange(d - 1, -1, -1)
+        nbr_states = np.indices((k,) * d).reshape(d, -1).T
+    w = kernel.pi[None, :] * np.prod(kernel.q.T[nbr_states], axis=1)
+    totals = w.sum(axis=1)
+    if np.any((totals if rows is None else totals[rows]) <= 0.0):
+        raise ImpossibleConfigurationError(
+            "a woken vertex saw a neighbor configuration of probability zero"
+        )
+    with np.errstate(divide="ignore", invalid="ignore"):  # unwoken impossible codes
+        return w / totals[:, None], rows
+
+
+def _pair_laws(states, v_idx, r_idx, tree, kernel) -> np.ndarray:
+    """(m, k) conditional laws, one row per woken pair."""
+    laws, rows = _woken_laws(states, v_idx, r_idx, tree, kernel)
+    return laws if rows is None else laws[rows]
+
+
 def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
                     kernel: TransitionKernel):
     """Normalized conditional laws for every woken (vertex, replica) pair."""
     v_idx, r_idx = np.nonzero(member)
-    if v_idx.size == 0:
-        return v_idx, r_idx, np.empty((0, kernel.state_count))
-    nbr_states = states[tree.neighbors[v_idx], r_idx[:, None]]  # (m, d)
-    w = kernel.pi[None, :] * np.prod(kernel.q.T[nbr_states], axis=1)
-    totals = w.sum(axis=1)
-    if np.any(totals <= 0.0):
-        raise ImpossibleConfigurationError(
-            "a woken vertex saw a neighbor configuration of probability zero"
-        )
-    return v_idx, r_idx, w / totals[:, None]
+    return v_idx, r_idx, _pair_laws(states, v_idx, r_idx, tree, kernel)
 
 
 def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKernel,
                   rng: np.random.Generator) -> None:
     """One in-place sweep of an (n, R) state block."""
-    labels = rng.random(states.shape)
-    member = _waking_mask(tree, labels)
-    v_idx, r_idx, probs = _member_weights(states, member, tree, kernel)
+    v_idx, r_idx = _waking_sites(tree, rng.random(states.shape))
+    laws, rows = _woken_laws(states, v_idx, r_idx, tree, kernel)
     if v_idx.size:
-        states[v_idx, r_idx] = _draw_rows(probs, rng.random(v_idx.size))
+        states[v_idx, r_idx] = _draw_rows(laws, rng.random(v_idx.size), rows)
 
 
 def glauber_sweep(config: Configuration, kernel: TransitionKernel,
@@ -219,10 +264,9 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
     resampled through the maximal coupling of its two conditional laws,
     independently across members.
     """
-    labels = rng.random(sa.shape)
-    member = _waking_mask(tree, labels)
-    v_idx, r_idx, pa = _member_weights(sa, member, tree, kernel)
-    _, _, pb = _member_weights(sb, member, tree, kernel)
+    v_idx, r_idx = _waking_sites(tree, rng.random(sa.shape))
+    pa = _pair_laws(sa, v_idx, r_idx, tree, kernel)
+    pb = _pair_laws(sb, v_idx, r_idx, tree, kernel)
     if v_idx.size:
         xa, xb = _coupled_draw(pa, pb, rng)
         sa[v_idx, r_idx] = xa

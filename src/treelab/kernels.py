@@ -28,6 +28,7 @@ class TransitionKernel:
 
     Invariants, checked at construction within 1e-12:
 
+    - every entry of ``q`` and ``pi`` is finite;
     - every row of ``q`` sums to 1 and all entries lie in [0, 1];
     - ``pi`` has strictly positive entries summing to 1;
     - detailed balance: ``pi[s] * q[s, t] == pi[t] * q[t, s]`` for all s, t.
@@ -46,6 +47,8 @@ class TransitionKernel:
             raise ValueError("kernel needs at least one state")
         if pi.shape != (k,):
             raise ValueError("stationary vector has wrong length")
+        if not (np.isfinite(q).all() and np.isfinite(pi).all()):
+            raise ValueError("kernel has non-finite entries in q or pi")
         if np.any(q < -ATOL) or np.any(q > 1.0 + ATOL):
             raise ValueError("transition probabilities must lie in [0, 1]")
         if np.max(np.abs(q.sum(axis=1) - 1.0)) > ATOL:
@@ -150,6 +153,8 @@ def kernel_from_matrix(q) -> TransitionKernel:
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("transition matrix must be square")
+    if not np.isfinite(q).all():
+        raise ValueError("kernel has non-finite entries in q")
     evals, evecs = np.linalg.eig(q.T)
     idx = int(np.argmin(np.abs(evals - 1.0)))
     pi = np.real(evecs[:, idx])

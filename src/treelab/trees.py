@@ -22,8 +22,11 @@ from .kernels import TransitionKernel
 class TruncatedTree:
     """Truncated degree-d tree with breadth-first vertex numbering.
 
-    ``neighbors`` is an (n, d) index table padded with the sentinel ``n``
-    (parent first, then children); ``children`` likewise holds only children.
+    The root's children are 1..d and the children of vertex v >= 1 are the d-1
+    indices from d + 1 + (v-1)(d-1) on, so the vertices of depth < R, which
+    have all d neighbors, come first.  ``neighbors`` is an (n, d) index table
+    padded with the sentinel ``n`` (parent first, then children); ``children``
+    likewise holds only children.
     """
 
     d: int
@@ -53,7 +56,7 @@ def build_tree(d: int, depth: int, max_vertices: int = 5_000_000) -> TruncatedTr
     """Build the depth-``depth`` truncation of the degree-``d`` tree.
 
     Breadth-first numbering: root is 0, each vertex's children are contiguous,
-    so the layout is deterministic.
+    so the layout is the closed form that ``TruncatedTree`` states.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
@@ -62,36 +65,28 @@ def build_tree(d: int, depth: int, max_vertices: int = 5_000_000) -> TruncatedTr
     n = tree_vertex_count(d, depth)
     if n > max_vertices:
         raise BudgetExceededError(f"tree would have {n} vertices, over the budget of {max_vertices}")
+    internal = tree_vertex_count(d, depth - 1)  # vertices of depth < depth
 
-    parent = np.full(n, -1, dtype=np.int64)
-    depth_of = np.zeros(n, dtype=np.int64)
+    parent = np.empty(n, dtype=np.int64)
+    parent[0] = -1
+    parent[1 : d + 1] = 0
+    parent[d + 1 :] = np.arange(n - d - 1) // (d - 1) + 1
+    sizes = [1] + [d * (d - 1) ** (ell - 1) for ell in range(1, depth + 1)]
+    depth_of = np.repeat(np.arange(depth + 1, dtype=np.int64), sizes)
+
     children = np.full((n, d), n, dtype=np.int64)
+    children[0] = np.arange(1, d + 1)
+    children[1:internal, : d - 1] = np.arange(d + 1, n).reshape(-1, d - 1)
     child_count = np.zeros(n, dtype=np.int64)
+    child_count[0] = d
+    child_count[1:internal] = d - 1
 
-    next_free = 1
-    level_start, level_size = 0, 1
-    for ell in range(depth):
-        for v in range(level_start, level_start + level_size):
-            nkids = d if v == 0 else d - 1
-            kids = np.arange(next_free, next_free + nkids)
-            children[v, :nkids] = kids
-            child_count[v] = nkids
-            parent[kids] = v
-            depth_of[kids] = ell + 1
-            next_free += nkids
-        level_start += level_size
-        level_size = d if ell == 0 else level_size * (d - 1)
-    assert next_free == n
-
-    neighbors = np.full((n, d), n, dtype=np.int64)
-    neighbor_count = np.zeros(n, dtype=np.int64)
-    neighbors[0, :d] = children[0, :d]
+    neighbors = np.empty((n, d), dtype=np.int64)
+    neighbors[0] = children[0]
+    neighbors[1:, 0] = parent[1:]
+    neighbors[1:, 1:] = children[1:, : d - 1]
+    neighbor_count = child_count + 1
     neighbor_count[0] = d
-    for v in range(1, n):
-        cc = int(child_count[v])
-        neighbors[v, 0] = parent[v]
-        neighbors[v, 1 : 1 + cc] = children[v, :cc]
-        neighbor_count[v] = 1 + cc
 
     for arr in (parent, depth_of, neighbors, neighbor_count, children, child_count):
         arr.setflags(write=False)
@@ -141,14 +136,19 @@ def _draw_rows(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None)
 
     Each law in ``probs`` (one per row, or a single vector) is cumulated and
     rescaled to end at exactly 1.0, so every u in [0, 1) lands in a bin.  With
-    ``rows`` given, draw i uses the law ``probs[rows[i]]``: a kernel is
-    cumulated once and its cumulative rows are gathered.
+    ``rows`` given, draw i uses the law ``probs[rows[i]]``: a table of laws is
+    cumulated once, and as its cumulative rows are nondecreasing the first bin
+    above u is the number of columns whose cumulative value is <= u, counted
+    one column at a time without gathering whole rows.
     """
     cum = np.cumsum(probs, axis=-1)
     cum /= cum[..., -1:]
-    if rows is not None:
-        cum = cum[rows]
-    return (u[..., None] < cum).argmax(axis=-1)
+    if rows is None:
+        return (u[..., None] < cum).argmax(axis=-1)
+    out = np.zeros(u.shape, dtype=np.int64)
+    for col in cum.T[:-1]:  # the last column is 1.0 > u
+        out += col[rows] <= u
+    return out
 
 
 def sample_bmc_batch(kernel: TransitionKernel, tree: TruncatedTree, rng: np.random.Generator,

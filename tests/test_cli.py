@@ -199,6 +199,9 @@ class TestContracts:
          "--sweeps", "1", "--replicas", "0", "--seed", "1"],
         ["glauber-converge", "--kernel", "ising(0.25)", "--d", "3", "--depth", "4",
          "--sweeps", "1", "--replicas", "0", "--seed", "1"],
+        ["spectral", "--kernel", "{nan}"],
+        ["epsilon0", "--family", "dominating", "--d", "3", "--s-count", "0"],
+        ["epsilon0", "--family", "dominating", "--d", "3", "--s-count", "1"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         # K4 with vertex 3 written as -1, and with an edge to vertex 4
@@ -206,10 +209,24 @@ class TestContracts:
         neg.write_text("4 3\n0 1\n0 2\n0 -1\n1 2\n1 -1\n2 -1\n")
         big = tmp_path / "big.txt"
         big.write_text("4 3\n0 1\n0 2\n0 4\n1 2\n1 3\n2 3\n")
-        assert run([a.format(neg=neg, big=big) for a in argv]) == 2
+        nan = tmp_path / "nan.txt"
+        nan.write_text("nan 0.5\n0.5 0.5\n")
+        assert run([a.format(neg=neg, big=big, nan=nan) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+
+    def test_undefined_contraction_rate_is_strict_json(self, capsys):
+        # one sweep of five replicas: fewer than two sweeps to fit a rate to
+        assert run(["glauber-contraction", "--kernel", "ising(0.2)", "--d", "3", "--depth", "3",
+                    "--sweeps", "1", "--replicas", "5", "--seed", "1"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert out["rate"] is None and out["rate_interval"] is None
+        assert "10 standard errors" in out["rate_note"]
 
     def test_budget_exits_3(self, capsys):
         assert run(["dobrushin", "--kernel", "potts(30,0.5)", "--d", "8",

@@ -178,6 +178,11 @@ class TestEpsilon0:
         assert all(v > 0 for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("s_count", [0, 1])
+    def test_rejects_fewer_than_two_states(self, s_count):
+        with pytest.raises(ValueError, match="s_count must be at least 2"):
+            epsilon0("dominating", d=3, s_count=s_count)
+
     def test_generic_matrix_threshold_exists(self):
         report = epsilon0(CoveringMatrix([[1, 2], [2, 1]]))
         assert report.epsilon0 > 0.0

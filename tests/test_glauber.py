@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
+from treelab import glauber
 from treelab.errors import ImpossibleConfigurationError
-from treelab.glauber import (CoupledPair, conditional_dist, converge_from_iid, coupled_sweep,
+from treelab.glauber import (CoupledPair, _member_weights, _sweep_states, _waking_mask,
+                             conditional_dist, converge_from_iid, coupled_sweep,
                              estimate_hamming_decay, fixed_point_test, glauber_sweep,
                              maximal_coupling, wake_probability, waking_set)
-from treelab.kernels import NeighborConfig, TransitionKernel, make_ising, make_potts, uniform_kernel
-from treelab.trees import (Configuration, RealField, build_tree, sample_bmc,
+from treelab.graphs import circulant_graph
+from treelab.kernels import (NeighborConfig, TransitionKernel, make_ising, make_potts,
+                             make_walk_kernel, uniform_kernel)
+from treelab.trees import (Configuration, RealField, build_tree, sample_bmc, sample_bmc_batch,
                            sample_uniform_labels, tree_distance)
 
 
@@ -32,7 +36,6 @@ class TestWakingSet:
         hits = 0
         for _ in range(10):
             labels = rng.random((tree.n, draws // 10))
-            from treelab.glauber import _waking_mask
             hits += _waking_mask(tree, labels)[0].sum()
         p = wake_probability(3)
         sigma = np.sqrt(p * (1 - p) / draws)
@@ -77,6 +80,16 @@ class TestWakingSet:
         ws = waking_set(tree, constant)
         assert np.flatnonzero(ws.member).tolist() == [0]
 
+    @pytest.mark.parametrize("d,depth", [(3, 4), (4, 3), (3, 1), (5, 2)])
+    @pytest.mark.parametrize("levels", [3, 4])
+    def test_label_block_with_ties_matches_reference_scan(self, d, depth, levels):
+        # few label levels make ties at ball maxima common, in every replica
+        tree = build_tree(d, depth)
+        labels = np.floor(np.random.default_rng(levels).random((tree.n, 32)) * levels) / levels
+        mask = _waking_mask(tree, labels)
+        for r in range(labels.shape[1]):
+            assert np.array_equal(mask[:, r], waking_reference_scan(tree, labels[:, r]))
+
     def test_density_field(self):
         tree = build_tree(3, 4)
         ws = waking_set(tree, sample_uniform_labels(tree, np.random.default_rng(4)))
@@ -116,6 +129,62 @@ class TestConditionalDist:
         identity = TransitionKernel(q=[[1.0, 0.0], [0.0, 1.0]], pi=[0.5, 0.5])
         with pytest.raises(ImpossibleConfigurationError):
             conditional_dist(identity, [0, 1])
+
+
+def per_member_laws(states, member, tree, kernel):
+    """The per-member formula: pi * prod_u q[:, s_u], normalized, one row per woken pair."""
+    v_idx, r_idx = np.nonzero(member)
+    w = kernel.pi[None, :] * np.prod(kernel.q.T[states[tree.neighbors[v_idx], r_idx[:, None]]], axis=1)
+    return w / w.sum(axis=1)[:, None]
+
+
+def weighted_walk():
+    """Reversible 3-state walk on a weighted graph, with no symmetry among the states."""
+    w = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 7.0], [3.0, 7.0, 11.0]])
+    return TransitionKernel(q=w / w.sum(axis=1, keepdims=True), pi=w.sum(axis=1) / w.sum())
+
+
+class TestLawTable:
+    @pytest.mark.parametrize("kernel", [make_ising(0.25), make_potts(3, 0.4), weighted_walk()])
+    def test_table_rows_equal_per_member_formula_bitwise(self, kernel):
+        tree = build_tree(3, 5)
+        rng = np.random.default_rng(40)
+        states = sample_bmc_batch(kernel, tree, rng, 64)
+        member = _waking_mask(tree, rng.random(states.shape))
+        assert kernel.state_count ** 3 <= min(glauber._LAW_TABLE_MAX, member.sum())
+        _, _, probs = _member_weights(states, member, tree, kernel)
+        assert np.array_equal(probs, per_member_laws(states, member, tree, kernel))
+        for row, (v, r) in zip(probs, zip(*np.nonzero(member))):
+            assert np.allclose(row, conditional_dist(kernel, states[tree.neighbors[v], r]))
+
+    @pytest.mark.parametrize("kernel", [make_ising(0.25), make_potts(3, 0.4)])
+    def test_sweep_is_the_same_with_and_without_table(self, kernel, monkeypatch):
+        tree = build_tree(3, 5)
+        start = sample_bmc_batch(kernel, tree, np.random.default_rng(41), 64)
+        swept = []
+        for budget in (glauber._LAW_TABLE_MAX, 0):
+            monkeypatch.setattr(glauber, "_LAW_TABLE_MAX", budget)
+            states, rng = start.copy(), np.random.default_rng(42)
+            for _ in range(3):
+                _sweep_states(states, tree, kernel, rng)
+            swept.append(states)
+        assert np.array_equal(*swept)
+
+    def test_zero_entries_raise_only_when_an_impossible_code_wakes(self):
+        # the walk on the 5-cycle has no triangles: no state is adjacent to
+        # both 0 and 1, so the table holds zero-total codes
+        kernel = make_walk_kernel(circulant_graph(5, [1]))
+        tree = build_tree(3, 4)
+        states = sample_bmc_batch(kernel, tree, np.random.default_rng(43), 64)
+        states[tree.children[0], 0] = [0, 1, 0]  # the root's neighborhood is now impossible
+        member = np.zeros(states.shape, dtype=bool)
+        member[tree.neighbor_count == 3, 1:] = True  # replica 0 stays asleep
+        assert kernel.state_count ** 3 <= min(glauber._LAW_TABLE_MAX, member.sum())
+        _, _, probs = _member_weights(states, member, tree, kernel)
+        assert np.array_equal(probs, per_member_laws(states, member, tree, kernel))
+        member[0, 0] = True
+        with pytest.raises(ImpossibleConfigurationError):
+            _member_weights(states, member, tree, kernel)
 
 
 class TestGlauberSweep:

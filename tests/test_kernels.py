@@ -71,6 +71,16 @@ class TestConstruction:
             TransitionKernel(q=q, pi=[0.7, 0.7])
 
 
+    def test_rejects_non_finite(self):
+        nan, inf = float("nan"), float("inf")
+        with pytest.raises(ValueError, match="non-finite"):
+            TransitionKernel(q=[[nan, 0.5], [0.5, 0.5]], pi=[0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            TransitionKernel(q=[[0.5, 0.5], [0.5, 0.5]], pi=[inf, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            kernel_from_matrix([[nan, 0.5], [0.5, 0.5]])
+
+
 class TestIsing:
     def test_theta_zero_is_uniform(self):
         k = make_ising(0.0)

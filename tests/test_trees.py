@@ -3,7 +3,7 @@ import pytest
 
 from treelab.errors import BudgetExceededError
 from treelab.kernels import make_ising, make_potts, uniform_kernel
-from treelab.trees import (build_tree, classify_correlation_decay, dump_configuration,
+from treelab.trees import (_draw_rows, build_tree, classify_correlation_decay, dump_configuration,
                            estimate_correlation, exact_bmc_marginals, exact_correlations,
                            local_correlation_bound, sample_bmc, sample_bmc_batch,
                            sample_iid, sample_uniform_labels, tree_distance,
@@ -13,7 +13,45 @@ from treelab.trees import (build_tree, classify_correlation_decay, dump_configur
 CHI2_3SIGMA = {1: 9.00, 2: 11.83, 3: 14.16, 4: 16.25, 6: 20.06}
 
 
+def loop_built_tree(d, depth):
+    """Per-vertex construction: parent, depth, neighbor and child tables, level by level."""
+    n = tree_vertex_count(d, depth)
+    parent = np.full(n, -1, dtype=np.int64)
+    depth_of = np.zeros(n, dtype=np.int64)
+    children = np.full((n, d), n, dtype=np.int64)
+    child_count = np.zeros(n, dtype=np.int64)
+    next_free, level = 1, [0]
+    for ell in range(1, depth + 1):
+        nxt = []
+        for v in level:
+            nkids = d if v == 0 else d - 1
+            for j in range(nkids):
+                children[v, j], parent[next_free], depth_of[next_free] = next_free, v, ell
+                nxt.append(next_free)
+                next_free += 1
+            child_count[v] = nkids
+        level = nxt
+    neighbors = np.full((n, d), n, dtype=np.int64)
+    neighbor_count = np.zeros(n, dtype=np.int64)
+    for v in range(n):
+        nbrs = ([] if v == 0 else [int(parent[v])]) + children[v, : child_count[v]].tolist()
+        neighbors[v, : len(nbrs)] = nbrs
+        neighbor_count[v] = len(nbrs)
+    return parent, depth_of, neighbors, neighbor_count, children, child_count
+
+
 class TestBuildTree:
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 6])
+    def test_equals_per_vertex_loop(self, d, depth):
+        tree = build_tree(d, depth)
+        arrays = (tree.parent, tree.depth_of, tree.neighbors, tree.neighbor_count,
+                  tree.children, tree.child_count)
+        for got, want in zip(arrays, loop_built_tree(d, depth)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+
+
     @pytest.mark.parametrize("d,depth,count", [(3, 1, 4), (3, 3, 22), (4, 2, 17)])
     def test_vertex_counts(self, d, depth, count):
         tree = build_tree(d, depth)
@@ -117,6 +155,23 @@ class TestSampleBmc:
         config = sample_bmc(make_ising(0.2), tree, np.random.default_rng(5))
         assert config.states.shape == (tree.n,)
         assert set(np.unique(config.states)) <= {0, 1}
+
+
+class TestDrawRows:
+    def test_row_draw_equals_argmax_form(self):
+        rng = np.random.default_rng(50)
+        for k in (2, 3, 7):
+            probs = rng.random((6, k))
+            probs[0, 0] = 0.0  # an empty bin
+            probs /= probs.sum(axis=1, keepdims=True)
+            cum = np.cumsum(probs, axis=1)
+            cum /= cum[:, -1:]
+            rows = rng.integers(0, 6, size=(40, 25))
+            u = rng.random(rows.shape)
+            u[0] = 0.0
+            u[1] = cum[rows[1], rng.integers(0, k - 1, size=25)]  # exactly on a cumulative value
+            want = (u[..., None] < cum[rows]).argmax(axis=-1)
+            assert np.array_equal(_draw_rows(probs, u, rows), want)
 
 
 class TestSampleIid:

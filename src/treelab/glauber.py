@@ -106,7 +106,8 @@ def _waking_sites(tree: TruncatedTree, labels: np.ndarray):
 
 
 def _waking_mask(tree: TruncatedTree, labels: np.ndarray) -> np.ndarray:
-    """(n, R) membership flags of the waking set, from ``_waking_sites``."""
+    """(n, R) membership flags of the waking set: ball maxima by float max hops,
+    ties to the smaller index by the earlier-member check of ``_waking_sites``."""
     member = np.zeros(labels.shape, dtype=bool)
     member[_waking_sites(tree, labels)] = True
     return member

@@ -70,7 +70,7 @@ def build_tree(d: int, depth: int, max_vertices: int = 5_000_000) -> TruncatedTr
     parent = np.empty(n, dtype=np.int64)
     parent[0] = -1
     parent[1 : d + 1] = 0
-    parent[d + 1 :] = np.arange(n - d - 1) // (d - 1) + 1
+    np.floor_divide(np.arange(d - 1, n - 2), d - 1, out=parent[d + 1 :])
     sizes = [1] + [d * (d - 1) ** (ell - 1) for ell in range(1, depth + 1)]
     depth_of = np.repeat(np.arange(depth + 1, dtype=np.int64), sizes)
 

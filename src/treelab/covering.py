@@ -263,6 +263,16 @@ class ThresholdReport:
     certificate_lo: float  # g just below the root: positive
     certificate_hi: float  # g just above the root: nonpositive
 
+    @property
+    def ratio_bound(self) -> float | None:
+        """The bound eps_0 implies: a dominating ratio of at least 1/(d+1) + eps_0,
+        an independence ratio of at most 1/2 - eps_0; None for a generic matrix."""
+        if self.delta_id == "dominating":
+            return 1.0 / (self.d + 1.0) + self.epsilon0
+        if self.delta_id == "bipartite":
+            return 0.5 - self.epsilon0
+        return None
+
 
 def _resolve_delta(family, d: int | None):
     if isinstance(family, CoveringMatrix):
@@ -354,8 +364,7 @@ def dominating_table(d_from: int, d_to: int) -> list[DominatingRow]:
     out = []
     for d in range(d_from, d_to + 1):
         row = epsilon0("dominating", d=d)
-        out.append(DominatingRow(d=d, epsilon0=row.epsilon0,
-                                 dominating_bound=1.0 / (d + 1.0) + row.epsilon0))
+        out.append(DominatingRow(d=d, epsilon0=row.epsilon0, dominating_bound=row.ratio_bound))
     return out
 
 
@@ -377,8 +386,7 @@ class IndependenceRow:
 def independence_threshold(d: int) -> IndependenceRow:
     """Upper bound 1/2 - epsilon0 on the independence ratio of random d-regular graphs."""
     row = epsilon0("independence", d=d)
-    return IndependenceRow(d=d, epsilon0=row.epsilon0,
-                           independence_bound=0.5 - row.epsilon0)
+    return IndependenceRow(d=d, epsilon0=row.epsilon0, independence_bound=row.ratio_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,10 @@ def golden():
 
 
 def test_golden_covers_every_subcommand(golden):
-    from treelab.cli import _DISPATCH
+    from treelab.cli import _COMMANDS
 
     assert sorted(golden) == sorted(CASES)
-    assert {case.split()[0] for case in CASES} == set(_DISPATCH)
+    assert {case.split()[0] for case in CASES} == set(_COMMANDS)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -1,18 +1,17 @@
 """Command-line interface.
 
-Each subcommand is declared once, by the ``_command`` decorator on its
-handler: its name, its parser arguments and help text, and the argument names
-its output echoes.  The parser is built from that registry on the first
-``run``, and ``run`` is the one envelope every command goes through: it prints
-``{"command": name, **echoed inputs, **handler result}`` as a single JSON
-object to stdout (keys sorted, so identical configuration and seed give
-bitwise identical output) and returns exit code 0 on success, 2 on validation
-errors, and 3 when an exact computation exceeds its budget.  Decay curves can
-additionally be written as CSV files.
+Each subcommand is declared once, by ``_command`` on its handler: name, parser
+arguments, help text and the argument names its output echoes.  The parser is
+built from that registry on the first ``run``, the one envelope every command
+goes through: it prints ``{"command": name, **echoed inputs, **handler result}``
+as strict JSON with sorted keys (so identical configuration and seed give
+bitwise identical output) and exits 0, or 2 on validation errors, or 3 when an
+exact computation exceeds its budget.  An undefined statistic prints ``null``
+beside a ``*_note`` reason; any other NaN or infinity exits 2 with nothing
+printed.  Curves and tables can also go to CSV files of plain decimal numbers.
 
-Wherever a kernel is expected, inline constructors are accepted besides plain
-matrix files: ``ising(0.2)``, ``potts(7,0.3)``, ``uniform(4)``, and
-``walk(graph.txt)``.
+Kernels are given inline, ``ising(0.2)``, ``potts(7,0.3)``, ``uniform(4)`` or
+``walk(graph.txt)``, or as plain matrix files.
 """
 
 from __future__ import annotations
@@ -46,14 +45,11 @@ def parse_kernel(spec: str) -> kernels.TransitionKernel:
     return kernels.make_walk_kernel(graphs.read_graph(args))
 
 
-def parse_matrix(spec: str, d: int | None = None) -> covering.CoveringMatrix:
+def parse_matrix(spec: str, d: int) -> covering.CoveringMatrix:
+    """An inline family ('m1'/'dominating', 'm2'/'bipartite') at degree d, or a matrix file."""
     if spec == "m1" or spec == "dominating":
-        if d is None:
-            raise ValueError("inline matrix families need the graph degree")
         return covering.dominating_matrix(d)
     if spec == "m2" or spec == "bipartite":
-        if d is None:
-            raise ValueError("inline matrix families need the graph degree")
         return covering.bipartite_matrix(d)
     return covering.read_covering_matrix(spec)
 
@@ -71,14 +67,17 @@ def _jsonable(obj):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(_jsonable(payload), sort_keys=True))
+    """Print strict JSON: a NaN or infinity raises ValueError before anything is printed."""
+    print(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False))
 
 
-def _write_curve_csv(path: str, sweeps, means, stderrs) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
+    """Comma-separated rows of ints and plain decimal floats under a header line."""
     with open(path, "w") as fh:
-        fh.write("sweep,mean_distance,stderr\n")
-        for s, m, e in zip(sweeps, means, stderrs):
-            fh.write(f"{int(s)},{m!r},{e!r}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(str(int(x)) if isinstance(x, (int, np.integer))
+                              else repr(float(x)) for x in row) + "\n")
 
 
 def _fields(report, names: str) -> dict:
@@ -168,6 +167,9 @@ def _correlation(args) -> dict:
         "estimate": est.value, "stderr": est.stderr, "exact": float(exact),
         "bound": trees.local_correlation_bound(max(args.distance, 1), args.d),
     }
+    if not np.isfinite(est.value):
+        out.update(estimate=None, stderr=None, estimate_note=(
+            "undefined: the sampled states at one of the two points are all equal"))
     if args.k_max > 0:
         verdict = trees.classify_correlation_decay(kernel, args.d, enc, args.k_max)
         out.update(verdict=verdict.verdict, witness=verdict.witness, k_max=args.k_max)
@@ -184,30 +186,31 @@ def _glauber(experiment, fields: str, args) -> dict:
         out.update(rate=None, rate_interval=None, rate_note=(
             "undefined: fewer than two sweeps have a mean distance above 10 standard errors"))
     if getattr(args, "csv", None):
-        _write_curve_csv(args.csv, report.sweeps, report.mean_distance, report.stderr)
+        _write_csv(args.csv, "sweep,mean_distance,stderr",
+                   zip(report.sweeps, report.mean_distance, report.stderr))
     return out
 
 
-def _glauber_command(name: str, experiment, fields: str, *curve) -> None:
-    """Register a Glauber subcommand; ``curve`` is the --csv argument when the
-    report carries a decay curve."""
+def _glauber_command(name: str, experiment, fields: str, curve: bool) -> None:
+    """Register a Glauber subcommand; one whose report carries a decay curve takes --csv."""
+    csv = (_arg("--csv", help="write the decay curve here"),) if curve else ()
     _command(name, "kernel d depth sweeps replicas seed" + (" csv" if curve else ""),
              _arg("--kernel", required=True), _arg("--d", type=int, required=True),
              _arg("--depth", type=int, required=True), _arg("--sweeps", type=int, required=True),
              _arg("--replicas", type=int, required=True), _arg("--seed", type=int, required=True),
              _arg("--window-depth", type=int, default=None),
-             *curve)(functools.partial(_glauber, experiment, fields))
+             *csv)(functools.partial(_glauber, experiment, fields))
 
 
 _glauber_command("glauber-fixed-point", glauber.fixed_point_test,
                  "tv_vertex floor_vertex tv_edge floor_edge tv_star floor_star "
-                 "vertex_ok edge_ok star_ok")
+                 "vertex_ok edge_ok star_ok", False)
 _glauber_command("glauber-contraction", glauber.estimate_hamming_decay,
                  "rate rate_interval dobrushin p_wake contraction_bound mean_distance stderr",
-                 _arg("--csv", help="write the decay curve here"))
+                 True)
 _glauber_command("glauber-converge", glauber.converge_from_iid,
                  "predicted_initial final_distance final_stderr dobrushin contraction_bound "
-                 "mean_distance stderr", _arg("--csv", help="write the decay curve here"))
+                 "mean_distance stderr", True)
 
 
 @_command("entropy-check", "kernel d",
@@ -319,14 +322,18 @@ def _epsilon0(args) -> dict:
     if args.family is None and args.matrix is None:
         raise ValueError("epsilon0 needs --family or --matrix")
     if args.matrix is not None:
-        family = covering.read_covering_matrix(args.matrix)
-        report = covering.epsilon0(family, s_count=args.s_count)
+        report = covering.epsilon0(covering.read_covering_matrix(args.matrix),
+                                   s_count=args.s_count)
+    elif args.d is None:
+        raise ValueError("--family needs --d")
     else:
-        if args.d is None:
-            raise ValueError("--family needs --d")
         report = covering.epsilon0(args.family, d=args.d, s_count=args.s_count)
     out = _fields(report, "d s_count delta_id epsilon0 certificate_lo certificate_hi")
-    out.update(scan_eps=report.grid, scan_g=report.grid_values)
+    scan_g = [float(g) if np.isfinite(g) else None for g in report.grid_values]
+    out.update(scan_eps=report.grid, scan_g=scan_g)
+    if None in scan_g:
+        out["scan_note"] = (
+            "null where the delta bound is nonpositive: the premise fails and eps counts as crossed")
     bound = {"dominating": "dominating_bound", "bipartite": "independence_bound"}
     if report.delta_id in bound:
         out[bound[report.delta_id]] = report.ratio_bound
@@ -340,10 +347,8 @@ def _epsilon0(args) -> dict:
 def _dominating_table(args) -> dict:
     rows = covering.dominating_table(args.d_from, args.d_to)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("d,epsilon0,dominating_bound\n")
-            for row in rows:
-                fh.write(f"{row.d},{row.epsilon0!r},{row.dominating_bound!r}\n")
+        _write_csv(args.csv, "d,epsilon0,dominating_bound",
+                   ((r.d, r.epsilon0, r.dominating_bound) for r in rows))
     if args.text:
         with open(args.text, "w") as fh:
             fh.write(covering.format_dominating_table(rows))
@@ -358,15 +363,14 @@ def run(argv) -> int:
         return int(exc.code) if exc.code else 0
     handler, echo, _, _ = _COMMANDS[args.command]
     try:
-        payload = {"command": args.command, **{name: getattr(args, name) for name in echo},
-                   **handler(args)}
+        _emit({"command": args.command, **{name: getattr(args, name) for name in echo},
+               **handler(args)})
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(payload)
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import bfs
+from .graphs import _read_rows, _strongly_connected, bfs
 
 
 @dataclass(frozen=True)
@@ -53,18 +53,8 @@ class CoveringMatrix:
         return int(self.mat[0].sum())
 
 
-def _successors(support: np.ndarray) -> list[np.ndarray]:
-    return [np.flatnonzero(row) for row in support]
-
-
-def _strongly_connected(support: np.ndarray) -> bool:
-    s = support.shape[0]
-    return all(len(bfs(0, succ.__getitem__)) == s
-               for succ in (_successors(support), _successors(support.T)))
-
-
 def _support_diameter(mat: np.ndarray) -> int:
-    succ = _successors(mat > 0)
+    succ = [np.flatnonzero(row) for row in mat > 0]
     return max(max(bfs(src, succ.__getitem__).values()) for src in range(mat.shape[0]))
 
 
@@ -445,14 +435,14 @@ def rigidity_check(star_joint, tol: float = 1e-9) -> RigidityVerdict:
 
 
 def read_covering_matrix(path) -> CoveringMatrix:
-    """Text format: header ``s_count d``, then the integer matrix rows."""
-    with open(path) as fh:
-        tokens = [line.split() for line in fh if line.strip() and not line.startswith("#")]
-    if not tokens or len(tokens[0]) != 2:
+    """Text format: header ``s_count d``, then exactly ``s_count`` integer matrix rows."""
+    rows = _read_rows(path)
+    if not rows or len(rows[0]) != 2:
         raise ValueError(f"missing 's_count d' header in {path}")
-    s, d = int(tokens[0][0]), int(tokens[0][1])
-    rows = [[int(x) for x in row] for row in tokens[1 : 1 + s]]
-    matrix = CoveringMatrix(rows)
+    s, d = int(rows[0][0]), int(rows[0][1])
+    if len(rows) - 1 != s:
+        raise ValueError(f"header of {path} announces {s} matrix rows, the body has {len(rows) - 1}")
+    matrix = CoveringMatrix([[int(x) for x in row] for row in rows[1:]])
     if matrix.s_count != s or matrix.d != d:
         raise ValueError("matrix body does not match its header")
     return matrix

@@ -136,13 +136,14 @@ def write_graph(graph: RegularGraph, path) -> None:
 
 
 def read_graph(path) -> RegularGraph:
-    with open(path) as fh:
-        tokens = [line.split() for line in fh if line.strip() and not line.startswith("#")]
-    if not tokens or len(tokens[0]) != 2:
+    rows = _read_rows(path)
+    if not rows or len(rows[0]) != 2:
         raise ValueError(f"missing 'n d' header in {path}")
-    n, d = int(tokens[0][0]), int(tokens[0][1])
-    edges = [(int(u), int(v)) for u, v in tokens[1:]]
-    return graph_from_edges(n, d, edges)
+    for row in rows[1:]:
+        if len(row) != 2:
+            raise ValueError(f"edge line {' '.join(row)!r} in {path} needs exactly two vertex ids")
+    n, d = int(rows[0][0]), int(rows[0][1])
+    return graph_from_edges(n, d, [(int(u), int(v)) for u, v in rows[1:]])
 
 
 def pm_count(m: int):
@@ -303,6 +304,19 @@ def bfs(start: int, neighbors, max_depth: int | None = None) -> dict[int, int]:
     return dist
 
 
+def _strongly_connected(support: np.ndarray) -> bool:
+    """True iff the digraph with boolean adjacency matrix ``support`` is strongly connected."""
+    return all(len(bfs(0, [np.flatnonzero(row) for row in adj].__getitem__)) == adj.shape[0]
+               for adj in (support, support.T))
+
+
+def _read_rows(path) -> list[list[str]]:
+    """Whitespace-split lines of a text file; blank lines and ``#`` comment
+    lines, indented or not, are skipped."""
+    with open(path) as fh:
+        return [line.split() for line in map(str.strip, fh) if line and not line.startswith("#")]
+
+
 def _shortest_cycle_through(graph: RegularGraph, v: int, cap: int) -> int:
     """Length of the shortest cycle through v, or a large value if above cap."""
     best = cap + 1
@@ -415,6 +429,8 @@ def eigen_experiment(graph: RegularGraph, which: int, levels: int | None,
     """
     if not graph.simple:
         raise ValueError("eigen experiment needs a simple graph")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     a = adjacency_matrix(graph)
     evals, evecs = np.linalg.eigh(a)
     order = np.argsort(evals)[::-1]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import bfs
+from .graphs import _read_rows, _strongly_connected, bfs
 
 ATOL = 1e-12
 
@@ -148,13 +148,16 @@ def kernel_from_matrix(q) -> TransitionKernel:
 
     The stationary distribution is recovered from the left Perron eigenvector;
     construction then validates reversibility, so non-reversible matrices are
-    rejected.
+    rejected.  Reducible matrices are rejected before the eigen solve, whose
+    stationary vector is not unique for them.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("transition matrix must be square")
     if not np.isfinite(q).all():
         raise ValueError("kernel has non-finite entries in q")
+    if q.size and not _strongly_connected(q > 0):
+        raise ValueError("kernel is reducible: some state cannot reach every other state")
     evals, evecs = np.linalg.eig(q.T)
     idx = int(np.argmin(np.abs(evals - 1.0)))
     pi = np.real(evecs[:, idx])
@@ -167,13 +170,7 @@ def kernel_from_matrix(q) -> TransitionKernel:
 
 def load_kernel(path) -> TransitionKernel:
     """Read a kernel from a plain-text matrix file (one row per line)."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in line.split()])
+    rows = [[float(tok) for tok in row] for row in _read_rows(path)]
     if not rows:
         raise ValueError(f"empty kernel file: {path}")
     width = len(rows[0])

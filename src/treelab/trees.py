@@ -248,7 +248,8 @@ def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
     for _ in range(distance):
         x = _draw_rows(kernel.q, rng.random(replicas), x)
     gk = encoding[x]
-    c = np.corrcoef(g0, gk)
+    with np.errstate(invalid="ignore", divide="ignore"):  # NaN when one end is constant
+        c = np.corrcoef(g0, gk)
     r = float(c[0, 1])
     stderr = (1.0 - r * r) / np.sqrt(replicas - 1)
     return CorrelationEstimate(r, float(stderr), replicas, distance)

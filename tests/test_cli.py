@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from treelab.cli import parse_kernel, run
+from treelab.cli import _COMMANDS, parse_kernel, run
 from treelab.covering import bipartite_matrix, write_covering_matrix
 from treelab.graphs import complete_graph, sample_regular_graph, write_graph
 from treelab.kernels import make_ising, make_potts
@@ -94,6 +94,8 @@ class TestCommands:
         lines = csv.read_text().strip().split("\n")
         assert lines[0] == "sweep,mean_distance,stderr"
         assert len(lines) == 7
+        rows = [[float(field) for field in line.split(",")] for line in lines[1:]]
+        assert [row[1] for row in rows] == out["mean_distance"]
 
     def test_glauber_fixed_point(self, capsys):
         out = run_json(capsys, [
@@ -202,31 +204,66 @@ class TestContracts:
         ["spectral", "--kernel", "{nan}"],
         ["epsilon0", "--family", "dominating", "--d", "3", "--s-count", "0"],
         ["epsilon0", "--family", "dominating", "--d", "3", "--s-count", "1"],
+        ["eigen-quantize", "--graph", "{k4}", "--which", "0", "--levels", "1", "--seed", "0",
+         "--tol", "nan"],
+        ["epsilon0", "--matrix", "{tall}"],
+        ["spectral", "--kernel", "walk({triple})"],
+        ["spectral", "--kernel", "{reducible_identity}"],
+        ["spectral", "--kernel", "{reducible_absorbing}"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
-        # K4 with vertex 3 written as -1, and with an edge to vertex 4
-        neg = tmp_path / "neg.txt"
-        neg.write_text("4 3\n0 1\n0 2\n0 -1\n1 2\n1 -1\n2 -1\n")
-        big = tmp_path / "big.txt"
-        big.write_text("4 3\n0 1\n0 2\n0 4\n1 2\n1 3\n2 3\n")
-        nan = tmp_path / "nan.txt"
-        nan.write_text("nan 0.5\n0.5 0.5\n")
-        assert run([a.format(neg=neg, big=big, nan=nan) for a in argv]) == 2
+        files = {
+            # K4 with vertex 3 written as -1, and with an edge to vertex 4
+            "neg": "4 3\n0 1\n0 2\n0 -1\n1 2\n1 -1\n2 -1\n",
+            "big": "4 3\n0 1\n0 2\n0 4\n1 2\n1 3\n2 3\n",
+            "nan": "nan 0.5\n0.5 0.5\n",
+            "k4": "4 3\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+            # a third body row past the two the header announces
+            "tall": "2 3\n0 3\n1 2\n5 5\n",
+            # K4 with a third token on one edge line
+            "triple": "4 3\n0 1\n0 2 1\n0 3\n1 2\n1 3\n2 3\n",
+            "reducible_identity": "1 0\n0 1\n",
+            "reducible_absorbing": "1 0 0\n0.5 0.5 0\n0 0.5 0.5\n",
+        }
+        for name, text in files.items():
+            (tmp_path / f"{name}.txt").write_text(text)
+        paths = {name: tmp_path / f"{name}.txt" for name in files}
+        assert run([a.format(**paths) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error" in captured.err
+        if "reducible" in argv[-1]:
+            assert "kernel is reducible" in captured.err
 
-    def test_undefined_contraction_rate_is_strict_json(self, capsys):
+    @pytest.mark.parametrize("argv, nulls, note", [
         # one sweep of five replicas: fewer than two sweeps to fit a rate to
-        assert run(["glauber-contraction", "--kernel", "ising(0.2)", "--d", "3", "--depth", "3",
-                    "--sweeps", "1", "--replicas", "5", "--seed", "1"]) == 0
+        pytest.param(["glauber-contraction", "--kernel", "ising(0.2)", "--d", "3", "--depth", "3",
+                      "--sweeps", "1", "--replicas", "5", "--seed", "1"],
+                     ("rate", "rate_interval"), ("rate_note", "10 standard errors"),
+                     id="glauber-contraction"),
+        # both sampled root states are equal: the Pearson correlation is 0/0
+        pytest.param(["correlation", "--kernel", "ising(0.999)", "--d", "3", "--distance", "1",
+                      "--replicas", "2", "--seed", "1"],
+                     ("estimate", "stderr"), ("estimate_note", "all equal"), id="correlation"),
+    ])
+    def test_undefined_contraction_rate_is_strict_json(self, capsys, argv, nulls, note):
+        assert run(argv) == 0
 
         def reject(token):
             raise ValueError(f"non-standard JSON token {token}")
 
         out = json.loads(capsys.readouterr().out, parse_constant=reject)
-        assert out["rate"] is None and out["rate_interval"] is None
-        assert "10 standard errors" in out["rate_note"]
+        assert all(out[key] is None for key in nulls)
+        assert note[1] in out[note[0]]
+
+    def test_non_finite_result_exits_2(self, capsys, monkeypatch):
+        _, *rest = _COMMANDS["spectral"]
+        monkeypatch.setitem(_COMMANDS, "spectral",
+                            (lambda args: {"spectral_radius": float("nan")}, *rest))
+        assert run(["spectral", "--kernel", "ising(0.2)"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
 
     def test_budget_exits_3(self, capsys):
         assert run(["dobrushin", "--kernel", "potts(30,0.5)", "--d", "8",

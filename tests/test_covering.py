@@ -38,6 +38,7 @@ class TestCoveringMatrix:
         matrix = CoveringMatrix([[1, 2], [2, 1]])
         path = tmp_path / "matrix.txt"
         write_covering_matrix(matrix, path)
+        path.write_text("  # indented comment\n" + path.read_text())
         loaded = read_covering_matrix(path)
         assert np.array_equal(loaded.mat, matrix.mat)
 
@@ -45,6 +46,9 @@ class TestCoveringMatrix:
         path = tmp_path / "bad.txt"
         path.write_text("2 4\n0 3\n3 0\n")
         with pytest.raises(ValueError):
+            read_covering_matrix(path)
+        path.write_text("2 3\n0 3\n1 2\n5 5\n")
+        with pytest.raises(ValueError, match="body has 3"):
             read_covering_matrix(path)
 
 

@@ -237,6 +237,7 @@ def test_graph_file_roundtrip(tmp_path):
     graph = sample_regular_graph(12, 3, simple=True, rng=np.random.default_rng(9))
     path = tmp_path / "graph.txt"
     write_graph(graph, path)
+    path.write_text("  # indented comment\n" + path.read_text())
     loaded = read_graph(path)
     assert loaded.n == graph.n and loaded.d == graph.d
     assert sorted(map(sorted, loaded.edges)) == sorted(map(sorted, graph.edges))
@@ -247,4 +248,7 @@ def test_graph_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("4 3\n0 1\n")
     with pytest.raises(ValueError):
+        read_graph(path)
+    path.write_text("2 1\n0 1 1\n")
+    with pytest.raises(ValueError, match="'0 1 1'"):
         read_graph(path)

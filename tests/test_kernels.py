@@ -247,6 +247,7 @@ class TestKernelFiles:
         kernel = make_potts(4, 0.3)
         path = tmp_path / "kernel.txt"
         write_kernel(kernel, path)
+        path.write_text("  # indented comment\n" + path.read_text())
         loaded = load_kernel(path)
         assert np.allclose(loaded.q, kernel.q, atol=1e-15)
         assert np.allclose(loaded.pi, kernel.pi, atol=1e-12)

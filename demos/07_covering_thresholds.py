@@ -41,13 +41,13 @@ print()
 print("dominating-ratio lower bounds 1/(d+1) + eps0:")
 print("  d   eps0           bound")
 for row in dominating_table(3, 6):
-    print(f"  {row.d}   {row.epsilon0:.3e}    {row.dominating_bound:.10f}")
+    print(f"  {row.d}   {row.epsilon0:.3e}    {row.ratio_bound:.10f}")
 
 print()
 print("independence-ratio upper bounds 1/2 - eps0:")
 for d in (3, 4, 5, 6):
     row = independence_threshold(d)
-    print(f"  d={d}: eps0 = {row.epsilon0:.3e}, bound = {row.independence_bound:.6f}")
+    print(f"  d={d}: eps0 = {row.epsilon0:.3e}, bound = {row.ratio_bound:.6f}")
 
 print()
 print("rigidity: a star law whose last leaf is a function of the rest and")

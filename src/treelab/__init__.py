@@ -6,7 +6,7 @@ configuration-entropy inequalities, pairing-model random graphs, local
 statistics of colored graphs, and covering-error thresholds.
 """
 
-from .covering import (CoveringMatrix, IndependenceRow, RigidityVerdict, ThresholdReport,
+from .covering import (CoveringMatrix, RigidityVerdict, ThresholdReport,
                        bipartite_matrix, delta_lower_bound, dominating_matrix,
                        dominating_table, epsilon0, error_ratio, format_dominating_table,
                        independence_threshold,

@@ -348,11 +348,11 @@ def _dominating_table(args) -> dict:
     rows = covering.dominating_table(args.d_from, args.d_to)
     if args.csv:
         _write_csv(args.csv, "d,epsilon0,dominating_bound",
-                   ((r.d, r.epsilon0, r.dominating_bound) for r in rows))
+                   ((r.d, r.epsilon0, r.ratio_bound) for r in rows))
     if args.text:
         with open(args.text, "w") as fh:
             fh.write(covering.format_dominating_table(rows))
-    return {"rows": [_fields(r, "d epsilon0 dominating_bound") for r in rows]}
+    return {"rows": [{**_fields(r, "d epsilon0"), "dominating_bound": r.ratio_bound} for r in rows]}
 
 
 def run(argv) -> int:

@@ -13,6 +13,7 @@ is the crossing point of the two curves.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -58,11 +59,13 @@ def _support_diameter(mat: np.ndarray) -> int:
     return max(max(bfs(src, succ.__getitem__).values()) for src in range(mat.shape[0]))
 
 
+@functools.cache
 def dominating_matrix(d: int) -> CoveringMatrix:
     """[[0, d], [1, d-1]]: color 0 is a dominating set hitting every vertex exactly once."""
     return CoveringMatrix([[0, d], [1, d - 1]])
 
 
+@functools.cache
 def bipartite_matrix(d: int) -> CoveringMatrix:
     """[[0, d], [d, 0]]: proper 2-coloring, i.e. each class an independent set."""
     return CoveringMatrix([[0, d], [d, 0]])
@@ -214,14 +217,6 @@ def _delta_generic(matrix: CoveringMatrix, eps: float) -> float:
     return out
 
 
-def _delta_dominating(d: int, eps: float) -> float:
-    return (1.0 - eps) / (d + 1.0)
-
-
-def _delta_bipartite(eps: float) -> float:
-    return 0.5 - eps
-
-
 def delta_lower_bound(matrix: CoveringMatrix, eps: float) -> float:
     """Guaranteed minimum state probability of near-coverings.
 
@@ -233,10 +228,13 @@ def delta_lower_bound(matrix: CoveringMatrix, eps: float) -> float:
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    value = _resolve_delta(matrix, None)[0](eps)
+    value = _resolve_delta(matrix)[0](eps)
     if value <= 0.0:
         raise ValueError(f"delta bound is nonpositive at eps={eps}: premise fails")
     return value
+
+
+_REL_TOL = 1e-6  # epsilon0 bisects until the bracket is this small relative to its low end
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,6 @@ class ThresholdReport:
     d: int
     s_count: int
     delta_id: str
-    rel_tol: float
     grid: np.ndarray = field(repr=False)
     grid_values: np.ndarray = field(repr=False)
     certificate_lo: float  # g just below the root: positive
@@ -264,39 +261,38 @@ class ThresholdReport:
         return None
 
 
-def _resolve_delta(family, d: int | None):
-    if isinstance(family, CoveringMatrix):
-        dd = family.d
-        if np.array_equal(family.mat, dominating_matrix(dd).mat):
-            return (lambda e: _delta_dominating(dd, e)), dd, family.s_count, "dominating"
-        if np.array_equal(family.mat, bipartite_matrix(dd).mat):
-            return _delta_bipartite, dd, family.s_count, "bipartite"
-        return (lambda e: _delta_generic(family, e)), dd, family.s_count, "generic"
-    if family == "dominating":
-        if d is None:
-            raise ValueError("family thresholds need d")
-        return (lambda e: _delta_dominating(d, e)), d, 2, "dominating"
-    if family in ("independence", "bipartite"):
-        if d is None:
-            raise ValueError("family thresholds need d")
-        return _delta_bipartite, d, 2, "bipartite"
-    raise ValueError(f"unknown delta family {family!r}")
+_FAMILIES = {"dominating": dominating_matrix, "independence": bipartite_matrix,
+             "bipartite": bipartite_matrix}
 
 
-def epsilon0(family, d: int | None = None, s_count: int | None = None,
-             rel_tol: float = 1e-6) -> ThresholdReport:
+def _resolve_delta(family, d: int | None = None):
+    """(delta function, d, s_count, delta id) of a matrix or registered family id."""
+    if not isinstance(family, CoveringMatrix):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown delta family {family!r}")
+        if d is None or d < 3:
+            raise ValueError("family thresholds need d of at least 3")
+        family = _FAMILIES[family](d)
+    dd = family.d
+    if np.array_equal(family.mat, dominating_matrix(dd).mat):
+        return (lambda e: (1.0 - e) / (dd + 1.0)), dd, family.s_count, "dominating"
+    if np.array_equal(family.mat, bipartite_matrix(dd).mat):
+        return (lambda e: 0.5 - e), dd, family.s_count, "bipartite"
+    return (lambda e: _delta_generic(family, e)), dd, family.s_count, "generic"
+
+
+def epsilon0(family, d: int | None = None, s_count: int | None = None) -> ThresholdReport:
     """Smallest eps where the entropy-route bound overtakes the covering bound.
 
-    ``family`` is a CoveringMatrix or one of the registered ids
-    ("dominating", "independence").  A 64-point logarithmic scan of
-    [1e-16, 1/2] locates the first sign change of
+    ``family`` is a CoveringMatrix or a registered id, "dominating" for
+    ``dominating_matrix(d)`` or "independence" for ``bipartite_matrix(d)``.
+    A 64-point logarithmic scan of [1e-16, 1/2] locates the first sign change of
 
         g(eps) = (delta(eps)^d - eps)/2 - sqrt(eps * ln(s) * (d-1)/(d-2))
 
     (natural logarithm), then bisection sharpens it to relative tolerance
-    ``rel_tol``.  The full scan is retained in the report so a non-monotone g
-    would be visible; eps values where the delta premise fails count as
-    crossed.
+    1e-6.  The full scan is retained in the report so a non-monotone g would
+    be visible; eps values where the delta premise fails count as crossed.
     """
     delta_fn, d, s_default, delta_id = _resolve_delta(family, d)
     if d < 3:
@@ -328,7 +324,7 @@ def epsilon0(family, d: int | None = None, s_count: int | None = None,
         raise ValueError("no crossing found on the scan grid")
     lo = float(grid[crossing[0] - 1])
     hi = float(grid[crossing[0]])
-    while hi - lo > rel_tol * lo:
+    while hi - lo > _REL_TOL * lo:
         mid = math.sqrt(lo * hi)
         if g(mid) > 0.0:
             lo = mid
@@ -336,47 +332,29 @@ def epsilon0(family, d: int | None = None, s_count: int | None = None,
             hi = mid
     eps0 = 0.5 * (lo + hi)
     return ThresholdReport(
-        epsilon0=eps0, d=d, s_count=s, delta_id=delta_id, rel_tol=rel_tol,
-        grid=grid, grid_values=values,
+        epsilon0=eps0, d=d, s_count=s, delta_id=delta_id, grid=grid, grid_values=values,
         certificate_lo=g(eps0 * (1.0 - 1e-5)), certificate_hi=g(eps0 * (1.0 + 1e-5)),
     )
 
 
-@dataclass(frozen=True)
-class DominatingRow:
-    d: int
-    epsilon0: float
-    dominating_bound: float  # 1/(d+1) + epsilon0
+def dominating_table(d_from: int, d_to: int) -> list[ThresholdReport]:
+    """Dominating-family thresholds for d_from..d_to; each ``ratio_bound`` is the
+    dominating-ratio lower bound 1/(d+1) + eps_0."""
+    return [epsilon0("dominating", d=d) for d in range(d_from, d_to + 1)]
 
 
-def dominating_table(d_from: int, d_to: int) -> list[DominatingRow]:
-    """Per-degree thresholds and the dominating-ratio lower bounds they imply."""
-    out = []
-    for d in range(d_from, d_to + 1):
-        row = epsilon0("dominating", d=d)
-        out.append(DominatingRow(d=d, epsilon0=row.epsilon0, dominating_bound=row.ratio_bound))
-    return out
-
-
-def format_dominating_table(rows: list[DominatingRow]) -> str:
+def format_dominating_table(rows: list[ThresholdReport]) -> str:
     """Aligned-text rendering of a dominating table."""
     lines = [f"{'d':>3}  {'epsilon0':>12}  {'dominating_bound':>18}"]
     for row in rows:
-        lines.append(f"{row.d:>3}  {row.epsilon0:>12.4e}  {row.dominating_bound:>18.10f}")
+        lines.append(f"{row.d:>3}  {row.epsilon0:>12.4e}  {row.ratio_bound:>18.10f}")
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class IndependenceRow:
-    d: int
-    epsilon0: float
-    independence_bound: float  # 1/2 - epsilon0
-
-
-def independence_threshold(d: int) -> IndependenceRow:
-    """Upper bound 1/2 - epsilon0 on the independence ratio of random d-regular graphs."""
-    row = epsilon0("independence", d=d)
-    return IndependenceRow(d=d, epsilon0=row.epsilon0, independence_bound=row.ratio_bound)
+def independence_threshold(d: int) -> ThresholdReport:
+    """Independence-family threshold; ``ratio_bound`` is the upper bound 1/2 - eps_0
+    on the independence ratio of random d-regular graphs."""
+    return epsilon0("independence", d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ImpossibleConfigurationError
-from .kernels import NeighborConfig, TransitionKernel, dobrushin_coefficient
+from .kernels import NeighborConfig, TransitionKernel, _heat_bath_weights, dobrushin_coefficient
 from .trees import (Configuration, RealField, TruncatedTree, _draw_rows, build_tree,
                     exact_bmc_marginals, sample_bmc_batch, tree_vertex_count)
 
@@ -39,6 +39,8 @@ from .trees import (Configuration, RealField, TruncatedTree, _draw_rows, build_t
 # deterministic function of (arguments, seed).
 _CHUNK = 2048
 
+# Largest k^(d+1) for which fixed_point_test compares the star law.
+_STAR_MAX = 100_000
 # Largest k^d for which a sweep tabulates the conditional law of every ordered
 # neighbor tuple once instead of evaluating one law per woken vertex.
 _LAW_TABLE_MAX = 4096
@@ -136,9 +138,7 @@ def conditional_dist(kernel: TransitionKernel, neighbors) -> np.ndarray:
     """
     if isinstance(neighbors, NeighborConfig):
         neighbors = neighbors.states
-    w = kernel.pi.copy()
-    for u in neighbors:
-        w = w * kernel.q[:, int(u)]
+    w = _heat_bath_weights(kernel, neighbors)
     total = w.sum()
     if total <= 0.0:
         raise ImpossibleConfigurationError(
@@ -229,9 +229,7 @@ def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator):
     m = pa.shape[0]
     common = np.minimum(pa, pb)
     c = common.sum(axis=1)
-    u_branch = rng.random(m)
-    u_draw = rng.random(m)
-    u_draw_b = rng.random(m)
+    u_branch, u_draw, u_draw_b = rng.random((3, m))
     same = u_branch < c
     xa = np.empty(m, dtype=np.int64)
     xb = np.empty(m, dtype=np.int64)
@@ -240,8 +238,8 @@ def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator):
         xa[same] = xb[same] = _draw_rows(rows, u_draw[same])
     diff = ~same
     if diff.any():
-        ra = np.maximum(pa[diff] - common[diff], 0.0)
-        rb = np.maximum(pb[diff] - common[diff], 0.0)
+        ra = pa[diff] - common[diff]  # nonnegative: common is the smaller of the two
+        rb = pb[diff] - common[diff]
         sa, sb = ra.sum(axis=1), rb.sum(axis=1)
         # guard exact-overlap rows that lost the branch lottery to roundoff
         dead = (sa <= 0.0) | (sb <= 0.0)
@@ -304,11 +302,12 @@ def coupled_sweep(pair: CoupledPair, kernel: TransitionKernel,
     )
 
 
-def _window_vertices(tree: TruncatedTree, window_depth: int | None) -> np.ndarray:
+def _window(tree: TruncatedTree, window_depth: int | None) -> tuple[int, np.ndarray]:
+    """Depth (R/2 unless given) and vertex indices of the interior window."""
     wd = tree.depth // 2 if window_depth is None else window_depth
     if not 0 <= wd <= tree.depth:
         raise ValueError("window depth out of range")
-    return np.flatnonzero(tree.depth_of <= wd)
+    return int(wd), np.flatnonzero(tree.depth_of <= wd)
 
 
 def _chunks(replicas: int, rng: np.random.Generator):
@@ -357,11 +356,9 @@ def _run_coupled_curve(kernel, tree, sweeps, replicas, rng, window, init):
     sample_pair = None
     for size, sub in _chunks(replicas, rng):
         sa, sb = init(size, sub)
-        frac = (sa[window] != sb[window]).mean(axis=0)
-        sums[0] += frac.sum()
-        sums_sq[0] += (frac**2).sum()
-        for t in range(1, sweeps + 1):
-            _coupled_sweep_states(sa, sb, tree, kernel, sub)
+        for t in range(sweeps + 1):
+            if t:
+                _coupled_sweep_states(sa, sb, tree, kernel, sub)
             frac = (sa[window] != sb[window]).mean(axis=0)
             sums[t] += frac.sum()
             sums_sq[t] += (frac**2).sum()
@@ -385,7 +382,7 @@ def estimate_hamming_decay(kernel: TransitionKernel, d: int, depth: int, sweeps:
     Monte Carlo effects.
     """
     tree = build_tree(d, depth)
-    window = _window_vertices(tree, window_depth)
+    window_depth, window = _window(tree, window_depth)
 
     def init(size, sub):
         return (sample_bmc_batch(kernel, tree, sub, size),
@@ -401,7 +398,7 @@ def estimate_hamming_decay(kernel: TransitionKernel, d: int, depth: int, sweeps:
         sweeps=sweep_axis, mean_distance=means, stderr=stderrs, rate=rate,
         rate_interval=interval, dobrushin=dob, p_wake=p,
         contraction_bound=1.0 - p * (1.0 - d * dob), replicas=replicas,
-        window_depth=int(tree.depth // 2 if window_depth is None else window_depth),
+        window_depth=window_depth,
         fit_mask=mask,
     )
 
@@ -451,22 +448,21 @@ def _tv_counts(counts: np.ndarray, exact: np.ndarray, draws: int, replicas: int)
 
 def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
                      replicas: int, rng: np.random.Generator,
-                     window_depth: int | None = None,
-                     star_budget: int = 100_000) -> FixedPointReport:
+                     window_depth: int | None = None) -> FixedPointReport:
     """Statistical invariance check: sweep exact chain samples and compare window laws.
 
     Draws exact chain configurations, applies the sweep ``sweeps`` times, then
     compares the pooled interior-window vertex, edge, and star empirical laws
     against the exact marginals.  Each law should sit within its Monte Carlo
     noise floor (the sweep preserves the chain law exactly, also on the
-    truncated tree).  The star law is skipped when k^(d+1) > star_budget.
+    truncated tree).  The star law is skipped when k^(d+1) > _STAR_MAX.
     """
     k = kernel.state_count
     tree = build_tree(d, depth)
-    window = _window_vertices(tree, window_depth)
+    window_depth, window = _window(tree, window_depth)
     nonroot = window[window > 0]
     centers = window[tree.neighbor_count[window] == d]
-    do_star = k ** (d + 1) <= star_budget
+    do_star = k ** (d + 1) <= _STAR_MAX
 
     vertex_counts = np.zeros(k)
     edge_counts = np.zeros((k, k))
@@ -495,7 +491,7 @@ def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     return FixedPointReport(
         tv_vertex=tv_v, floor_vertex=floor_v, tv_edge=tv_e, floor_edge=floor_e,
         tv_star=tv_s, floor_star=floor_s, sweeps=sweeps, replicas=replicas,
-        window_depth=int(tree.depth // 2 if window_depth is None else window_depth),
+        window_depth=window_depth,
     )
 
 
@@ -530,7 +526,7 @@ def converge_from_iid(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     """
     k = kernel.state_count
     tree = build_tree(d, depth)
-    window = _window_vertices(tree, window_depth)
+    window_depth, window = _window(tree, window_depth)
     dob = dobrushin_coefficient(kernel, d)
     if dob >= 1.0 / d:
         warnings.warn(
@@ -552,6 +548,6 @@ def converge_from_iid(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
         predicted_initial=1.0 - 1.0 / k, final_distance=float(means[-1]),
         final_stderr=float(stderrs[-1]), dobrushin=dob,
         contraction_bound=1.0 - p * (1.0 - d * dob), replicas=replicas,
-        window_depth=int(tree.depth // 2 if window_depth is None else window_depth),
+        window_depth=window_depth,
         sample=Configuration(tree, sample_pair[0]),
     )

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import BudgetExceededError
 
+_MATCHING_MAX = 12  # most points whose (n-1)!! matchings matching_color_count enumerates
+_KMEANS_RESTARTS = 50  # random k-means starts per eigenvector quantization
+
 
 @dataclass(frozen=True)
 class RegularGraph:
@@ -35,13 +38,15 @@ class RegularGraph:
 
     @property
     def edges(self) -> list[tuple[int, int]]:
-        """Unordered edge list with multiplicity, loops as (v, v)."""
-        out = []
-        for s in range(self.n * self.d):
-            t = int(self.pairing[s])
-            if s < t:
-                out.append((s // self.d, t // self.d))
-        return out
+        """Unordered edge list with multiplicity, loops as (v, v), by lower slot."""
+        u, v = _edge_ends(self.pairing, self.d)
+        return list(zip(u.tolist(), v.tolist()))
+
+
+def _edge_ends(pairing: np.ndarray, d: int):
+    """End vertices (u, v), u <= v, of each edge, in the order of its lower slot."""
+    s = np.flatnonzero(pairing > np.arange(pairing.size))
+    return s // d, pairing[s] // d
 
 
 def _graph_from_pairing(n: int, d: int, pairing: np.ndarray) -> RegularGraph:
@@ -49,16 +54,8 @@ def _graph_from_pairing(n: int, d: int, pairing: np.ndarray) -> RegularGraph:
             or np.any(pairing == np.arange(n * d)):
         raise ValueError("pairing must be a fixed-point-free involution on the slots")
     neighbors = (pairing // d).reshape(n, d)
-    simple = True
-    seen = set()
-    for s in range(n * d):
-        t = int(pairing[s])
-        if s < t:
-            u, v = s // d, t // d
-            if u == v or (u, v) in seen:
-                simple = False
-                break
-            seen.add((u, v))
+    u, v = _edge_ends(pairing, d)
+    simple = not np.any(u == v) and np.unique(u * n + v).size == u.size
     pairing = pairing.copy()
     pairing.setflags(write=False)
     neighbors.setflags(write=False)
@@ -150,10 +147,7 @@ def pm_count(m: int):
     """(m-1)!! perfect matchings of m points, exact big integer."""
     if m < 0 or m % 2 != 0:
         raise ValueError("m must be a nonnegative even integer")
-    out = 1
-    for j in range(1, m, 2):
-        out *= j
-    return out
+    return math.prod(range(1, m, 2))
 
 
 def iter_perfect_matchings(points: list[int]):
@@ -185,10 +179,10 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x).limit_denominator(10**9)
 
 
-def matching_color_count(colors, nu, budget: int = 12):
+def matching_color_count(colors, nu):
     """Number of perfect matchings of colored points whose directed-edge law is nu.
 
-    ``colors`` labels n points (n even, n <= budget); ``nu`` maps ordered
+    ``colors`` labels n points (n even, n <= 12); ``nu`` maps ordered
     color pairs to probabilities and must be symmetric.  Every matching edge
     contributes both orientations with weight 1/2 each to the empirical law;
     equality with nu is exact (rational arithmetic).  Brute force over all
@@ -198,8 +192,8 @@ def matching_color_count(colors, nu, budget: int = 12):
     n = len(colors)
     if n % 2 != 0:
         raise ValueError("need an even number of points")
-    if n > budget:
-        raise BudgetExceededError(f"matching enumeration capped at {budget} points")
+    if n > _MATCHING_MAX:
+        raise BudgetExceededError(f"matching enumeration capped at {_MATCHING_MAX} points")
     target = {pair: _as_fraction(p) for pair, p in nu.items() if _as_fraction(p) != 0}
     for (a, b), p in target.items():
         if target.get((b, a)) != p:
@@ -270,10 +264,7 @@ def matching_identity_check(n: int) -> list[MatchingIdentityRecord]:
         # ordered-pair colorings of the n/2 edges with symmetrized law nu
         h_nu = 0
         for assign in itertools.product(pairs, repeat=n // 2):
-            counts: dict = {}
-            for a, b in assign:
-                counts[(a, b)] = counts.get((a, b), 0) + 1
-                counts[(b, a)] = counts.get((b, a), 0) + 1
+            counts = _directed_pair_counts(assign, range(2))
             if tuple(counts.get(p, 0) for p in pairs) == nu_key:
                 h_nu += 1
         records.append(MatchingIdentityRecord(
@@ -368,26 +359,28 @@ def girth_profile(graph: RegularGraph, L: int) -> float:
     return on_cycle / graph.n
 
 
+def _neighbor_fill(graph: RegularGraph, value: float) -> np.ndarray:
+    """(n, n) matrix that adds ``value`` at [v, w] once per neighbor-table entry,
+    in table order (so a repeated entry sums the same way a loop over it would)."""
+    out = np.zeros((graph.n, graph.n))
+    np.add.at(out, (np.repeat(np.arange(graph.n), graph.d), graph.neighbors.ravel()), value)
+    return out
+
+
 def adjacency_matrix(graph: RegularGraph) -> np.ndarray:
-    a = np.zeros((graph.n, graph.n))
-    for u, v in graph.edges:
-        if u == v:
-            a[u, u] += 2.0
-        else:
-            a[u, v] += 1.0
-            a[v, u] += 1.0
-    return a
+    """Edge multiplicities, a loop counting 2 on the diagonal."""
+    return _neighbor_fill(graph, 1.0)
 
 
-def _kmeans_1d(values: np.ndarray, m: int, restarts: int, rng: np.random.Generator):
-    """Plain Lloyd iterations on sorted 1-d data, best of ``restarts`` random inits."""
+def _kmeans_1d(values: np.ndarray, m: int, rng: np.random.Generator):
+    """Plain Lloyd iterations on sorted 1-d data, best of _KMEANS_RESTARTS random inits."""
     uniq = np.unique(values)
     if uniq.size <= m:
         centers = uniq
         labels = np.searchsorted(uniq, values)
         return centers, labels
     best = None
-    for _ in range(max(1, restarts)):
+    for _ in range(_KMEANS_RESTARTS):
         centers = np.sort(rng.choice(uniq, size=m, replace=False))
         for _ in range(200):
             mids = (centers[1:] + centers[:-1]) / 2.0
@@ -416,7 +409,7 @@ class EigenReport:
 
 
 def eigen_experiment(graph: RegularGraph, which: int, levels: int | None,
-                     tol: float = 1e-8, restarts: int = 50, seed: int = 0) -> EigenReport:
+                     tol: float = 1e-8, seed: int = 0) -> EigenReport:
     """Quantize an adjacency eigenvector to few values and measure where the
     eigenvector equation breaks.
 
@@ -442,14 +435,12 @@ def eigen_experiment(graph: RegularGraph, which: int, levels: int | None,
     else:
         if levels < 1:
             raise ValueError("levels must be at least 1")
-        centers, labels = _kmeans_1d(vec, levels, restarts, np.random.default_rng(seed))
+        centers, labels = _kmeans_1d(vec, levels, np.random.default_rng(seed))
         quant = centers[labels]
-    if np.max(np.abs(quant)) <= tol:
-        return EigenReport(lam, which, levels, np.asarray(centers), 1.0,
-                           float(np.max(np.abs(lam * quant - a @ quant))))
-    residual = lam * quant - a @ quant
+    residual = np.abs(lam * quant - a @ quant)
+    collapsed = np.max(np.abs(quant)) <= tol
     return EigenReport(
         eigenvalue=lam, which=which, levels=levels, centers=np.asarray(centers),
-        error_ratio=float((np.abs(residual) > tol).mean()),
-        max_residual=float(np.max(np.abs(residual))),
+        error_ratio=1.0 if collapsed else float((residual > tol).mean()),
+        max_residual=float(np.max(residual)),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import _read_rows, _strongly_connected, bfs
+from .graphs import _neighbor_fill, _read_rows, _strongly_connected
 
 ATOL = 1e-12
 
@@ -129,18 +129,10 @@ def make_walk_kernel(graph) -> TransitionKernel:
     (a loop at s contributes 2 to its own row entry).  Regularity forces the
     uniform stationary distribution.
     """
-    n = graph.n
-    if not _connected(graph):
+    q = _neighbor_fill(graph, 1.0 / graph.d)
+    if not _strongly_connected(q > 0):
         raise ValueError("walk kernel requires a connected graph")
-    q = np.zeros((n, n))
-    for v in range(n):
-        for w in graph.neighbors[v]:
-            q[v, w] += 1.0 / graph.d
-    return TransitionKernel(q=q, pi=np.full(n, 1.0 / n))
-
-
-def _connected(graph) -> bool:
-    return graph.n > 0 and len(bfs(0, graph.neighbors.__getitem__)) == graph.n
+    return TransitionKernel(q=q, pi=np.full(graph.n, 1.0 / graph.n))
 
 
 def kernel_from_matrix(q) -> TransitionKernel:
@@ -185,6 +177,14 @@ def write_kernel(kernel: TransitionKernel, path) -> None:
             fh.write(" ".join(repr(float(x)) for x in row) + "\n")
 
 
+def _heat_bath_weights(kernel: TransitionKernel, neighbors) -> np.ndarray:
+    """Unnormalized heat-bath law pi[s] * prod_u q[s, u], multiplied in neighbor order."""
+    w = kernel.pi.copy()
+    for u in neighbors:
+        w = w * kernel.q[:, int(u)]
+    return w
+
+
 def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8) -> float:
     """Exact Dobrushin coefficient of the heat-bath update at a degree-d vertex.
 
@@ -207,13 +207,10 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
             f"Dobrushin enumeration needs {n_multisets * k * k} conditional-law "
             f"evaluations, over the budget of {budget}"
         )
-    q = kernel.q
     best = 0.0
     for shared in itertools.combinations_with_replacement(range(k), d - 1):
-        w = kernel.pi.copy()
-        for u in shared:
-            w = w * q[:, u]
-        cond = w[:, None] * q  # column a: weights of the center given shared + {a}
+        # column a: weights of the center given shared + {a}
+        cond = _heat_bath_weights(kernel, shared)[:, None] * kernel.q
         totals = cond.sum(axis=0)
         live = totals > 0.0
         if np.count_nonzero(live) < 2:

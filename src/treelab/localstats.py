@@ -18,6 +18,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import bfs
 
+_BALL_MAX = 200  # largest ball canonical_ball accepts: its search can branch per vertex
+
 
 # ---------------------------------------------------------------------------
 # canonical forms of rooted colored multigraphs
@@ -75,7 +77,7 @@ def _canonical_search(n: int, classes: list[int], colors, adj: list[dict], root:
     return best
 
 
-def canonical_ball(edges, colors, root: int, max_vertices: int = 200) -> bytes:
+def canonical_ball(edges, colors, root: int) -> bytes:
     """Canonical byte code of a rooted vertex-colored multigraph.
 
     ``edges`` is an iterable of (u, v) pairs with multi-edges repeated and
@@ -88,8 +90,8 @@ def canonical_ball(edges, colors, root: int, max_vertices: int = 200) -> bytes:
     n = len(colors)
     if n == 0:
         raise ValueError("empty graph")
-    if n > max_vertices:
-        raise BudgetExceededError(f"canonical form capped at {max_vertices} vertices")
+    if n > _BALL_MAX:
+        raise BudgetExceededError(f"canonical form capped at {_BALL_MAX} vertices")
     adj: list[dict] = [dict() for _ in range(n)]
     for u, v in edges:
         adj[u][v] = adj[u].get(v, 0) + 1

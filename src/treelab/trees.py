@@ -17,6 +17,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .kernels import TransitionKernel
 
+_PATTERN_MAX = 10**8  # largest table, k^(pattern size) entries, exact_bmc_marginals builds
+
 
 @dataclass(frozen=True)
 class TruncatedTree:
@@ -188,8 +190,7 @@ def sample_uniform_labels(tree: TruncatedTree, rng: np.random.Generator) -> Real
     return RealField(tree, rng.random(tree.n))
 
 
-def exact_bmc_marginals(kernel: TransitionKernel, pattern: str, d: int | None = None,
-                        budget: int = 10**8) -> np.ndarray:
+def exact_bmc_marginals(kernel: TransitionKernel, pattern: str, d: int | None = None) -> np.ndarray:
     """Exact chain law on a small vertex pattern.
 
     - ``vertex``: the stationary vector pi, shape (k,).
@@ -208,7 +209,7 @@ def exact_bmc_marginals(kernel: TransitionKernel, pattern: str, d: int | None = 
         steps = d
     else:
         raise ValueError(f"unknown pattern {pattern!r}")
-    if k ** (steps + 1) > budget:
+    if k ** (steps + 1) > _PATTERN_MAX:
         raise BudgetExceededError(f"pattern table of size {k ** (steps + 1)} exceeds budget")
     out = kernel.pi.copy()
     for _ in range(steps):

@@ -204,10 +204,10 @@ class TestEpsilon0:
     def test_tables(self):
         rows = dominating_table(3, 4)
         assert [r.d for r in rows] == [3, 4]
-        assert rows[0].dominating_bound == pytest.approx(0.25 + rows[0].epsilon0)
+        assert rows[0].ratio_bound == pytest.approx(0.25 + rows[0].epsilon0)
         ind = independence_threshold(3)
-        assert ind.independence_bound == pytest.approx(0.5 - ind.epsilon0)
-        assert ind.independence_bound < 0.5
+        assert ind.ratio_bound == pytest.approx(0.5 - ind.epsilon0)
+        assert ind.ratio_bound < 0.5
 
 
 class TestRigidity:

@@ -151,7 +151,7 @@ def _bmc_sample(args) -> dict:
           _arg("--distance", type=int, required=True),
           _arg("--replicas", type=int, default=100_000), _arg("--seed", type=int, required=True),
           _arg("--encoding", choices=["index", "pm1"], default="index"),
-          _arg("--k-max", type=int, default=0, help="also classify decay up to this distance"),
+          _arg("--k-max", type=int, default=0, help="also classify decay up to this distance (0: off)"),
           help="two-point correlation: sampled, exact, and classified")
 def _correlation(args) -> dict:
     kernel = parse_kernel(args.kernel)
@@ -170,7 +170,7 @@ def _correlation(args) -> dict:
     if not np.isfinite(est.value):
         out.update(estimate=None, stderr=None, estimate_note=(
             "undefined: the sampled states at one of the two points are all equal"))
-    if args.k_max > 0:
+    if args.k_max:
         verdict = trees.classify_correlation_decay(kernel, args.d, enc, args.k_max)
         out.update(verdict=verdict.verdict, witness=verdict.witness, k_max=args.k_max)
     return out
@@ -240,7 +240,7 @@ def _counterexample(args) -> dict:
           _arg("--n", type=int, required=True), _arg("--d", type=int, required=True),
           _arg("--seed", type=int, required=True),
           _arg("--multigraph", action="store_true", help="skip the simplicity rejection"),
-          _arg("--girth-l", type=int, default=0, help="report the short-cycle profile at this L"),
+          _arg("--girth-l", type=int, default=0, help="report the short-cycle profile at this L (0: off)"),
           _arg("--out", help="write the graph file here"),
           help="pairing-model random regular graph")
 def _graph_sample(args) -> dict:
@@ -250,7 +250,7 @@ def _graph_sample(args) -> dict:
     if args.out:
         graphs.write_graph(graph, args.out)
     out = {"simple": graph.simple, "edge_count": len(graph.edges)}
-    if args.girth_l > 0:
+    if args.girth_l:
         out.update(girth_l=args.girth_l,
                    short_cycle_fraction=graphs.girth_profile(graph, args.girth_l))
     return out
@@ -319,9 +319,11 @@ def _covering_min(args) -> dict:
           _arg("--d", type=int), _arg("--s-count", type=int, default=None),
           help="threshold where random graphs detach from coverings")
 def _epsilon0(args) -> dict:
-    if args.family is None and args.matrix is None:
-        raise ValueError("epsilon0 needs --family or --matrix")
+    if (args.family is None) == (args.matrix is None):
+        raise ValueError("epsilon0 needs exactly one of --family and --matrix")
     if args.matrix is not None:
+        if args.d is not None:
+            raise ValueError("--d goes with --family: a --matrix file gives its own degree")
         report = covering.epsilon0(covering.read_covering_matrix(args.matrix),
                                    s_count=args.s_count)
     elif args.d is None:

@@ -32,7 +32,10 @@ class CoveringMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.mat, dtype=np.int64)
+        try:
+            mat = np.array(self.mat, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("covering matrix entries must fit in 64-bit integers") from None
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
             raise ValueError("covering matrix must be square and nonempty")
         if np.any(mat < 0):
@@ -340,6 +343,8 @@ def epsilon0(family, d: int | None = None, s_count: int | None = None) -> Thresh
 def dominating_table(d_from: int, d_to: int) -> list[ThresholdReport]:
     """Dominating-family thresholds for d_from..d_to; each ``ratio_bound`` is the
     dominating-ratio lower bound 1/(d+1) + eps_0."""
+    if d_from > d_to:
+        raise ValueError(f"empty degree range: d_from {d_from} exceeds d_to {d_to}")
     return [epsilon0("dominating", d=d) for d in range(d_from, d_to + 1)]
 
 

@@ -310,12 +310,15 @@ def _window(tree: TruncatedTree, window_depth: int | None) -> tuple[int, np.ndar
     return int(wd), np.flatnonzero(tree.depth_of <= wd)
 
 
-def _chunks(replicas: int, rng: np.random.Generator):
-    """Replica blocks of at most _CHUNK, each with its own spawned generator."""
+def _chunks(replicas: int, sweeps: int, rng: np.random.Generator):
+    """Replica blocks of at most _CHUNK, each with its own spawned generator;
+    checks the run's replica and sweep counts when called."""
     if replicas < 1:
         raise ValueError("need at least 1 replica")
-    for start in range(0, replicas, _CHUNK):
-        yield min(_CHUNK, replicas - start), rng.spawn(1)[0]
+    if sweeps < 0:
+        raise ValueError("sweeps must be nonnegative")
+    return ((min(_CHUNK, replicas - start), rng.spawn(1)[0])
+            for start in range(0, replicas, _CHUNK))
 
 
 def _fit_rate(sweeps: np.ndarray, means: np.ndarray, stderrs: np.ndarray):
@@ -351,10 +354,11 @@ class DecayReport:
 
 def _run_coupled_curve(kernel, tree, sweeps, replicas, rng, window, init):
     """Shared driver: evolve coupled blocks, return per-sweep disagreement stats."""
+    chunks = _chunks(replicas, sweeps, rng)
     sums = np.zeros(sweeps + 1)
     sums_sq = np.zeros(sweeps + 1)
     sample_pair = None
-    for size, sub in _chunks(replicas, rng):
+    for size, sub in chunks:
         sa, sb = init(size, sub)
         for t in range(sweeps + 1):
             if t:
@@ -467,7 +471,7 @@ def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     vertex_counts = np.zeros(k)
     edge_counts = np.zeros((k, k))
     star_counts = np.zeros((k,) * (d + 1)).reshape(-1) if do_star else None
-    for size, sub in _chunks(replicas, rng):
+    for size, sub in _chunks(replicas, sweeps, rng):
         states = sample_bmc_batch(kernel, tree, sub, size)
         for _ in range(sweeps):
             _sweep_states(states, tree, kernel, sub)

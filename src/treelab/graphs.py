@@ -83,7 +83,17 @@ def sample_regular_graph(n: int, d: int, simple: bool, rng: np.random.Generator,
 
 
 def graph_from_edges(n: int, d: int, edge_list) -> RegularGraph:
-    """Build a graph from an explicit edge multiset (loops as (v, v))."""
+    """Build a graph from an explicit edge multiset (loops as (v, v)).
+
+    The sizes are checked before anything is allocated: n >= 1, d >= 1 and
+    exactly n*d/2 edges, so with no vertex above degree d every slot is used.
+    """
+    edge_list = list(edge_list)
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1 and d >= 1")
+    if 2 * len(edge_list) != n * d:
+        raise ValueError(f"a {d}-regular graph on {n} vertices has n*d/2 edges, "
+                         f"the list has {len(edge_list)}")
     free = [list(range(v * d, (v + 1) * d)) for v in range(n)]
     pairing = np.full(n * d, -1, dtype=np.int64)
     for u, v in edge_list:
@@ -94,8 +104,6 @@ def graph_from_edges(n: int, d: int, edge_list) -> RegularGraph:
         su = free[u].pop()
         sv = free[v].pop()
         pairing[su], pairing[sv] = sv, su
-    if any(free_v for free_v in free):
-        raise ValueError("edge list does not realize a d-regular graph")
     return _graph_from_pairing(n, d, pairing)
 
 
@@ -422,6 +430,8 @@ def eigen_experiment(graph: RegularGraph, which: int, levels: int | None,
     """
     if not graph.simple:
         raise ValueError("eigen experiment needs a simple graph")
+    if not -graph.n <= which < graph.n:
+        raise ValueError(f"which must lie in {-graph.n}..{graph.n - 1}, got {which}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     a = adjacency_matrix(graph)

@@ -260,6 +260,8 @@ def local_correlation_bound(distance: int, d: int) -> float:
     """(k + 1 - 2k/d) * (d-1)^(-k/2): the correlation ceiling for local processes."""
     if distance < 1:
         raise ValueError("distance must be at least 1")
+    if d < 3:
+        raise ValueError("degree must be at least 3")
     k = distance
     return (k + 1.0 - 2.0 * k / d) * (d - 1.0) ** (-k / 2.0)
 
@@ -297,6 +299,8 @@ def classify_correlation_decay(kernel: TransitionKernel, d: int, encoding,
     exceeds the bound (so the chain cannot be a weak limit of local rules),
     or CONSISTENT up to k_max.  No sampling is involved.
     """
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     corr = exact_correlations(kernel, encoding, k_max)
     bounds = np.array([local_correlation_bound(k, d) for k in range(1, k_max + 1)])
     exceed = np.abs(corr) > bounds + 1e-12

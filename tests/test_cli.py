@@ -210,6 +210,30 @@ class TestContracts:
         ["spectral", "--kernel", "walk({triple})"],
         ["spectral", "--kernel", "{reducible_identity}"],
         ["spectral", "--kernel", "{reducible_absorbing}"],
+        ["epsilon0", "--family", "independence", "--d", "5", "--matrix", "{m3}"],
+        ["epsilon0", "--d", "5", "--matrix", "{m3}"],
+        ["dominating-table", "--d-from", "5", "--d-to", "3"],
+        ["graph-sample", "--n", "10", "--d", "3", "--seed", "1", "--girth-l", "-1"],
+        ["correlation", "--kernel", "ising(0.5)", "--d", "3", "--distance", "1",
+         "--seed", "1", "--replicas", "100", "--k-max", "-1"],
+        ["covering-min", "--graph", "{empty}", "--matrix", "m1"],
+        ["eigen-quantize", "--graph", "{empty}", "--which", "0", "--levels", "1", "--seed", "0"],
+        ["local-distance", "--graph-a", "{empty}", "--graph-b", "{k4}", "--r-max", "1",
+         "--k-max", "1"],
+        ["spectral", "--kernel", "walk({huge})"],
+        ["epsilon0", "--matrix", "{overflow}"],
+        ["covering-min", "--graph", "{k4}", "--matrix", "{overflow}"],
+        ["eigen-quantize", "--graph", "{k4}", "--which", "4", "--levels", "1", "--seed", "0"],
+        ["glauber-contraction", "--kernel", "ising(0.25)", "--d", "3", "--depth", "4",
+         "--sweeps", "-1", "--replicas", "5", "--seed", "1"],
+        ["glauber-converge", "--kernel", "ising(0.25)", "--d", "3", "--depth", "4",
+         "--sweeps", "-1", "--replicas", "5", "--seed", "1"],
+        ["glauber-fixed-point", "--kernel", "ising(0.25)", "--d", "3", "--depth", "4",
+         "--sweeps", "-1", "--replicas", "5", "--seed", "1"],
+        ["correlation", "--kernel", "ising(0.5)", "--d", "0", "--distance", "1",
+         "--seed", "1", "--replicas", "100"],
+        ["correlation", "--kernel", "ising(0.5)", "--d", "1", "--distance", "1",
+         "--seed", "1", "--replicas", "100"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {
@@ -224,6 +248,12 @@ class TestContracts:
             "triple": "4 3\n0 1\n0 2 1\n0 3\n1 2\n1 3\n2 3\n",
             "reducible_identity": "1 0\n0 1\n",
             "reducible_absorbing": "1 0 0\n0.5 0.5 0\n0 0.5 0.5\n",
+            # the d=3 dominating matrix, whose degree --d must not override
+            "m3": "2 3\n0 3\n1 2\n",
+            "empty": "0 3\n",
+            # a million-vertex header with one edge: rejected before allocation
+            "huge": "1000000 3\n0 1\n",
+            "overflow": "2 3\n0 3\n99999999999999999999 2\n",
         }
         for name, text in files.items():
             (tmp_path / f"{name}.txt").write_text(text)

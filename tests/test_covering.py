@@ -23,6 +23,10 @@ class TestCoveringMatrix:
         with pytest.raises(ValueError):
             CoveringMatrix([[-1, 4], [1, 2]])
 
+    def test_entries_outside_int64_rejected(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            CoveringMatrix([[0, 10**20], [10**20, 0]])
+
     def test_connectivity_enforced(self):
         with pytest.raises(ValueError):
             CoveringMatrix([[3, 0], [0, 3]])
@@ -208,6 +212,8 @@ class TestEpsilon0:
         ind = independence_threshold(3)
         assert ind.ratio_bound == pytest.approx(0.5 - ind.epsilon0)
         assert ind.ratio_bound < 0.5
+        with pytest.raises(ValueError, match="empty degree range"):
+            dominating_table(5, 3)
 
 
 class TestRigidity:

@@ -373,6 +373,12 @@ class TestDrivers:
         with pytest.warns(UserWarning, match="no contraction guarantee"):
             converge_from_iid(make_ising(0.9), 3, 3, 1, 50, np.random.default_rng(21))
 
+    @pytest.mark.parametrize("driver", [estimate_hamming_decay, converge_from_iid,
+                                        fixed_point_test])
+    def test_negative_sweeps_rejected(self, driver):
+        with pytest.raises(ValueError, match="sweeps must be nonnegative"):
+            driver(make_ising(0.2), 3, 3, -1, 5, np.random.default_rng(0))
+
     def test_reports_are_deterministic_given_seed(self):
         a = estimate_hamming_decay(make_ising(0.2), 3, 4, 5, 300, np.random.default_rng(22))
         b = estimate_hamming_decay(make_ising(0.2), 3, 4, 5, 300, np.random.default_rng(22))

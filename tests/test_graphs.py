@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from treelab.errors import BudgetExceededError
-from treelab.graphs import (adjacency_matrix, complete_bipartite,
+from treelab.graphs import (adjacency_matrix, bfs, complete_bipartite,
                             complete_graph, cycle_graph, eigen_experiment, girth_profile,
                             graph_from_edges, iter_perfect_matchings, matching_color_count,
                             matching_identity_check, pm_count, read_graph,
@@ -71,6 +71,19 @@ class TestSampling:
                     u for u in range(4) if u != v
                 )
 
+    @pytest.mark.parametrize("n, d, edges", [
+        (0, 3, []),
+        (2, 0, []),
+        (-2, -1, [(0, 0)]),
+        (4, 3, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        (3, 3, [(0, 1), (1, 2), (2, 0), (0, 1)]),
+        # sized before allocation: a billion-vertex header with one edge fails at once
+        (10**9, 3, [(0, 1)]),
+    ])
+    def test_sizes_checked_before_allocation(self, n, d, edges):
+        with pytest.raises(ValueError):
+            graph_from_edges(n, d, edges)
+
     def test_odd_total_degree_rejected(self):
         with pytest.raises(ValueError):
             sample_regular_graph(3, 3, simple=False, rng=np.random.default_rng(0))
@@ -85,6 +98,32 @@ class TestSampling:
         graph = sample_regular_graph(30, 4, simple=True, rng=np.random.default_rng(3))
         counts = np.bincount(graph.neighbors.ravel(), minlength=30)
         assert counts.sum() == 30 * 4
+
+
+@pytest.mark.parametrize("d", range(1, 12))
+def test_graph_tables_equal_slot_loops(d):
+    """Edges, the simple flag, adjacency and walk kernels against per-slot loops."""
+    rng = np.random.default_rng(d)
+    for n in (2, 4, 6, 9):
+        if n * d % 2:
+            continue
+        for _ in range(5):
+            graph = sample_regular_graph(n, d, simple=False, rng=rng)
+            edges = [(s // d, int(t) // d) for s, t in enumerate(graph.pairing) if s < t]
+            assert graph.edges == edges
+            assert graph.simple == (all(u != v for u, v in edges) and len(set(edges)) == len(edges))
+            adj = np.zeros((n, n))
+            walk = np.zeros((n, n))
+            for v in range(n):
+                for w in graph.neighbors[v]:
+                    adj[v, w] += 1.0
+                    walk[v, w] += 1.0 / d
+            assert np.array_equal(adjacency_matrix(graph), adj)
+            if len(bfs(0, graph.neighbors.__getitem__)) == n:
+                assert np.array_equal(make_walk_kernel(graph).q, walk)
+            else:
+                with pytest.raises(ValueError, match="connected"):
+                    make_walk_kernel(graph)
 
 
 class TestMatchingCounts:
@@ -219,6 +258,11 @@ class TestEigenExperiment:
         doubled = graph_from_edges(2, 3, [(0, 1), (0, 1), (0, 1)])
         with pytest.raises(ValueError):
             eigen_experiment(doubled, 0, 2)
+
+    @pytest.mark.parametrize("which", [6, -7])
+    def test_rejects_eigenpair_index_out_of_range(self, which):
+        with pytest.raises(ValueError, match="which must lie in -6..5"):
+            eigen_experiment(complete_bipartite(3, 3), which, 1)
 
 
 def test_near_ramanujan_walk_spectra():

@@ -272,6 +272,16 @@ class TestCorrelations:
     def test_bound_value(self):
         assert local_correlation_bound(1, 3) == pytest.approx((4 / 3) * 2**-0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_bound_needs_degree_three(self, d):
+        with pytest.raises(ValueError, match="degree must be at least 3"):
+            local_correlation_bound(1, d)
+
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_classifier_needs_a_distance(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            classify_correlation_decay(make_ising(0.3), 3, [1.0, -1.0], k_max)
+
     def test_classifier_violation_witness(self):
         verdict = classify_correlation_decay(make_ising(0.8), 3, [1.0, -1.0], 30)
         assert verdict.verdict == "VIOLATES"

@@ -1,9 +1,11 @@
-"""Golden-output check: fixed CLI commands must print byte-identical output.
+"""Golden-output check: fixed CLI commands and the demos must print byte-identical output.
 
 Every subcommand runs at a fixed seed and a small size; stdout and every file
 a command writes are compared byte for byte with ``tests/golden_cli.json``,
-after the temporary input directory is replaced by ``<tmp>``.  A change that
-alters any of these outputs on purpose regenerates the file with
+after the temporary input directory is replaced by ``<tmp>``.  Each demo in
+``demos/`` runs in-process and its stdout is compared with
+``tests/golden_demos.json``.  A change that alters any of these outputs on
+purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +15,7 @@ and says why in CHANGES.md.
 import contextlib
 import io
 import json
+import runpy
 import tempfile
 from pathlib import Path
 
@@ -25,6 +28,8 @@ from treelab.graphs import (circulant_graph, complete_bipartite, complete_graph,
                             sample_regular_graph, write_graph)
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN_DEMOS = Path(__file__).with_name("golden_demos.json")
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 _OUTPUT_FLAGS = ("--out", "--csv", "--text")
 
 CASES = [
@@ -97,6 +102,14 @@ def run_case(case: str, tmp: Path) -> dict:
     return {"rc": rc, "stdout": stdout.getvalue().replace(str(tmp), "<tmp>"), "files": files}
 
 
+def run_demo(path: Path) -> str:
+    """Stdout of one demo script run in this process."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        runpy.run_path(str(path), run_name="__main__")
+    return stdout.getvalue()
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
@@ -121,8 +134,19 @@ def test_golden_output(case, inputs, golden):
     assert run_case(case, inputs) == golden[case]
 
 
+def test_golden_covers_every_demo():
+    assert sorted(json.loads(GOLDEN_DEMOS.read_text())) == [path.name for path in DEMOS]
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[path.stem for path in DEMOS])
+def test_demo_output(path):
+    assert run_demo(path) == json.loads(GOLDEN_DEMOS.read_text())[path.name]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmpdir:
         write_inputs(Path(tmpdir))
         records = {case: run_case(case, Path(tmpdir)) for case in CASES}
     GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    demos = {path.name: run_demo(path) for path in DEMOS}
+    GOLDEN_DEMOS.write_text(json.dumps(demos, indent=1, sort_keys=True) + "\n")

@@ -151,7 +151,8 @@ def _bmc_sample(args) -> dict:
           _arg("--distance", type=int, required=True),
           _arg("--replicas", type=int, default=100_000), _arg("--seed", type=int, required=True),
           _arg("--encoding", choices=["index", "pm1"], default="index"),
-          _arg("--k-max", type=int, default=0, help="also classify decay up to this distance (0: off)"),
+          _arg("--k-max", type=int, default=0,
+               help="also classify decay up to this distance (0: off)"),
           help="two-point correlation: sampled, exact, and classified")
 def _correlation(args) -> dict:
     kernel = parse_kernel(args.kernel)
@@ -240,7 +241,8 @@ def _counterexample(args) -> dict:
           _arg("--n", type=int, required=True), _arg("--d", type=int, required=True),
           _arg("--seed", type=int, required=True),
           _arg("--multigraph", action="store_true", help="skip the simplicity rejection"),
-          _arg("--girth-l", type=int, default=0, help="report the short-cycle profile at this L (0: off)"),
+          _arg("--girth-l", type=int, default=0,
+               help="report the short-cycle profile at this L (0: off)"),
           _arg("--out", help="write the graph file here"),
           help="pairing-model random regular graph")
 def _graph_sample(args) -> dict:

@@ -40,6 +40,8 @@ class CoveringMatrix:
             raise ValueError("covering matrix must be square and nonempty")
         if np.any(mat < 0):
             raise ValueError("entries must be nonnegative integers")
+        if np.any(mat > np.iinfo(np.int64).max // mat.shape[0]):
+            raise ValueError("covering matrix row sums must fit in 64-bit integers")
         sums = mat.sum(axis=1)
         if not np.all(sums == sums[0]):
             raise ValueError("all rows must sum to the same degree")

@@ -41,6 +41,7 @@ _CHUNK = 2048
 
 # Largest k^(d+1) for which fixed_point_test compares the star law.
 _STAR_MAX = 100_000
+
 # Largest k^d for which a sweep tabulates the conditional law of every ordered
 # neighbor tuple once instead of evaluating one law per woken vertex.
 _LAW_TABLE_MAX = 4096

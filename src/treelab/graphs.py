@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -246,8 +247,8 @@ def matching_identity_check(n: int) -> list[MatchingIdentityRecord]:
     directed-pair distribution nu) on n points, both sides are computed by
     independent enumerations: the left by scanning matchings against a fixed
     coloring and counting colorings with the multinomial; the right by the
-    double-factorial formula times a scan of all ordered-pair colorings of the
-    n/2 edges whose symmetrized empirical law is nu.
+    double-factorial formula times the number of ordered-pair colorings of the
+    n/2 edges whose symmetrized empirical law is nu, from one scan of them all.
     """
     if n % 2 != 0 or n < 2 or n > 10:
         raise ValueError("n must be a small even integer")
@@ -263,18 +264,17 @@ def matching_identity_check(n: int) -> list[MatchingIdentityRecord]:
             nu_key = tuple(counts.get(p, 0) for p in pairs)
             achievable.setdefault((mu, nu_key), set()).add(bits)
 
+    # ordered-pair colorings of the n/2 edges, counted by their symmetrized law nu
+    pair_colorings = Counter(
+        tuple(_directed_pair_counts(assign, (0, 1)).get(p, 0) for p in pairs)
+        for assign in itertools.product(pairs, repeat=n // 2))
     records = []
     for (mu, nu_key), witnesses in sorted(achievable.items()):
         f = min(witnesses)
         nu = {p: Fraction(c, n) for p, c in zip(pairs, nu_key)}
         m_f = matching_color_count(f, nu)
         h_mu = coloring_count(mu)
-        # ordered-pair colorings of the n/2 edges with symmetrized law nu
-        h_nu = 0
-        for assign in itertools.product(pairs, repeat=n // 2):
-            counts = _directed_pair_counts(assign, range(2))
-            if tuple(counts.get(p, 0) for p in pairs) == nu_key:
-                h_nu += 1
+        h_nu = pair_colorings[nu_key]
         records.append(MatchingIdentityRecord(
             n=n, mu_counts=mu, nu_counts=nu_key, m_f=m_f, colorings_mu=h_mu,
             pair_colorings_nu=h_nu, lhs=m_f * h_mu, rhs=pm_count(n) * h_nu,

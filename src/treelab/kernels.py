@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .graphs import _neighbor_fill, _read_rows, _strongly_connected
+from .graphs import _neighbor_fill, _read_rows, _strongly_connected, bfs
 
 ATOL = 1e-12
 
@@ -129,9 +129,9 @@ def make_walk_kernel(graph) -> TransitionKernel:
     (a loop at s contributes 2 to its own row entry).  Regularity forces the
     uniform stationary distribution.
     """
-    q = _neighbor_fill(graph, 1.0 / graph.d)
-    if not _strongly_connected(q > 0):
+    if len(bfs(0, graph.neighbors.__getitem__)) != graph.n:
         raise ValueError("walk kernel requires a connected graph")
+    q = _neighbor_fill(graph, 1.0 / graph.d)
     return TransitionKernel(q=q, pi=np.full(graph.n, 1.0 / graph.n))
 
 

@@ -23,9 +23,12 @@ class TestCoveringMatrix:
         with pytest.raises(ValueError):
             CoveringMatrix([[-1, 4], [1, 2]])
 
-    def test_entries_outside_int64_rejected(self):
+    @pytest.mark.parametrize("mat", [[[0, 10**20], [10**20, 0]],
+                                     # entries fit, but each row sum wraps to -2^63
+                                     [[2**62, 2**62], [2**62, 2**62]]])
+    def test_entries_and_row_sums_outside_int64_rejected(self, mat):
         with pytest.raises(ValueError, match="64-bit"):
-            CoveringMatrix([[0, 10**20], [10**20, 0]])
+            CoveringMatrix(mat)
 
     def test_connectivity_enforced(self):
         with pytest.raises(ValueError):

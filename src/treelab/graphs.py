@@ -56,7 +56,8 @@ def _graph_from_pairing(n: int, d: int, pairing: np.ndarray) -> RegularGraph:
         raise ValueError("pairing must be a fixed-point-free involution on the slots")
     neighbors = (pairing // d).reshape(n, d)
     u, v = _edge_ends(pairing, d)
-    simple = not np.any(u == v) and np.unique(u * n + v).size == u.size
+    codes = np.sort(u * n + v)
+    simple = not np.any(u == v) and not np.any(codes[1:] == codes[:-1])
     pairing = pairing.copy()
     pairing.setflags(write=False)
     neighbors.setflags(write=False)

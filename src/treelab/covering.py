@@ -279,10 +279,11 @@ def _resolve_delta(family, d: int | None = None):
             raise ValueError("family thresholds need d of at least 3")
         family = _FAMILIES[family](d)
     dd = family.d
-    if np.array_equal(family.mat, dominating_matrix(dd).mat):
-        return (lambda e: (1.0 - e) / (dd + 1.0)), dd, family.s_count, "dominating"
-    if np.array_equal(family.mat, bipartite_matrix(dd).mat):
-        return (lambda e: 0.5 - e), dd, family.s_count, "bipartite"
+    if dd >= 1:  # no registered matrix has degree 0: the 1x1 matrix [[0]] is generic
+        if np.array_equal(family.mat, dominating_matrix(dd).mat):
+            return (lambda e: (1.0 - e) / (dd + 1.0)), dd, family.s_count, "dominating"
+        if np.array_equal(family.mat, bipartite_matrix(dd).mat):
+            return (lambda e: 0.5 - e), dd, family.s_count, "bipartite"
     return (lambda e: _delta_generic(family, e)), dd, family.s_count, "generic"
 
 

@@ -147,6 +147,12 @@ class TestDelta:
         matrix = CoveringMatrix([[1, 2], [2, 1]])
         assert delta_lower_bound(matrix, 0.0) == pytest.approx(1 / 6, abs=1e-15)
 
+    def test_degree_zero_matrix_is_generic(self):
+        # its only state has probability 1; no registered matrix has degree 0
+        assert delta_lower_bound(CoveringMatrix([[0]]), 0.0) == 1.0
+        with pytest.raises(ValueError, match="d must be at least 3"):
+            epsilon0(CoveringMatrix([[0]]))
+
     def test_nonpositive_signaled(self):
         with pytest.raises(ValueError):
             delta_lower_bound(dominating_matrix(3), 1.0)

@@ -28,8 +28,7 @@ from .kernels import (NeighborConfig, TransitionKernel, dobrushin_coefficient,
                       kernel_from_matrix, load_kernel, make_ising, make_potts,
                       make_walk_kernel, spectral_radius, uniform_kernel, write_kernel)
 from .localstats import (DcnEstimate, ball_distribution, canonical_ball, dcn_estimate,
-                         hausdorff_distance, load_ball_distribution,
-                         save_ball_distribution, tv_distance)
+                         hausdorff_distance, tv_distance)
 from .trees import (Configuration, CorrelationEstimate, CorrelationVerdict, RealField,
                     TruncatedTree, build_tree, classify_correlation_decay,
                     dump_configuration, estimate_correlation, exact_bmc_marginals,

@@ -92,6 +92,21 @@ def error_ratio(graph, coloring, matrix: CoveringMatrix) -> float:
     return bad / graph.n
 
 
+def _neighbor_counts(nbrs: list[list[int]], coloring: list[int], s: int) -> list[list[int]]:
+    """(n, s) table: entry [u][q] counts u's neighbors colored q, with multiplicity."""
+    return [[[coloring[w] for w in us].count(q) for q in range(s)] for us in nbrs]
+
+
+def _recolor(nbrs, counts, coloring, v: int, c: int) -> None:
+    """Give v color c and move its neighbors' counts with it in O(d)."""
+    old = coloring[v]
+    for w in nbrs[v]:
+        row = counts[w]
+        row[old] -= 1
+        row[c] += 1
+    coloring[v] = c
+
+
 def _matrix_automorphism_orbit_reps(matrix: CoveringMatrix) -> list[int]:
     """One color per orbit of the permutations preserving the matrix."""
     s = matrix.s_count
@@ -111,10 +126,10 @@ def min_error_exact(graph, matrix: CoveringMatrix, budget: int = 10**8):
 
     Returns ``(ratio, witness_coloring)``.  Vertices are colored in
     breadth-first order; a vertex's violation status is settled as soon as its
-    closed neighborhood is colored, which drives the branch-and-bound prune.
-    Color symmetries of the matrix pin the first vertex to orbit
-    representatives.  Requires the graph degree to match the matrix degree
-    (and hence d >= 3 graphs for d >= 3 matrices).
+    closed neighborhood is colored (read off a table of neighbor-color counts),
+    which drives the branch-and-bound prune.  Color symmetries of the matrix
+    pin the first vertex to orbit representatives.  Requires the graph degree
+    to match the matrix degree (and hence d >= 3 graphs for d >= 3 matrices).
     """
     if graph.d != matrix.d:
         raise ValueError(f"graph degree {graph.d} does not match matrix degree {matrix.d}")
@@ -127,15 +142,16 @@ def min_error_exact(graph, matrix: CoveringMatrix, budget: int = 10**8):
     reach = bfs(0, graph.neighbors.__getitem__)
     order = list(reach) + [v for v in range(n) if v not in reach]
     pos = {v: i for i, v in enumerate(order)}
+    nbrs = graph.neighbors.tolist()
     # vertex u is decided once u and all its neighbors are colored
     decided_at: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):
-        last = max([pos[u]] + [pos[int(w)] for w in graph.neighbors[u]])
-        decided_at[last].append(u)
-
-    coloring = np.zeros(n, dtype=np.int64)
+        decided_at[max(pos[w] for w in (u, *nbrs[u]))].append(u)
+    rows = matrix.mat.tolist()
+    coloring = [0] * n  # uncolored vertices read 0; only decided vertices are checked
+    counts = _neighbor_counts(nbrs, coloring, s)
     best_count = n + 1
-    best_coloring = coloring.copy()
+    best_coloring = coloring[:]
     first_colors = _matrix_automorphism_orbit_reps(matrix)
 
     def dfs(depth: int, violations: int):
@@ -144,20 +160,16 @@ def min_error_exact(graph, matrix: CoveringMatrix, budget: int = 10**8):
             return
         if depth == n:
             best_count = violations
-            best_coloring = coloring.copy()
+            best_coloring = coloring[:]
             return
         v = order[depth]
-        colors = first_colors if depth == 0 else range(s)
-        for c in colors:
-            coloring[v] = c
-            extra = 0
-            for u in decided_at[depth]:
-                if not is_covering_at(graph, coloring, u, matrix):
-                    extra += 1
+        for c in (first_colors if depth == 0 else range(s)):
+            _recolor(nbrs, counts, coloring, v, c)
+            extra = sum(counts[u] != rows[coloring[u]] for u in decided_at[depth])
             dfs(depth + 1, violations + extra)
 
     dfs(0, 0)
-    return best_count / n, best_coloring.copy()
+    return best_count / n, np.array(best_coloring, dtype=np.int64)
 
 
 def min_error_local_search(graph, matrix: CoveringMatrix, restarts: int,
@@ -165,48 +177,47 @@ def min_error_local_search(graph, matrix: CoveringMatrix, restarts: int,
     """Steepest-descent single-vertex recoloring from random starts.
 
     Returns ``(ratio, witness_coloring)`` with ratio an upper bound on the
-    exact minimum, non-increasing in the number of restarts.
+    exact minimum, non-increasing in the number of restarts.  A trial
+    recoloring updates a table of neighbor-color counts in O(d).
     """
     if graph.d != matrix.d:
         raise ValueError(f"graph degree {graph.d} does not match matrix degree {matrix.d}")
     s = matrix.s_count
     n = graph.n
+    nbrs = graph.neighbors.tolist()
+    rows = matrix.mat.tolist()
+    closed = [sorted({v, *nbrs[v]}) for v in range(n)]
     best_count = n + 1
     best_coloring = None
 
-    def violations(coloring) -> int:
-        return sum(1 for v in range(n) if not is_covering_at(graph, coloring, v, matrix))
+    def violations(vertices) -> int:
+        return sum(counts[u] != rows[coloring[u]] for u in vertices)
 
     for _ in range(max(1, restarts)):
-        coloring = rng.integers(0, s, size=n)
-        current = violations(coloring)
-        improved = True
-        while improved and current > 0:
-            improved = False
+        coloring = rng.integers(0, s, size=n).tolist()
+        counts = _neighbor_counts(nbrs, coloring, s)
+        current = violations(range(n))
+        while current > 0:
             move = None
             for v in range(n):
                 old = coloring[v]
-                affected = [v] + [int(w) for w in graph.neighbors[v]]
-                before = sum(1 for u in set(affected)
-                             if not is_covering_at(graph, coloring, u, matrix))
+                before = violations(closed[v])
                 for c in range(s):
                     if c == old:
                         continue
-                    coloring[v] = c
-                    after = sum(1 for u in set(affected)
-                                if not is_covering_at(graph, coloring, u, matrix))
-                    gain = before - after
+                    _recolor(nbrs, counts, coloring, v, c)
+                    gain = before - violations(closed[v])
                     if gain > 0 and (move is None or gain > move[0]):
                         move = (gain, v, c)
-                coloring[v] = old
-            if move is not None:
-                _, v, c = move
-                coloring[v] = c
-                current -= move[0]
-                improved = True
+                _recolor(nbrs, counts, coloring, v, old)
+            if move is None:
+                break
+            gain, v, c = move
+            _recolor(nbrs, counts, coloring, v, c)
+            current -= gain
         if current < best_count:
             best_count = current
-            best_coloring = coloring.copy()
+            best_coloring = np.array(coloring, dtype=np.int64)
     return best_count / n, best_coloring
 
 

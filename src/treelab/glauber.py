@@ -25,6 +25,7 @@ bitwise the same draws as evaluating the definitions one site at a time.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -221,8 +222,25 @@ def maximal_coupling(p, q, rng: np.random.Generator) -> tuple[int, int]:
     q = np.asarray(q, dtype=float)
     if p.ndim != 1 or p.shape != q.shape:
         raise ValueError("distributions must be vectors on one support")
-    xa, xb = _coupled_draw(p[None, :], q[None, :], rng)
-    return int(xa[0]), int(xb[0])
+    # _coupled_draw on one row: numpy takes the sums, so they round alike
+    common = np.minimum(p, q)
+    c = float(common.sum())
+    u_branch, u_draw, u_draw_b = rng.random(3).tolist()
+    if u_branch >= c:
+        ra, rb = p - common, q - common
+        sa, sb = float(ra.sum()), float(rb.sum())
+        if sa > 0.0 and sb > 0.0:
+            return _draw_one(ra, sa, u_draw), _draw_one(rb, sb, u_draw_b)
+        common, c = p, float(p.sum())  # an exact overlap lost the lottery to roundoff
+    x = _draw_one(common, c, u_draw)
+    return x, x
+
+
+def _draw_one(weights: np.ndarray, total: float, u: float) -> int:
+    """``_draw_rows`` of the law ``weights / total`` at one uniform, with the
+    same roundings: a running sum, rescaled by its last entry."""
+    cum = list(itertools.accumulate(w / total for w in weights.tolist()))
+    return next((i for i, x in enumerate(cum) if u < x / cum[-1]), 0)
 
 
 def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator):

@@ -4,7 +4,10 @@ The sampling unit is the rooted colored ball: pick a root, keep everything
 within graph distance r, remember the colors.  Balls are compared through an
 exact canonical form (two balls get the same code iff a root- and
 color-preserving isomorphism maps one onto the other), so distributions over
-balls support exact total variation computations.
+balls support exact total variation computations.  On large-girth graphs
+almost every ball is a tree, and tree balls take a linear-time path
+(Aho-Hopcroft-Ullman tree canonization); balls with cycles, loops or
+multi-edges fall back to individualization-refinement.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import bfs
 
-_BALL_MAX = 200  # largest ball canonical_ball accepts: its search can branch per vertex
+_BALL_MAX = 200  # largest ball canonical_ball accepts, tree or not: the fallback search
+# for balls with cycles can branch per vertex
 
 
 # ---------------------------------------------------------------------------
@@ -77,14 +81,26 @@ def _canonical_search(n: int, classes: list[int], colors, adj: list[dict], root:
     return best
 
 
+def _tree_code(colors, adj: list[dict], reach: dict[int, int]) -> bytes:
+    """Aho-Hopcroft-Ullman code of a rooted colored tree: bottom-up in the
+    breadth-first order of ``reach``, each vertex is (color, sorted child codes)."""
+    code = {}
+    for v in reversed(reach):
+        code[v] = (colors[v], tuple(sorted(code[u] for u in adj[v] if reach[u] > reach[v])))
+    return b"T" + repr(code[v]).encode()  # v is the root, first in ``reach``
+
+
 def canonical_ball(edges, colors, root: int) -> bytes:
     """Canonical byte code of a rooted vertex-colored multigraph.
 
     ``edges`` is an iterable of (u, v) pairs with multi-edges repeated and
     loops allowed; ``colors`` assigns a comparable color per vertex.  Codes of
-    two inputs agree iff the rooted colored graphs are isomorphic.  Exact:
-    color refinement seeded with the distance from the root, followed by
-    backtracking over refinement-equivalent orderings.
+    two inputs agree iff the rooted colored graphs are isomorphic.  Exact.  A
+    connected input with n - 1 edges (counted with multiplicity, so no loop
+    or multi-edge) is a tree and gets a linear-time tree code; any other
+    input goes through color refinement seeded with the distance from the
+    root, followed by backtracking over refinement-equivalent orderings.  The
+    two kinds of code start with different bytes, ``T`` and ``G``.
     """
     colors = list(colors)
     n = len(colors)
@@ -93,17 +109,21 @@ def canonical_ball(edges, colors, root: int) -> bytes:
     if n > _BALL_MAX:
         raise BudgetExceededError(f"canonical form capped at {_BALL_MAX} vertices")
     adj: list[dict] = [dict() for _ in range(n)]
+    m = 0
     for u, v in edges:
+        m += 1
         adj[u][v] = adj[u].get(v, 0) + 1
         if u != v:
             adj[v][u] = adj[v].get(u, 0) + 1
     # distance from the root is invariant under root-preserving isomorphism
     reach = bfs(root, adj.__getitem__)
+    if m == n - 1 and len(reach) == n:
+        return _tree_code(colors, adj, reach)
     dist = [reach.get(v, n + 1) for v in range(n)]
     keys = sorted(set(zip(dist, colors)))
     order = {key: i for i, key in enumerate(keys)}
     classes = [order[(dist[v], colors[v])] for v in range(n)]
-    return _canonical_search(n, classes, colors, adj, root)
+    return b"G" + _canonical_search(n, classes, colors, adj, root)
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +180,6 @@ def hausdorff_distance(set_a, set_b) -> float:
         return max(min(tv_distance(x, y) for y in ys) for x in xs)
 
     return max(directed(set_a, set_b), directed(set_b, set_a))
-
-
-def save_ball_distribution(dist: dict, path) -> None:
-    """CSV rows ``code_hex,probability`` sorted by code."""
-    with open(path, "w") as fh:
-        for code in sorted(dist):
-            fh.write(f"{code.hex()},{dist[code]!r}\n")
-
-
-def load_ball_distribution(path) -> dict[bytes, float]:
-    out: dict[bytes, float] = {}
-    with open(path) as fh:
-        for line in fh:
-            code_hex, prob = line.strip().split(",")
-            out[bytes.fromhex(code_hex)] = float(prob)
-    return out
 
 
 # ---------------------------------------------------------------------------

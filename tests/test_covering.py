@@ -284,3 +284,114 @@ def test_independence_threshold_values_match_standalone_bisection():
     targets = {4: 8.991884270e-04, 5: 2.584626198e-04, 6: 6.969980054e-05}
     for d, target in targets.items():
         assert independence_threshold(d).epsilon0 == pytest.approx(target, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the searches against their per-vertex versions
+# ---------------------------------------------------------------------------
+
+def exact_per_vertex(graph, matrix):
+    """min_error_exact as it was written with one is_covering_at per check."""
+    from treelab.covering import _matrix_automorphism_orbit_reps
+    from treelab.graphs import bfs
+
+    s, n = matrix.s_count, graph.n
+    reach = bfs(0, graph.neighbors.__getitem__)
+    order = list(reach) + [v for v in range(n) if v not in reach]
+    pos = {v: i for i, v in enumerate(order)}
+    decided_at = [[] for _ in range(n)]
+    for u in range(n):
+        decided_at[max([pos[u]] + [pos[int(w)] for w in graph.neighbors[u]])].append(u)
+    coloring = np.zeros(n, dtype=np.int64)
+    best = [n + 1, coloring.copy()]
+    first_colors = _matrix_automorphism_orbit_reps(matrix)
+
+    def dfs(depth, violations):
+        if violations >= best[0]:
+            return
+        if depth == n:
+            best[:] = [violations, coloring.copy()]
+            return
+        v = order[depth]
+        for c in (first_colors if depth == 0 else range(s)):
+            coloring[v] = c
+            extra = sum(not is_covering_at(graph, coloring, u, matrix) for u in decided_at[depth])
+            dfs(depth + 1, violations + extra)
+
+    dfs(0, 0)
+    return best[0] / n, best[1]
+
+
+def local_search_per_vertex(graph, matrix, restarts, rng):
+    """min_error_local_search as it was written with one is_covering_at per check."""
+    s, n = matrix.s_count, graph.n
+    best_count, best_coloring = n + 1, None
+
+    def bad(coloring, vertices):
+        return sum(not is_covering_at(graph, coloring, u, matrix) for u in vertices)
+
+    for _ in range(max(1, restarts)):
+        coloring = rng.integers(0, s, size=n)
+        current = bad(coloring, range(n))
+        improved = True
+        while improved and current > 0:
+            improved = False
+            move = None
+            for v in range(n):
+                old = coloring[v]
+                affected = set([v] + [int(w) for w in graph.neighbors[v]])
+                before = bad(coloring, affected)
+                for c in range(s):
+                    if c == old:
+                        continue
+                    coloring[v] = c
+                    gain = before - bad(coloring, affected)
+                    if gain > 0 and (move is None or gain > move[0]):
+                        move = (gain, v, c)
+                coloring[v] = old
+            if move is not None:
+                coloring[move[1]] = move[2]
+                current -= move[0]
+                improved = True
+        if current < best_count:
+            best_count, best_coloring = current, coloring.copy()
+    return best_count / n, best_coloring
+
+
+REFERENCE_MATRICES = {
+    "dominating": dominating_matrix(3),
+    "bipartite": bipartite_matrix(3),
+    "generic": CoveringMatrix([[0, 2, 1], [2, 0, 1], [1, 1, 1]]),
+}
+
+
+def _reference_graphs(n, seeds):
+    graphs = [sample_regular_graph(n, 3, simple=simple, rng=np.random.default_rng(seed))
+              for seed in seeds for simple in (True, False)]
+    # the pairing-model draws must include a loop and a multi-edge
+    assert any(u == v for g in graphs for u, v in g.edges)
+    assert any(len(set(g.edges)) < len(g.edges) for g in graphs)
+    return graphs
+
+
+def _same(got, want):
+    ratio, witness = got
+    assert ratio == want[0]
+    assert witness.dtype == want[1].dtype and np.array_equal(witness, want[1])
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MATRICES))
+def test_exact_search_equals_per_vertex_version(name):
+    matrix = REFERENCE_MATRICES[name]
+    n = 8 if matrix.s_count == 3 else 12
+    for graph in _reference_graphs(n, (11, 12)):
+        _same(min_error_exact(graph, matrix), exact_per_vertex(graph, matrix))
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MATRICES))
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_local_search_equals_per_vertex_version(name, seed):
+    matrix = REFERENCE_MATRICES[name]
+    for graph in _reference_graphs(24, (seed,)):
+        got = min_error_local_search(graph, matrix, 3, np.random.default_rng(seed))
+        _same(got, local_search_per_vertex(graph, matrix, 3, np.random.default_rng(seed)))

@@ -274,6 +274,29 @@ class TestMaximalCoupling:
         with pytest.raises(ValueError):
             maximal_coupling([0.5, 0.5], [0.3, 0.3, 0.4], np.random.default_rng(0))
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
+    @pytest.mark.parametrize("kind", ["random", "equal", "disjoint", "half"])
+    def test_one_row_equals_coupled_draw(self, k, kind):
+        # numpy sums a row pairwise from 8 entries on, so k = 8 and 13 take
+        # the other summation order; equal laws of mass 1/2 reach the guard
+        # for an exact overlap that lost the branch lottery
+        rng = np.random.default_rng(k)
+        for _ in range(40):
+            p = rng.dirichlet(np.full(k, 0.5))
+            if kind == "half":
+                p /= 2.0
+            q = p.copy() if kind in ("equal", "half") else rng.dirichlet(np.full(k, 0.5))
+            if kind == "disjoint":
+                side = np.arange(k) < rng.integers(1, k)
+                p, q = np.where(side, p, 0.0), np.where(side, 0.0, q)
+                p, q = p / p.sum(), q / q.sum()
+            seed = int(rng.integers(2**32))
+            one, table = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(25):
+                xa, xb = glauber._coupled_draw(p[None, :], q[None, :], table)
+                assert maximal_coupling(p, q, one) == (int(xa[0]), int(xb[0]))
+            assert one.random() == table.random()  # the same three uniforms per call
+
 
 class TestCoupledSweep:
     def test_identical_configurations_stay_identical(self):

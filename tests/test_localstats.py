@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,8 @@ import treelab
 from treelab.errors import BudgetExceededError
 from treelab.graphs import (complete_bipartite, complete_graph, cycle_graph, graph_from_edges,
                             sample_regular_graph)
-from treelab.localstats import (ball_distribution, canonical_ball, dcn_estimate,
-                                hausdorff_distance, load_ball_distribution,
-                                save_ball_distribution, tv_distance)
+from treelab.localstats import (_extract_ball, ball_distribution, canonical_ball,
+                                dcn_estimate, hausdorff_distance, tv_distance)
 
 
 class TestCanonicalBall:
@@ -74,6 +74,94 @@ class TestCanonicalBall:
         edges = [(i, i + 1) for i in range(300)]
         with pytest.raises(BudgetExceededError):
             canonical_ball(edges, [0] * 301, 0)
+
+
+def _relabelled(edges, colors, root, rng):
+    """The same rooted colored multigraph under a random vertex permutation."""
+    perm = rng.permutation(len(colors)).tolist()
+    new_colors = [None] * len(colors)
+    for v, c in enumerate(colors):
+        new_colors[perm[v]] = c
+    return [(perm[u], perm[v]) for u, v in edges], new_colors, perm[root]
+
+
+def _random_tree(n, k, rng):
+    """Random recursive tree on n vertices, k colors, random root."""
+    edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+    return edges, rng.integers(0, k, size=n).tolist(), int(rng.integers(n))
+
+
+class TestCanonicalOracle:
+    """Equal codes exactly for rooted colored isomorphic inputs, as networkx decides."""
+
+    @staticmethod
+    def _nx(ball):
+        nx = pytest.importorskip("networkx")
+        edges, colors, root = ball
+        g = nx.MultiGraph()
+        g.add_nodes_from((v, {"key": (c, v == root)}) for v, c in enumerate(colors))
+        g.add_edges_from(edges)
+        return g
+
+    def _code(self, ball):
+        """canonical_ball, with its first byte checked against networkx's tree test."""
+        nx = pytest.importorskip("networkx")
+        code = canonical_ball(*ball)
+        assert code[:1] == (b"T" if nx.is_tree(self._nx(ball)) else b"G")
+        return code
+
+    def _check_pairs(self, balls):
+        """Code equality against networkx isomorphism over all pairs; returns
+        the number of isomorphic and non-isomorphic pairs seen."""
+        nx = pytest.importorskip("networkx")
+        graphs = [self._nx(b) for b in balls]
+        codes = [self._code(b) for b in balls]
+        seen = Counter()
+        for i, j in itertools.combinations(range(len(balls)), 2):
+            iso = nx.is_isomorphic(graphs[i], graphs[j],
+                                   node_match=lambda x, y: x["key"] == y["key"])
+            assert (codes[i] == codes[j]) == iso, (balls[i], balls[j])
+            seen[iso] += 1
+        return seen
+
+    def test_random_trees_with_tied_colors(self):
+        rng = np.random.default_rng(20)
+        for n, k in ((5, 1), (7, 2), (9, 2), (8, 3)):
+            trees = [_random_tree(n, k, rng) for _ in range(30)]
+            trees += [_relabelled(*t, rng) for t in trees[:10]]
+            seen = self._check_pairs(trees)
+            assert seen[True] >= 10 and seen[False] > 0
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_balls_of_pairing_model_graphs(self, r):
+        rng = np.random.default_rng(30 + r)
+        balls = []
+        for n in (8, 14, 100):  # small graphs for loops and multi-edges, a large one for trees
+            graph = sample_regular_graph(n, 3, simple=False, rng=rng)
+            coloring = rng.integers(0, 2, size=n).tolist()
+            balls += [(*_extract_ball(graph, coloring, v, r), 0) for v in range(n)]
+        balls += [_relabelled(*b, rng) for b in balls[::4]]
+        kinds = Counter(canonical_ball(*b)[:1] for b in balls)
+        assert kinds[b"T"] > 0 and kinds[b"G"] > 0
+        assert any(u == v for edges, _, _ in balls for u, v in edges)
+        assert any(len(set(edges)) < len(edges) for edges, _, _ in balls)
+        seen = self._check_pairs(balls)
+        assert seen[True] > 0 and seen[False] > 0
+
+    def test_tree_and_non_tree_never_share_a_code(self):
+        # each pair has one vertex set, coloring and root and differs only in
+        # whether the edges form a tree
+        rng = np.random.default_rng(40)
+        pairs = [([(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2), (2, 0)], [0] * 4, 0),
+                 ([(0, 1)], [(0, 0)], [0, 0], 0)]
+        for _ in range(20):
+            edges, colors, root = _random_tree(6, 2, rng)
+            u, v = edges[int(rng.integers(len(edges)))]
+            pairs.append((edges, edges + [(u, v)], colors, root))
+            pairs.append((edges, edges + [(v, v)], colors, root))
+        for tree, other, colors, root in pairs:
+            assert self._check_pairs([(tree, colors, root), (other, colors, root)]) \
+                == Counter({False: 1})
 
 
 class TestBallDistribution:
@@ -242,11 +330,3 @@ def test_edge_swap_tv_bound():
         worst = max(worst, tv)
     assert worst <= 0.32
 
-
-def test_ball_distribution_serialization(tmp_path):
-    graph = complete_graph(4)
-    dist = ball_distribution(graph, [0, 1, 1, 0], 1)
-    path = tmp_path / "balls.csv"
-    save_ball_distribution(dist, path)
-    loaded = load_ball_distribution(path)
-    assert loaded == dist

@@ -5,9 +5,9 @@ within graph distance r, remember the colors.  Balls are compared through an
 exact canonical form (two balls get the same code iff a root- and
 color-preserving isomorphism maps one onto the other), so distributions over
 balls support exact total variation computations.  On large-girth graphs
-almost every ball is a tree, and tree balls take a linear-time path
-(Aho-Hopcroft-Ullman tree canonization); balls with cycles, loops or
-multi-edges fall back to individualization-refinement.
+almost every ball is a tree, and tree balls take a fast path
+(Aho-Hopcroft-Ullman tree canonization, O(n * radius) time); balls with
+cycles, loops or multi-edges fall back to individualization-refinement.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _tree_code(colors, adj: list[dict], reach: dict[int, int]) -> bytes:
     code = {}
     for v in reversed(reach):
         code[v] = (colors[v], tuple(sorted(code[u] for u in adj[v] if reach[u] > reach[v])))
-    return b"T" + repr(code[v]).encode()  # v is the root, first in ``reach``
+    return b"T" + repr(code[next(iter(reach))]).encode()  # the root comes first in ``reach``
 
 
 def canonical_ball(edges, colors, root: int) -> bytes:
@@ -97,7 +97,7 @@ def canonical_ball(edges, colors, root: int) -> bytes:
     loops allowed; ``colors`` assigns a comparable color per vertex.  Codes of
     two inputs agree iff the rooted colored graphs are isomorphic.  Exact.  A
     connected input with n - 1 edges (counted with multiplicity, so no loop
-    or multi-edge) is a tree and gets a linear-time tree code; any other
+    or multi-edge) is a tree and gets a tree code in O(n * depth); any other
     input goes through color refinement seeded with the distance from the
     root, followed by backtracking over refinement-equivalent orderings.  The
     two kinds of code start with different bytes, ``T`` and ``G``.

@@ -4,10 +4,12 @@ The sampling unit is the rooted colored ball: pick a root, keep everything
 within graph distance r, remember the colors.  Balls are compared through an
 exact canonical form (two balls get the same code iff a root- and
 color-preserving isomorphism maps one onto the other), so distributions over
-balls support exact total variation computations.  On large-girth graphs
-almost every ball is a tree, and tree balls take a fast path
-(Aho-Hopcroft-Ullman tree canonization, O(n * radius) time); balls with
-cycles, loops or multi-edges fall back to individualization-refinement.
+balls support exact total variation computations.  On large-girth graphs a
+ball is a tree, or a few short cycles with trees hanging off them.  The
+hanging trees are folded into the colors of the vertices they hang from as
+Aho-Hopcroft-Ullman codes, in linear time; only what remains (the 2-core and
+the path to the root; just the root for a tree ball) goes through
+individualization-refinement.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import bfs
 
-_BALL_MAX = 200  # largest ball canonical_ball accepts, tree or not: the fallback search
-# for balls with cycles can branch per vertex
+_BALL_MAX = 200  # largest ball canonical_ball accepts: after the hanging trees are folded,
+# the search over what remains can branch per vertex
 
 
 # ---------------------------------------------------------------------------
@@ -81,26 +83,18 @@ def _canonical_search(n: int, classes: list[int], colors, adj: list[dict], root:
     return best
 
 
-def _tree_code(colors, adj: list[dict], reach: dict[int, int]) -> bytes:
-    """Aho-Hopcroft-Ullman code of a rooted colored tree: bottom-up in the
-    breadth-first order of ``reach``, each vertex is (color, sorted child codes)."""
-    code = {}
-    for v in reversed(reach):
-        code[v] = (colors[v], tuple(sorted(code[u] for u in adj[v] if reach[u] > reach[v])))
-    return b"T" + repr(code[next(iter(reach))]).encode()  # the root comes first in ``reach``
-
-
 def canonical_ball(edges, colors, root: int) -> bytes:
     """Canonical byte code of a rooted vertex-colored multigraph.
 
-    ``edges`` is an iterable of (u, v) pairs with multi-edges repeated and
-    loops allowed; ``colors`` assigns a comparable color per vertex.  Codes of
-    two inputs agree iff the rooted colored graphs are isomorphic.  Exact.  A
-    connected input with n - 1 edges (counted with multiplicity, so no loop
-    or multi-edge) is a tree and gets a tree code in O(n * depth); any other
-    input goes through color refinement seeded with the distance from the
-    root, followed by backtracking over refinement-equivalent orderings.  The
-    two kinds of code start with different bytes, ``T`` and ``G``.
+    ``edges`` is an iterable of (u, v) pairs on vertices 0..n-1, multi-edges
+    repeated and loops allowed; ``colors`` assigns a comparable color per
+    vertex.  Codes of two inputs agree iff the rooted colored graphs are
+    isomorphic.  Exact.  The non-root degree-1 vertices of the root's
+    component are peeled again and again, each folded into the vertex it
+    hangs from as an Aho-Hopcroft-Ullman code (color, sorted hung codes).  A
+    tree leaves only the root, without a loop: ``T`` plus its folded code.
+    Otherwise ``G`` plus color refinement, seeded with the distance from the
+    root, and backtracking over refinement-equivalent orderings of the rest.
     """
     colors = list(colors)
     n = len(colors)
@@ -108,22 +102,40 @@ def canonical_ball(edges, colors, root: int) -> bytes:
         raise ValueError("empty graph")
     if n > _BALL_MAX:
         raise BudgetExceededError(f"canonical form capped at {_BALL_MAX} vertices")
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} outside [0, {n})")
     adj: list[dict] = [dict() for _ in range(n)]
-    m = 0
     for u, v in edges:
-        m += 1
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
         adj[u][v] = adj[u].get(v, 0) + 1
         if u != v:
             adj[v][u] = adj[v].get(u, 0) + 1
     # distance from the root is invariant under root-preserving isomorphism
     reach = bfs(root, adj.__getitem__)
-    if m == n - 1 and len(reach) == n:
-        return _tree_code(colors, adj, reach)
-    dist = [reach.get(v, n + 1) for v in range(n)]
-    keys = sorted(set(zip(dist, colors)))
-    order = {key: i for i, key in enumerate(keys)}
-    classes = [order[(dist[v], colors[v])] for v in range(n)]
-    return b"G" + _canonical_search(n, classes, colors, adj, root)
+    hung: list[list] = [[] for _ in range(n)]
+    alive = [True] * n
+    # a non-root vertex keeps its edge towards the root, so degree 1 is that edge
+    stack = [v for v in reach if v != root and sum(adj[v].values()) == 1]
+    while stack:
+        v = stack.pop()
+        (u,) = adj[v]
+        hung[u].append((colors[v], tuple(sorted(hung[v]))))
+        alive[v] = False
+        del adj[u][v]
+        if u != root and sum(adj[u].values()) == 1:
+            stack.append(u)
+    rest = [v for v in range(n) if alive[v]]
+    # wrapped even where nothing hangs, so raw colors never equal folded ones
+    folded = [(colors[v], tuple(sorted(hung[v]))) for v in rest]
+    if rest == [root] and not adj[root]:
+        return b"T" + repr(folded[0]).encode()
+    index = {v: i for i, v in enumerate(rest)}
+    sub = [{index[u]: m for u, m in adj[v].items()} for v in rest]
+    keys = [(reach.get(v, n + 1), c) for v, c in zip(rest, folded)]
+    order = {key: i for i, key in enumerate(sorted(set(keys)))}
+    classes = [order[key] for key in keys]
+    return b"G" + _canonical_search(len(rest), classes, folded, sub, index[root])
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +164,8 @@ def ball_distribution(graph, coloring, r: int) -> dict[bytes, float]:
     coloring = list(coloring)
     if len(coloring) != graph.n:
         raise ValueError("coloring length must equal the vertex count")
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
     counts: dict[bytes, int] = {}
     for v in range(graph.n):
         edges, colors = _extract_ball(graph, coloring, v, r)
@@ -245,6 +259,8 @@ def dcn_estimate(graph_a, graph_b, r_max: int, k_max: int,
             exact = False
             if rng is None:
                 raise ValueError("sampling mode needs an rng (coloring budget exceeded)")
+            if samples < 1:
+                raise ValueError("sampling mode needs at least 1 sample")
             fam_a = [rng.integers(0, k, size=graph_a.n).tolist() for _ in range(samples)]
             fam_b = fam_a if graph_b.n == graph_a.n else \
                 [rng.integers(0, k, size=graph_b.n).tolist() for _ in range(samples)]

@@ -234,6 +234,8 @@ class TestContracts:
          "--seed", "1", "--replicas", "100"],
         ["correlation", "--kernel", "ising(0.5)", "--d", "1", "--distance", "1",
          "--seed", "1", "--replicas", "100"],
+        ["local-distance", "--graph-a", "{k4}", "--graph-b", "{k4}", "--r-max", "1",
+         "--k-max", "2", "--coloring-budget", "1", "--samples", "0", "--seed", "1"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {

@@ -75,6 +75,21 @@ class TestCanonicalBall:
         with pytest.raises(BudgetExceededError):
             canonical_ball(edges, [0] * 301, 0)
 
+    def test_tree_code_bytes_pinned(self):
+        # the bytes of tree codes are part of the ball laws' keys
+        assert canonical_ball([(0, 1), (0, 2)], [0, 1, 1], 0) == b"T(0, ((1, ()), (1, ())))"
+
+    @pytest.mark.parametrize("root", [-1, 3])
+    def test_root_out_of_range(self, root):
+        with pytest.raises(ValueError, match="root"):
+            canonical_ball([(0, 1), (1, 2)], [0, 0, 0], root)
+
+    @pytest.mark.parametrize("edge", [(0, -1), (0, 2), (-1, -1)])
+    def test_edge_endpoint_out_of_range(self, edge):
+        # a negative endpoint used to alias vertex n-1
+        with pytest.raises(ValueError, match="endpoint"):
+            canonical_ball([edge], [0, 1], 0)
+
 
 def _relabelled(edges, colors, root, rng):
     """The same rooted colored multigraph under a random vertex permutation."""
@@ -83,6 +98,14 @@ def _relabelled(edges, colors, root, rng):
     for v, c in enumerate(colors):
         new_colors[perm[v]] = c
     return [(perm[u], perm[v]) for u, v in edges], new_colors, perm[root]
+
+
+def _scrambled(edges, colors, root, rng):
+    """Relabelled, with the edge list shuffled and each edge's ends in random
+    order, so that adjacency and peeling orders change too."""
+    edges, colors, root = _relabelled(edges, colors, root, rng)
+    edges = [(v, u) if rng.integers(2) else (u, v) for u, v in edges]
+    return [edges[i] for i in rng.permutation(len(edges))], colors, root
 
 
 def _random_tree(n, k, rng):
@@ -163,6 +186,77 @@ class TestCanonicalOracle:
             assert self._check_pairs([(tree, colors, root), (other, colors, root)]) \
                 == Counter({False: 1})
 
+    @staticmethod
+    def _decorated_cycle(length, extra, k, rng):
+        """A cycle with random trees of ``extra`` vertices hung off it, k colors,
+        random root (on the cycle or inside a hung tree)."""
+        n = length + extra
+        edges = [(v, (v + 1) % length) for v in range(length)]
+        edges += [(int(rng.integers(v)), v) for v in range(length, n)]
+        return edges, rng.integers(0, k, size=n).tolist(), int(rng.integers(n))
+
+    def test_cycles_with_pendant_trees(self):
+        rng = np.random.default_rng(50)
+        # the same two hung leaves at distance 2 and 3 on a hexagon, and on
+        # adjacent vertices of a square against a pendant path of two
+        hexagon = [(v, (v + 1) % 6) for v in range(6)]
+        balls = [(hexagon + [(0, 6), (2, 7)], [0] * 8, 1),
+                 (hexagon + [(0, 6), (3, 7)], [0] * 8, 1),
+                 ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 5)], [0] * 6, 0),
+                 ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5)], [0] * 6, 0)]
+        for length, extra, k in ((3, 4, 1), (4, 4, 2), (5, 5, 2), (6, 3, 2), (3, 8, 2)):
+            balls += [self._decorated_cycle(length, extra, k, rng) for _ in range(25)]
+        balls += [_scrambled(*b, rng) for b in balls[::3]]
+        degree = [Counter(v for e in edges for v in e)[root] for edges, _, root in balls]
+        assert 1 in degree  # a root inside a hung tree
+        seen = self._check_pairs(balls)
+        assert seen[True] >= 40 and seen[False] > 0
+
+    def test_loops_and_double_edges(self):
+        rng = np.random.default_rng(60)
+        path = [(0, 1), (1, 2), (2, 3)]
+        balls = [(path, [0] * 4, 0), (path + [(0, 0)], [0] * 4, 0),
+                 (path + [(3, 3)], [0] * 4, 0), (path + [(2, 2)], [0] * 4, 0),
+                 (path + [(2, 3)], [0] * 4, 0), (path + [(0, 1)], [0] * 4, 0),
+                 (path + [(3, 3)], [0] * 4, 3), (path + [(0, 0)], [0] * 4, 3)]
+        for _ in range(40):
+            edges, colors, root = _random_tree(6, 2, rng)
+            leaves = [v for v, c in Counter(v for e in edges for v in e).items()
+                      if c == 1 and v != root]
+            leaf = leaves[int(rng.integers(len(leaves)))]
+            edge = next(e for e in edges if leaf in e)
+            balls.append((edges + [(root, root)], colors, root))  # loop at the root
+            balls.append((edges + [(leaf, leaf)], colors, root))  # loop ending a pendant path
+            balls.append((edges + [edge], colors, root))  # the leaf hangs by a double edge
+        balls += [_scrambled(*b, rng) for b in balls[::3]]
+        seen = self._check_pairs(balls)
+        assert seen[True] >= 40 and seen[False] > 0
+
+    def test_parts_away_from_the_root(self):
+        # a K2 component and an isolated vertex beside a tree, or a tree plus an edge;
+        # folding inside the K2 would depend on the vertex order
+        rng = np.random.default_rng(70)
+        balls = [([(0, 1), (2, 3)], [0, 1, 0, 1], 0), ([(0, 1), (2, 3)], [0, 1, 1, 0], 0),
+                 ([(0, 1), (2, 3)], [0, 1, 1, 1], 0), ([(0, 1)], [0, 1, 0, 1], 0)]
+        for _ in range(30):
+            edges, colors, root = _random_tree(5, 2, rng)
+            if rng.integers(2):
+                edges = edges + [(edges[0][0], edges[1][1])]
+            balls.append((edges + [(5, 6)], colors + rng.integers(0, 2, size=3).tolist(), root))
+        balls += [_scrambled(*b, rng) for b in balls for _ in range(2)]
+        seen = self._check_pairs(balls)
+        assert seen[True] >= 60 and seen[False] > 0
+
+    def test_raw_tuple_colors_never_meet_folded_ones(self):
+        # a triangle with a hung leaf, and a bare triangle whose raw colors
+        # are the first one's folded colors
+        leaf = (0, ((0, ()),))
+        balls = [([(0, 1), (1, 2), (2, 0), (1, 3)], [0, 0, 0, 0], 0),
+                 ([(0, 1), (1, 2), (2, 0)], [(0, ()), leaf, (0, ())], 0),
+                 ([(0, 1), (0, 1)], [0, 0], 0), ([(0, 1), (0, 1)], [(0, ()), (0, ())], 0),
+                 ([(0, 0), (0, 1)], [0, 0], 0), ([(0, 0)], [leaf], 0)]
+        assert self._check_pairs(balls) == Counter({False: 15})
+
 
 class TestBallDistribution:
     def test_high_girth_monochromatic_point_mass(self):
@@ -185,6 +279,21 @@ class TestBallDistribution:
         assert set(one) == set(two)
         for code in one:
             assert one[code] == pytest.approx(two[code], abs=1e-12)
+
+    def test_negative_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            ball_distribution(complete_graph(4), [0] * 4, -1)
+
+    def test_monochrome_radius_four_on_cubic_300(self):
+        # symmetric hung trees made the search visit one leaf per automorphism,
+        # so this did not finish before pendant trees were folded
+        rng = np.random.default_rng(80)
+        graph = sample_regular_graph(300, 3, simple=True, rng=rng)
+        perm = rng.permutation(300).tolist()
+        relabelled = graph_from_edges(300, 3, [(perm[u], perm[v]) for u, v in graph.edges])
+        dist = ball_distribution(graph, [0] * 300, 4)
+        assert len(dist) > 1
+        assert ball_distribution(relabelled, [0] * 300, 4) == dist
 
     def test_probabilities_sum_to_one(self):
         graph = sample_regular_graph(20, 3, simple=True, rng=np.random.default_rng(1))
@@ -293,6 +402,12 @@ class TestDcn:
         est = dcn_estimate(g1, g2, 1, 2, coloring_budget=64, samples=20,
                            rng=np.random.default_rng(5))
         assert not est.exact
+
+    def test_estimate_mode_needs_a_sample(self):
+        g1 = complete_graph(4)
+        with pytest.raises(ValueError, match="sample"):
+            dcn_estimate(g1, g1, 1, 4, coloring_budget=64, samples=0,
+                         rng=np.random.default_rng(0))
 
     def test_estimate_mode_needs_rng(self):
         g1 = complete_graph(4)

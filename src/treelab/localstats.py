@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,55 +32,46 @@ _BALL_MAX = 200  # largest ball canonical_ball accepts: after the hanging trees 
 # canonical forms of rooted colored multigraphs
 # ---------------------------------------------------------------------------
 
-def _refine(n: int, classes: list[int], adj: list[dict]) -> list[int]:
+def _refine(classes: list[int], nbrs: list[list]) -> list[int]:
     """Iterated color refinement: split classes by the multiset of
-    (neighbor class, multiplicity) signatures until stable."""
+    (neighbor class, multiplicity) signatures until no class splits.
+    Returns classes numbered 0, 1, ... in the order of their signatures."""
+    count = len(set(classes))
     while True:
-        sigs = [
-            (classes[v], tuple(sorted((classes[u], m) for u, m in adj[v].items())))
-            for v in range(n)
-        ]
-        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == classes:
-            return new
-        classes = new
+        sigs = [(classes[v], tuple(sorted([(classes[u], m) for u, m in nb])))
+                for v, nb in enumerate(nbrs)]
+        keys = sorted(set(sigs))
+        order = {s: i for i, s in enumerate(keys)}
+        classes = [order[s] for s in sigs]
+        if len(keys) == count:
+            return classes
+        count = len(keys)
 
 
-def _encode(n: int, classes: list[int], colors, adj: list[dict], root: int) -> bytes:
-    perm = sorted(range(n), key=lambda v: classes[v])
-    pos = {v: i for i, v in enumerate(perm)}
-    edges = sorted(
-        (min(pos[u], pos[v]), max(pos[u], pos[v]), m)
-        for v in range(n)
-        for u, m in adj[v].items()
-        if pos[v] <= pos[u]
-    )
-    payload = (n, pos[root], tuple(colors[v] for v in perm), tuple(edges))
-    return repr(payload).encode()
+def _canonical_search(classes: list[int], labels: list[int], nbrs: list[list]) -> tuple:
+    """Least leaf code over the individualization-refinement search tree.
 
-
-def _canonical_search(n: int, classes: list[int], colors, adj: list[dict], root: int) -> bytes:
-    classes = _refine(n, classes, adj)
-    sizes: dict[int, int] = {}
-    for c in classes:
-        sizes[c] = sizes.get(c, 0) + 1
-    target = None
-    for c in sorted(sizes):
-        if sizes[c] > 1:
-            target = c
-            break
-    if target is None:
-        return _encode(n, classes, colors, adj, root)
+    A leaf is a discrete partition; its code lists the vertices' ``labels``
+    and the edges (with multiplicity) in class order."""
+    classes = _refine(classes, nbrs)
+    n = len(classes)
+    sizes = Counter(classes)
+    if len(sizes) == n:
+        ordered = [0] * n
+        for v, c in enumerate(classes):
+            ordered[c] = labels[v]
+        edges = sorted((classes[v], classes[u], m) for v, nb in enumerate(nbrs)
+                       for u, m in nb if classes[v] <= classes[u])
+        return tuple(ordered), tuple(edges)
+    target = min(c for c, size in sizes.items() if size > 1)
     best = None
     for v in range(n):
-        if classes[v] != target:
-            continue
-        branch = [2 * c + 2 for c in classes]
-        branch[v] = 1  # individualize v ahead of its class
-        code = _canonical_search(n, branch, colors, adj, root)
-        if best is None or code < best:
-            best = code
+        if classes[v] == target:
+            branch = [2 * c + 2 for c in classes]
+            branch[v] = 1  # individualize v ahead of its class
+            code = _canonical_search(branch, labels, nbrs)
+            if best is None or code < best:
+                best = code
     return best
 
 
@@ -93,8 +85,10 @@ def canonical_ball(edges, colors, root: int) -> bytes:
     component are peeled again and again, each folded into the vertex it
     hangs from as an Aho-Hopcroft-Ullman code (color, sorted hung codes).  A
     tree leaves only the root, without a loop: ``T`` plus its folded code.
-    Otherwise ``G`` plus color refinement, seeded with the distance from the
-    root, and backtracking over refinement-equivalent orderings of the rest.
+    Otherwise the rest is labelled by (distance from the root, folded color),
+    which singles out the root, and the code is ``G`` plus the sorted labels
+    and the least leaf of color refinement and backtracking over
+    refinement-equivalent orderings.
     """
     colors = list(colors)
     n = len(colors)
@@ -131,11 +125,12 @@ def canonical_ball(edges, colors, root: int) -> bytes:
     if rest == [root] and not adj[root]:
         return b"T" + repr(folded[0]).encode()
     index = {v: i for i, v in enumerate(rest)}
-    sub = [{index[u]: m for u, m in adj[v].items()} for v in rest]
+    nbrs = [[(index[u], m) for u, m in adj[v].items()] for v in rest]
     keys = [(reach.get(v, n + 1), c) for v, c in zip(rest, folded)]
-    order = {key: i for i, key in enumerate(sorted(set(keys)))}
-    classes = [order[key] for key in keys]
-    return b"G" + _canonical_search(len(rest), classes, folded, sub, index[root])
+    distinct = sorted(set(keys))
+    order = {key: i for i, key in enumerate(distinct)}
+    labels = [order[key] for key in keys]
+    return b"G" + repr((distinct, _canonical_search(labels, labels, nbrs))).encode()
 
 
 # ---------------------------------------------------------------------------

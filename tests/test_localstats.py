@@ -37,11 +37,16 @@ class TestCanonicalBall:
     def test_colors_matter(self):
         star = [(0, 1), (0, 2), (0, 3)]
         assert canonical_ball(star, [0, 1, 1, 1], 0) != canonical_ball(star, [0, 1, 1, 2], 0)
+        # the same color set with different counts, on a graph the search handles
+        k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert canonical_ball(k4, [0, 0, 0, 1], 0) != canonical_ball(k4, [0, 0, 1, 1], 0)
 
     def test_multiplicity_matters(self):
         single = canonical_ball([(0, 1)], [0, 0], 0)
         double = canonical_ball([(0, 1), (0, 1)], [0, 0], 0)
         assert single != double
+        triangle = [(0, 1), (1, 2), (2, 0)]
+        assert canonical_ball(triangle, [0] * 3, 0) != canonical_ball(triangle + [(1, 2)], [0] * 3, 0)
 
     def test_loop_matters(self):
         plain = canonical_ball([(0, 1)], [0, 0], 0)

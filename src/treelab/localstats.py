@@ -66,12 +66,13 @@ def _canonical_search(classes: list[int], labels: list[int], nbrs: list[list]) -
     target = min(c for c, size in sizes.items() if size > 1)
     best = None
     for v in range(n):
-        if classes[v] == target:
-            branch = [2 * c + 2 for c in classes]
-            branch[v] = 1  # individualize v ahead of its class
-            code = _canonical_search(branch, labels, nbrs)
-            if best is None or code < best:
-                best = code
+        if classes[v] != target:
+            continue
+        branch = [2 * c + 2 for c in classes]
+        branch[v] = 1  # individualize v ahead of its class
+        code = _canonical_search(branch, labels, nbrs)
+        if best is None or code < best:
+            best = code
     return best
 
 

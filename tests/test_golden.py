@@ -61,6 +61,7 @@ CASES = [
     "counterexample --k 60 --q-deg 4 --d 3",
     "graph-sample --n 20 --d 3 --seed 6 --girth-l 3 --out <tmp>/sampled.txt",
     "graph-sample --n 8 --d 3 --seed 1 --multigraph --girth-l 2",
+    "graph-sample --n 60 --d 3 --seed 2 --multigraph --girth-l 6",
     "entlem-check --sizes 4",
     "eigen-quantize --graph <tmp>/cubic40.txt --which 0 --levels 1 --seed 0",
     "eigen-quantize --graph <tmp>/cubic40.txt --which 1 --levels 2 --seed 3",

@@ -318,49 +318,44 @@ def _read_rows(path) -> list[list[str]]:
 
 
 def _shortest_cycle_through(graph: RegularGraph, v: int, cap: int) -> int:
-    """Length of the shortest cycle through v, or a large value if above cap."""
-    best = cap + 1
-    for s in range(v * graph.d, (v + 1) * graph.d):
-        t = int(graph.pairing[s])
-        w = t // graph.d
-        if w == v:
-            return 1  # loop
-        # BFS from v to w avoiding the single edge instance (s, t)
-        dist = {v: 0}
-        frontier = [v]
-        found = None
-        while frontier and found is None:
-            nxt = []
-            for u in frontier:
-                if dist[u] + 1 > best - 1 or dist[u] + 1 > cap - 1:
+    """Length of the shortest cycle through v, or cap + 1 if it is longer than cap.
+
+    One breadth-first search from v over the pairing slots (Itai-Rodeh 1978).
+    Each vertex is labelled with the slot of v its tree path leaves by and
+    remembers the slot it was entered by.  An edge instance outside the tree
+    whose ends carry different labels closes a cycle through v of length
+    dist(x) + dist(y) + 1.  v carries no label, so a loop at v gives 1 and a
+    second edge to a neighbour gives 2.  Edges scanned from depth k close no
+    new cycle shorter than 2k + 1, so the search stops at the first such k
+    where that reaches the best length found or cap + 1.
+    """
+    d, best, depth = graph.d, cap + 1, 0
+    dist, label, entry = {v: 0}, {v: None}, {v: None}
+    frontier = [v]
+    while frontier and 2 * depth + 1 < best:
+        depth += 1
+        nxt = []
+        for x in frontier:
+            for s in range(x * d, (x + 1) * d):
+                if s == entry[x]:
                     continue
-                for slot in range(u * graph.d, (u + 1) * graph.d):
-                    if slot == s or slot == t:
-                        continue
-                    partner = int(graph.pairing[slot])
-                    if partner == s or partner == t:
-                        continue
-                    x = partner // graph.d
-                    if x not in dist:
-                        dist[x] = dist[u] + 1
-                        if x == w:
-                            found = dist[x]
-                            break
-                        nxt.append(x)
-                if found is not None:
-                    break
-            frontier = nxt
-        if found is not None:
-            best = min(best, found + 1)
+                t = int(graph.pairing[s])
+                y, lab = t // d, s if x == v else label[x]
+                if y not in dist:
+                    dist[y], label[y], entry[y] = depth, lab, t
+                    nxt.append(y)
+                elif label[y] != lab:
+                    best = min(best, dist[x] + dist[y] + 1)
+        frontier = nxt
     return best
 
 
 def girth_profile(graph: RegularGraph, L: int) -> float:
     """Fraction of vertices lying on a cycle of length at most L.
 
-    Loops count as 1-cycles and parallel edges as 2-cycles; per vertex a
-    truncated search over its incident edges finds the shortest cycle through
-    it exactly.
+    Loops count as 1-cycles and parallel edges as 2-cycles; per vertex one
+    truncated breadth-first search finds the shortest cycle through it
+    exactly.
     """
     if L < 1:
         raise ValueError("L must be positive")

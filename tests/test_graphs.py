@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from treelab.errors import BudgetExceededError
-from treelab.graphs import (adjacency_matrix, bfs, complete_bipartite,
-                            complete_graph, cycle_graph, eigen_experiment, girth_profile,
-                            graph_from_edges, iter_perfect_matchings, matching_color_count,
+from treelab.graphs import (_shortest_cycle_through, adjacency_matrix, bfs,
+                            complete_bipartite, complete_graph, cycle_graph,
+                            eigen_experiment, girth_profile, graph_from_edges,
+                            iter_perfect_matchings, matching_color_count,
                             matching_identity_check, pm_count, read_graph,
                             sample_regular_graph, write_graph)
 from treelab.kernels import make_walk_kernel, spectral_radius
@@ -204,7 +205,64 @@ class TestMatchingCounts:
         assert values == {2}
 
 
+def per_edge_shortest_cycle(graph, v, cap):
+    """Reference: for each edge instance (s, t) at v, the shortest path from v
+    to the far end that avoids that edge, plus one; cap + 1 above cap."""
+    best = cap + 1
+    for s in range(v * graph.d, (v + 1) * graph.d):
+        t = int(graph.pairing[s])
+        w = t // graph.d
+        if w == v:
+            return 1  # loop
+        dist = {v: 0}
+        frontier = [v]
+        found = None
+        while frontier and found is None:
+            nxt = []
+            for u in frontier:
+                if dist[u] + 1 > best - 1 or dist[u] + 1 > cap - 1:
+                    continue
+                for slot in range(u * graph.d, (u + 1) * graph.d):
+                    if slot == s or slot == t:
+                        continue
+                    partner = int(graph.pairing[slot])
+                    if partner == s or partner == t:
+                        continue
+                    x = partner // graph.d
+                    if x not in dist:
+                        dist[x] = dist[u] + 1
+                        if x == w:
+                            found = dist[x]
+                            break
+                        nxt.append(x)
+                if found is not None:
+                    break
+            frontier = nxt
+        if found is not None:
+            best = min(best, found + 1)
+    return best
+
+
+def seeded_multigraphs():
+    """Pairing-model multigraphs, loops and parallel edges kept, d = 1..6."""
+    rng = np.random.default_rng(20)
+    for d in range(1, 7):
+        for _ in range(6):
+            n = int(rng.integers(1, 41))
+            n += (n * d) % 2
+            yield sample_regular_graph(n, d, simple=False, rng=rng)
+
+
 class TestGirth:
+    def test_one_search_matches_per_edge_searches(self):
+        for graph in seeded_multigraphs():
+            for cap in [*range(1, 13), graph.n + 1]:
+                lengths = [_shortest_cycle_through(graph, v, cap) for v in range(graph.n)]
+                reference = [per_edge_shortest_cycle(graph, v, cap) for v in range(graph.n)]
+                assert lengths == reference, (graph.n, graph.d, cap)
+                assert girth_profile(graph, cap) == \
+                    sum(length <= cap for length in reference) / graph.n
+
     def test_long_cycle_has_no_short_cycles(self):
         assert girth_profile(cycle_graph(6), 4) == 0.0
         assert girth_profile(cycle_graph(6), 6) == 1.0

@@ -182,6 +182,8 @@ def min_error_local_search(graph, matrix: CoveringMatrix, restarts: int,
     """
     if graph.d != matrix.d:
         raise ValueError(f"graph degree {graph.d} does not match matrix degree {matrix.d}")
+    if restarts < 1:
+        raise ValueError("need at least 1 restart")
     s = matrix.s_count
     n = graph.n
     nbrs = graph.neighbors.tolist()
@@ -193,7 +195,7 @@ def min_error_local_search(graph, matrix: CoveringMatrix, restarts: int,
     def violations(vertices) -> int:
         return sum(counts[u] != rows[coloring[u]] for u in vertices)
 
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         coloring = rng.integers(0, s, size=n).tolist()
         counts = _neighbor_counts(nbrs, coloring, s)
         current = violations(range(n))

@@ -73,7 +73,9 @@ def sample_regular_graph(n: int, d: int, simple: bool, rng: np.random.Generator,
         raise ValueError("need n >= 1 and d >= 1")
     if (n * d) % 2 != 0:
         raise ValueError("n * d must be even")
-    for _ in range(max(1, max_retries)):
+    if max_retries < 1:
+        raise ValueError("need at least 1 pairing attempt")
+    for _ in range(max_retries):
         perm = rng.permutation(n * d)
         pairing = np.empty(n * d, dtype=np.int64)
         pairing[perm[0::2]] = perm[1::2]

@@ -24,8 +24,8 @@ import numpy as np
 from .errors import BudgetExceededError
 from .graphs import bfs
 
-_BALL_MAX = 200  # largest ball canonical_ball accepts: after the hanging trees are folded,
-# the search over what remains can branch per vertex
+_BALL_MAX = 200  # most vertices left after the fold, whose search can branch per vertex,
+# and deepest distance from the root, one nesting level of the folded codes each
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +91,11 @@ def canonical_ball(edges, colors, root: int) -> bytes:
     and the least leaf of color refinement and backtracking over
     refinement-equivalent orderings.
     """
-    colors = list(colors)
+    # numpy scalars as Python values, so a color's repr does not depend on its container
+    colors = [c.item() if isinstance(c, np.generic) else c for c in colors]
     n = len(colors)
     if n == 0:
         raise ValueError("empty graph")
-    if n > _BALL_MAX:
-        raise BudgetExceededError(f"canonical form capped at {_BALL_MAX} vertices")
     if not 0 <= root < n:
         raise ValueError(f"root {root} outside [0, {n})")
     adj: list[dict] = [dict() for _ in range(n)]
@@ -108,6 +107,8 @@ def canonical_ball(edges, colors, root: int) -> bytes:
             adj[v][u] = adj[v].get(u, 0) + 1
     # distance from the root is invariant under root-preserving isomorphism
     reach = bfs(root, adj.__getitem__)
+    if max(reach.values()) > _BALL_MAX:
+        raise BudgetExceededError(f"canonical form capped at depth {_BALL_MAX}")
     hung: list[list] = [[] for _ in range(n)]
     alive = [True] * n
     # a non-root vertex keeps its edge towards the root, so degree 1 is that edge
@@ -121,6 +122,8 @@ def canonical_ball(edges, colors, root: int) -> bytes:
         if u != root and sum(adj[u].values()) == 1:
             stack.append(u)
     rest = [v for v in range(n) if alive[v]]
+    if len(rest) > _BALL_MAX:
+        raise BudgetExceededError(f"canonical form capped at {_BALL_MAX} vertices after the fold")
     # wrapped even where nothing hangs, so raw colors never equal folded ones
     folded = [(colors[v], tuple(sorted(hung[v]))) for v in rest]
     if rest == [root] and not adj[root]:

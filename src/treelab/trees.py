@@ -240,10 +240,10 @@ def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
         raise ValueError("encoding has zero variance under the stationary law")
     if distance < 0:
         raise ValueError("distance must be nonnegative")
-    if distance == 0:
-        return CorrelationEstimate(1.0, 0.0, replicas, 0)
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
+    if distance == 0:
+        return CorrelationEstimate(1.0, 0.0, replicas, 0)
     x = _draw_rows(kernel.pi, rng.random(replicas))
     g0 = encoding[x]
     for _ in range(distance):

@@ -236,6 +236,10 @@ class TestContracts:
          "--seed", "1", "--replicas", "100"],
         ["local-distance", "--graph-a", "{k4}", "--graph-b", "{k4}", "--r-max", "1",
          "--k-max", "2", "--coloring-budget", "1", "--samples", "0", "--seed", "1"],
+        ["covering-min", "--graph", "{k4}", "--matrix", "m1", "--budget", "1",
+         "--restarts", "-3", "--seed", "1"],
+        ["correlation", "--kernel", "ising(0.5)", "--d", "3", "--distance", "0",
+         "--replicas", "0", "--seed", "1"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {

@@ -128,6 +128,13 @@ class TestMinError:
         ]
         assert values[0] >= values[1] >= values[2]
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_local_search_needs_a_restart(self, restarts):
+        graph = sample_regular_graph(10, 3, simple=True, rng=np.random.default_rng(4))
+        with pytest.raises(ValueError, match="restart"):
+            min_error_local_search(graph, dominating_matrix(3), restarts,
+                                   np.random.default_rng(5))
+
     def test_local_search_never_beats_exact(self):
         graph = sample_regular_graph(10, 3, simple=True, rng=np.random.default_rng(4))
         m1 = dominating_matrix(3)

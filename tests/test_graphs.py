@@ -95,6 +95,12 @@ class TestSampling:
             sample_regular_graph(2, 3, simple=True, rng=np.random.default_rng(0),
                                  max_retries=50)
 
+    @pytest.mark.parametrize("max_retries", [0, -5])
+    def test_retry_budget_must_be_positive(self, max_retries):
+        with pytest.raises(ValueError, match="pairing attempt"):
+            sample_regular_graph(4, 3, simple=True, rng=np.random.default_rng(0),
+                                 max_retries=max_retries)
+
     def test_degree_histogram(self):
         graph = sample_regular_graph(30, 4, simple=True, rng=np.random.default_rng(3))
         counts = np.bincount(graph.neighbors.ravel(), minlength=30)

@@ -14,6 +14,7 @@ from treelab.graphs import (complete_bipartite, complete_graph, cycle_graph, gra
                             sample_regular_graph)
 from treelab.localstats import (_extract_ball, ball_distribution, canonical_ball,
                                 dcn_estimate, hausdorff_distance, tv_distance)
+from treelab.trees import build_tree
 
 
 class TestCanonicalBall:
@@ -76,9 +77,47 @@ class TestCanonicalBall:
             assert canonical_ball(edges, recolored, int(perm[0])) == code
 
     def test_size_budget(self):
-        edges = [(i, i + 1) for i in range(300)]
+        # the cap counts what is left after the fold, and a cycle keeps every vertex
+        edges = [(i, (i + 1) % 301) for i in range(301)]
         with pytest.raises(BudgetExceededError):
             canonical_ball(edges, [0] * 301, 0)
+
+    def test_path_folds_past_the_size_cap(self):
+        # a 301-vertex path folds into its root; rooted at an end it is 300
+        # deep, past the depth cap that keeps nested codes off the recursion limit
+        path = [(i, i + 1) for i in range(300)]
+        assert canonical_ball(path, [0] * 301, 150).startswith(b"T")
+        with pytest.raises(BudgetExceededError, match="depth"):
+            canonical_ball(path, [0] * 301, 0)
+
+    def test_depth_seven_cubic_tree_ball(self):
+        tree = build_tree(3, 7)
+        assert tree.n == 382
+        edges = [(int(tree.parent[v]), v) for v in range(1, tree.n)]
+        rng = np.random.default_rng(7)
+        colors = rng.integers(0, 2, size=tree.n).tolist()
+        code = canonical_ball(edges, colors, 0)
+        assert code.startswith(b"T")
+        perm = rng.permutation(tree.n)
+        recolored = [0] * tree.n
+        for v in range(tree.n):
+            recolored[int(perm[v])] = colors[v]
+        moved = [(int(perm[u]), int(perm[v])) for u, v in edges]
+        assert canonical_ball(moved, recolored, int(perm[0])) == code
+        leaf = tree.n - 1
+        colors[leaf] = 1 - colors[leaf]
+        assert canonical_ball(edges, colors, 0) != code
+
+    def test_numpy_colors_give_plain_codes(self):
+        k4 = complete_graph(4)
+        plain = [0, 1, 0, 1]
+        for colors in (np.array(plain), [np.int64(c) for c in plain]):
+            assert canonical_ball(k4.edges, colors, 0) == canonical_ball(k4.edges, plain, 0)
+            assert canonical_ball([(0, 1), (0, 2)], colors[:3], 0) == \
+                canonical_ball([(0, 1), (0, 2)], plain[:3], 0)
+            assert ball_distribution(k4, colors, 1) == ball_distribution(k4, plain, 1)
+            assert tv_distance(ball_distribution(k4, colors, 1),
+                               ball_distribution(k4, plain, 1)) == 0.0
 
     def test_tree_code_bytes_pinned(self):
         # the bytes of tree codes are part of the ball laws' keys

@@ -184,15 +184,16 @@ def tv_distance(a: dict, b: dict) -> float:
 
 
 def hausdorff_distance(set_a, set_b) -> float:
-    """Hausdorff distance between two finite sets of ball distributions."""
+    """Hausdorff distance between two finite sets of ball distributions.
+
+    One TV per pair; ``tv_distance`` is symmetric bit for bit, so the row and
+    column minima of one matrix serve both directions.
+    """
     set_a, set_b = list(set_a), list(set_b)
     if not set_a or not set_b:
         raise ValueError("Hausdorff distance needs nonempty sets")
-
-    def directed(xs, ys):
-        return max(min(tv_distance(x, y) for y in ys) for x in xs)
-
-    return max(directed(set_a, set_b), directed(set_b, set_a))
+    tv = [[tv_distance(x, y) for y in set_b] for x in set_a]
+    return max(max(map(min, tv)), max(map(min, zip(*tv))))
 
 
 # ---------------------------------------------------------------------------
@@ -248,21 +249,22 @@ def dcn_estimate(graph_a, graph_b, r_max: int, k_max: int,
     terms: dict = {}
     total = 0.0
     exact = True
+
+    def family(n: int, k: int, enumerate_all: bool) -> list:
+        if enumerate_all:
+            return [list(c) for c in itertools.product(range(k), repeat=n)]
+        return [rng.integers(0, k, size=n).tolist() for _ in range(samples)]
+
     for k in range(1, k_max + 1):
-        n_big = max(graph_a.n, graph_b.n)
-        if k**n_big <= coloring_budget:
-            fam_a = [list(c) for c in itertools.product(range(k), repeat=graph_a.n)]
-            fam_b = fam_a if graph_b.n == graph_a.n else \
-                [list(c) for c in itertools.product(range(k), repeat=graph_b.n)]
-        else:
+        enumerate_all = k ** max(graph_a.n, graph_b.n) <= coloring_budget
+        if not enumerate_all:
             exact = False
             if rng is None:
                 raise ValueError("sampling mode needs an rng (coloring budget exceeded)")
             if samples < 1:
                 raise ValueError("sampling mode needs at least 1 sample")
-            fam_a = [rng.integers(0, k, size=graph_a.n).tolist() for _ in range(samples)]
-            fam_b = fam_a if graph_b.n == graph_a.n else \
-                [rng.integers(0, k, size=graph_b.n).tolist() for _ in range(samples)]
+        fam_a = family(graph_a.n, k, enumerate_all)  # drawn before graph_b's sample
+        fam_b = fam_a if graph_b.n == graph_a.n else family(graph_b.n, k, enumerate_all)
         prof_a = _coloring_profiles(graph_a, fam_a, r_values)
         prof_b = _coloring_profiles(graph_b, fam_b, r_values)
         for r in r_values:

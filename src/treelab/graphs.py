@@ -322,32 +322,27 @@ def _read_rows(path) -> list[list[str]]:
 def _shortest_cycle_through(graph: RegularGraph, v: int, cap: int) -> int:
     """Length of the shortest cycle through v, or cap + 1 if it is longer than cap.
 
-    One breadth-first search from v over the pairing slots (Itai-Rodeh 1978).
-    Each vertex is labelled with the slot of v its tree path leaves by and
-    remembers the slot it was entered by.  An edge instance outside the tree
-    whose ends carry different labels closes a cycle through v of length
-    dist(x) + dist(y) + 1.  v carries no label, so a loop at v gives 1 and a
-    second edge to a neighbour gives 2.  Edges scanned from depth k close no
-    new cycle shorter than 2k + 1, so the search stops at the first such k
-    where that reaches the best length found or cap + 1.
+    One breadth-first search from v over the slots (Itai-Rodeh 1978) labels
+    each vertex with the slot of v its tree path leaves by.  An edge instance
+    off the tree whose ends carry different labels closes a cycle of length
+    dist(x) + dist(y) + 1; v has no label, so a loop at v gives 1 and a second
+    edge to a neighbour 2.  Depth k closes no new cycle shorter than 2k + 1.
     """
     d, best, depth = graph.d, cap + 1, 0
-    dist, label, entry = {v: 0}, {v: None}, {v: None}
+    dist, label, entry = {v: 0}, {v: None}, {v: None}  # entry: the slot x was entered by
     frontier = [v]
     while frontier and 2 * depth + 1 < best:
         depth += 1
         nxt = []
         for x in frontier:
             for s in range(x * d, (x + 1) * d):
-                if s == entry[x]:
-                    continue
                 t = int(graph.pairing[s])
                 y, lab = t // d, s if x == v else label[x]
                 if y not in dist:
                     dist[y], label[y], entry[y] = depth, lab, t
                     nxt.append(y)
-                elif label[y] != lab:
-                    best = min(best, dist[x] + dist[y] + 1)
+                elif label[y] != lab and s != entry[x]:
+                    best = min(best, depth + dist[y])
         frontier = nxt
     return best
 
@@ -361,8 +356,7 @@ def girth_profile(graph: RegularGraph, L: int) -> float:
     """
     if L < 1:
         raise ValueError("L must be positive")
-    on_cycle = sum(1 for v in range(graph.n) if _shortest_cycle_through(graph, v, L) <= L)
-    return on_cycle / graph.n
+    return sum(_shortest_cycle_through(graph, v, L) <= L for v in range(graph.n)) / graph.n
 
 
 def _neighbor_fill(graph: RegularGraph, value: float) -> np.ndarray:

@@ -186,9 +186,8 @@ def tv_distance(a: dict, b: dict) -> float:
 def hausdorff_distance(set_a, set_b) -> float:
     """Hausdorff distance between two finite sets of ball distributions.
 
-    One TV per pair; ``tv_distance`` is symmetric bit for bit, so the row and
-    column minima of one matrix serve both directions.
-    """
+    ``tv_distance`` is symmetric bit for bit, so one TV per pair serves both
+    directions: the row and the column minima of one matrix."""
     set_a, set_b = list(set_a), list(set_b)
     if not set_a or not set_b:
         raise ValueError("Hausdorff distance needs nonempty sets")

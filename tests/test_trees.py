@@ -259,12 +259,9 @@ class TestCorrelations:
                                    np.random.default_rng(0))
         assert est.value == 1.0 and est.stderr == 0.0
 
-    @pytest.mark.parametrize("distance", [0, 2])
-    def test_too_few_replicas(self, distance):
-        # distance 0 used to return before the replica check
+    def test_distance_zero_checks_replicas(self):
         with pytest.raises(ValueError, match="replicas"):
-            estimate_correlation(make_ising(0.3), distance, [1.0, -1.0], 0,
-                                 np.random.default_rng(0))
+            estimate_correlation(make_ising(0.3), 0, [1.0, -1.0], 0, np.random.default_rng(0))
 
     def test_negative_distance(self):
         with pytest.raises(ValueError):

@@ -36,13 +36,16 @@ CASES = [
     "dobrushin --kernel ising(0.2) --d 3",
     "dobrushin --kernel potts(5,0.3) --d 4",
     "dobrushin --kernel walk(<tmp>/k4.txt) --d 3",
+    "dobrushin --kernel walk(<tmp>/c70.txt) --d 3",
     "spectral --kernel potts(7,0.3)",
     "spectral --kernel <tmp>/kernel.txt",
     "bmc-sample --kernel ising(0.5) --d 3 --depth 3 --seed 7 --out <tmp>/config.txt",
     "bmc-sample --kernel potts(5,0.3) --d 4 --depth 3 --seed 11",
+    "bmc-sample --kernel walk(<tmp>/c70.txt) --d 3 --depth 5 --seed 12 --out <tmp>/w70.txt",
     "correlation --kernel ising(0.8) --d 3 --distance 2 --replicas 2000 --seed 1"
     " --encoding pm1 --k-max 30",
     "correlation --kernel potts(3,0.4) --d 3 --distance 0 --replicas 100 --seed 2",
+    "correlation --kernel walk(<tmp>/c70.txt) --d 3 --distance 3 --replicas 2000 --seed 13",
     "glauber-fixed-point --kernel uniform(2) --d 3 --depth 4 --sweeps 4 --replicas 300"
     " --seed 4",
     "glauber-fixed-point --kernel potts(3,0.3) --d 3 --depth 4 --sweeps 2 --replicas 2100"

@@ -478,11 +478,15 @@ def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     compares the pooled interior-window vertex, edge, and star empirical laws
     against the exact marginals.  Each law should sit within its Monte Carlo
     noise floor (the sweep preserves the chain law exactly, also on the
-    truncated tree).  The star law is skipped when k^(d+1) > _STAR_MAX.
+    truncated tree).  The star law is skipped when k^(d+1) > _STAR_MAX.  The
+    edge law needs a window of depth at least 1, so depth 1 needs an explicit
+    ``window_depth=1``.
     """
     k = kernel.state_count
     tree = build_tree(d, depth)
     window_depth, window = _window(tree, window_depth)
+    if window_depth < 1:
+        raise ValueError("the edge law needs a window depth of at least 1")
     nonroot = window[window > 0]
     centers = window[tree.neighbor_count[window] == d]
     do_star = k ** (d + 1) <= _STAR_MAX

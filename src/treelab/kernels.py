@@ -20,6 +20,7 @@ from .errors import BudgetExceededError
 from .graphs import _neighbor_fill, _read_rows, _strongly_connected, bfs
 
 ATOL = 1e-12
+_DOBRUSHIN_BLOCK = 2**16  # entries, about multisets * (d + k), of one block of Dobrushin weights
 
 
 @dataclass(frozen=True)
@@ -192,11 +193,15 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     coordinate, of the total variation distance between the two conditional
     laws of the center state.  Deterministic: enumerates the unordered
     multisets of the d-1 shared neighbor states (the conditional law is
-    exchangeable in the neighbors) times ordered pairs of differing states,
-    which cuts the cost from k^d to C(k+d-2, d-1) * k^2.
+    exchangeable in the neighbors) times ordered pairs of differing states;
+    the budget counts C(k+d-2, d-1) * k^2 conditional-law evaluations.
 
-    Configurations of probability zero under the chain carry no conditional
-    law and are skipped.
+    The weights ``pi * q[:, x1] * ...`` of a block of multisets are multiplied
+    at once.  A multiset whose weights are all zero has probability zero and
+    is skipped before its k x k conditional laws are formed; on a sparse
+    kernel that is most of them (2135 of 2485 for the 70-state walk at d=3).
+    The other configurations of probability zero under the chain carry no
+    conditional law and are skipped as well.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -207,17 +212,25 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
             f"Dobrushin enumeration needs {n_multisets * k * k} conditional-law "
             f"evaluations, over the budget of {budget}"
         )
+    q = kernel.q
+    multisets = itertools.combinations_with_replacement(range(k), d - 1)
+    per_block = max(1, _DOBRUSHIN_BLOCK // (d + k))
     best = 0.0
-    for shared in itertools.combinations_with_replacement(range(k), d - 1):
-        # column a: weights of the center given shared + {a}
-        cond = _heat_bath_weights(kernel, shared)[:, None] * kernel.q
-        totals = cond.sum(axis=0)
-        live = totals > 0.0
-        if np.count_nonzero(live) < 2:
-            continue
-        cond = cond[:, live] / totals[live]
-        diffs = 0.5 * np.abs(cond[:, :, None] - cond[:, None, :]).sum(axis=0)
-        best = max(best, float(diffs.max()))
+    while block := list(itertools.islice(multisets, per_block)):
+        # row i: _heat_bath_weights of multiset i, the same products in the same order
+        weights = np.tile(kernel.pi, (len(block), 1))
+        for col in np.array(block, dtype=np.int64).T:
+            weights = weights * q.T[col]
+        for i in np.flatnonzero((weights != 0).any(axis=1)):
+            # column a: weights of the center given the multiset + {a}
+            cond = weights[i, :, None] * q
+            totals = cond.sum(axis=0)
+            live = totals > 0.0
+            if np.count_nonzero(live) < 2:
+                continue
+            cond = cond[:, live] / totals[live]
+            diffs = 0.5 * np.abs(cond[:, :, None] - cond[:, None, :]).sum(axis=0)
+            best = max(best, float(diffs.max()))
     return best
 
 

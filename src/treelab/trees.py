@@ -18,6 +18,8 @@ from .errors import BudgetExceededError
 from .kernels import TransitionKernel
 
 _PATTERN_MAX = 10**8  # largest table, k^(pattern size) entries, exact_bmc_marginals builds
+_COUNT_MAX_STATES = 8  # laws on at most this many states are drawn by counting columns
+_GUIDE_MAX_CELLS = 2**20  # most entries, k * G, of a guide table
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,11 @@ class TruncatedTree:
         return self.parent.size
 
     def level(self, ell: int) -> np.ndarray:
-        """Vertex indices at depth ell (contiguous by construction)."""
-        return np.flatnonzero(self.depth_of == ell)
+        """Vertex indices at depth ell, the contiguous range the numbering gives."""
+        if not 0 <= ell <= self.depth:
+            return np.empty(0, dtype=np.int64)
+        start = tree_vertex_count(self.d, ell - 1) if ell else 0
+        return np.arange(start, tree_vertex_count(self.d, ell), dtype=np.int64)
 
 
 def tree_vertex_count(d: int, depth: int) -> int:
@@ -133,24 +138,87 @@ class RealField:
             raise ValueError("value array length must equal the vertex count")
 
 
+def _cumulate(probs: np.ndarray) -> np.ndarray:
+    """Cumulative laws along the last axis, rescaled to end at exactly 1.0."""
+    cum = np.cumsum(probs, axis=-1)
+    cum /= cum[..., -1:]
+    return cum
+
+
+def _count_columns(cum: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Draw i is the number of columns of ``cum[rows[i]]`` that are <= u[i].
+
+    The cumulative rows are nondecreasing, so this is the first bin above u;
+    it is counted one column at a time without gathering whole rows.
+    """
+    out = np.zeros(u.shape, dtype=np.int64)
+    for col in cum.T[:-1]:  # the last column is 1.0 > u
+        out += col[rows] <= u
+    return out
+
+
 def _draw_rows(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Inverse-CDF draw of one category per uniform in ``u``.
 
     Each law in ``probs`` (one per row, or a single vector) is cumulated and
     rescaled to end at exactly 1.0, so every u in [0, 1) lands in a bin.  With
     ``rows`` given, draw i uses the law ``probs[rows[i]]``: a table of laws is
-    cumulated once, and as its cumulative rows are nondecreasing the first bin
-    above u is the number of columns whose cumulative value is <= u, counted
-    one column at a time without gathering whole rows.
+    cumulated once and its columns counted (``_count_columns``).
     """
-    cum = np.cumsum(probs, axis=-1)
-    cum /= cum[..., -1:]
+    cum = _cumulate(probs)
     if rows is None:
         return (u[..., None] < cum).argmax(axis=-1)
-    out = np.zeros(u.shape, dtype=np.int64)
-    for col in cum.T[:-1]:  # the last column is 1.0 > u
-        out += col[rows] <= u
-    return out
+    return _count_columns(cum, u, rows)
+
+
+def _row_sampler(probs: np.ndarray):
+    """``draw(u, rows)``, equal bit for bit to ``_draw_rows(probs, u, rows)``.
+
+    Laws on at most _COUNT_MAX_STATES states, or with a negative entry, count
+    columns.  Larger laws use a guide table (Chen and Asau, 1974) on a grid of
+    G cells, G the power of two at or above 4k (halved while k * G passes
+    _GUIDE_MAX_CELLS), so u * G and G * cum are exact.  For row s and cell b
+    the table holds lo = #{j: cum[s, j] <= b/G}, the draw for every u in
+    [b/G, (b+1)/G) unless some cum[s, j] lies inside the cell, which shows as
+    hi = #{j: cum[s, j] < (b+1)/G} differing from lo.  Such a cell is stored
+    as ~lo, and its draws are finished by a binary search over cum[s, lo:].
+    Both counts come in closed form: a bincount of ceil(G * cum), or
+    floor(G * cum), per row, summed cumulatively along the grid.
+    """
+    cum = _cumulate(probs)
+    k = cum.shape[-1]
+    if k <= _COUNT_MAX_STATES or np.any(probs < 0):
+        return lambda u, rows: _count_columns(cum, u, rows)
+    grid = 1 << (4 * k - 1).bit_length()
+    while grid > 1 and k * grid > _GUIDE_MAX_CELLS:
+        grid >>= 1
+    scaled = cum[:, :-1] * grid
+    offsets = (grid + 1) * np.arange(k)[:, None]
+
+    def at_most(cells):  # (k, grid + 1) counts of row entries <= each grid index
+        counts = np.bincount((cells.astype(np.int64) + offsets).ravel(), minlength=k * (grid + 1))
+        return counts.reshape(k, grid + 1).cumsum(axis=1)
+
+    lo, hi = at_most(np.ceil(scaled)), at_most(np.floor(scaled))
+    guide = np.where(lo == hi, lo, ~lo)
+
+    def draw(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        out = guide[rows, (u * grid).astype(np.int64)]
+        flat = out.reshape(-1)
+        (hits,) = np.nonzero(flat < 0)  # cells that hold a cumulative value
+        if hits.size:
+            uh, rh = u.reshape(-1)[hits], rows.reshape(-1)[hits]
+            a = ~flat[hits]
+            b = np.full_like(a, k - 1)  # cum[s, k - 1] = 1.0 > u
+            for _ in range(int((b - a).max()).bit_length()):
+                mid = (a + b) >> 1
+                below = cum[rh, mid] <= uh
+                a = np.where(below, mid + 1, a)
+                b = np.where(below, b, mid)
+            flat[hits] = a
+        return out
+
+    return draw
 
 
 def sample_bmc_batch(kernel: TransitionKernel, tree: TruncatedTree, rng: np.random.Generator,
@@ -158,16 +226,19 @@ def sample_bmc_batch(kernel: TransitionKernel, tree: TruncatedTree, rng: np.rand
     """(n, replicas) states: root drawn from pi, children from the parent's q-row.
 
     Exact sampler; each replica is an independent draw of the chain on the
-    truncated tree.
+    truncated tree.  The q-rows are cumulated, and for large k put in a guide
+    table (``_row_sampler``), once per call; each level then takes one draw
+    per (vertex, replica) from its parent's row.
     """
     n = tree.n
+    draw = _row_sampler(kernel.q)
     states = np.empty((n, replicas), dtype=np.int64)
     states[0] = _draw_rows(kernel.pi, rng.random(replicas))
     for ell in range(1, tree.depth + 1):
         verts = tree.level(ell)
         par_states = states[tree.parent[verts]]
         u = rng.random((verts.size, replicas))
-        states[verts] = _draw_rows(kernel.q, u, par_states)
+        states[verts] = draw(u, par_states)
     return states
 
 
@@ -244,10 +315,11 @@ def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
         raise ValueError("need at least 2 replicas")
     if distance == 0:
         return CorrelationEstimate(1.0, 0.0, replicas, 0)
+    draw = _row_sampler(kernel.q)
     x = _draw_rows(kernel.pi, rng.random(replicas))
     g0 = encoding[x]
     for _ in range(distance):
-        x = _draw_rows(kernel.q, rng.random(replicas), x)
+        x = draw(rng.random(replicas), x)
     gk = encoding[x]
     with np.errstate(invalid="ignore", divide="ignore"):  # NaN when one end is constant
         c = np.corrcoef(g0, gk)

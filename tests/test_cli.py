@@ -240,6 +240,9 @@ class TestContracts:
          "--restarts", "-3", "--seed", "1"],
         ["correlation", "--kernel", "ising(0.5)", "--d", "3", "--distance", "0",
          "--replicas", "0", "--seed", "1"],
+        # a window of depth 0 holds no edge, so the edge law would be 0/0
+        ["glauber-fixed-point", "--kernel", "ising(0.25)", "--d", "3", "--depth", "2",
+         "--sweeps", "1", "--replicas", "10", "--seed", "1", "--window-depth", "0"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -395,6 +397,19 @@ class TestDrivers:
     def test_converge_warns_outside_dobrushin_regime(self):
         with pytest.warns(UserWarning, match="no contraction guarantee"):
             converge_from_iid(make_ising(0.9), 3, 3, 1, 50, np.random.default_rng(21))
+
+    @pytest.mark.parametrize("depth, window_depth", [(1, None), (2, 0)])
+    def test_fixed_point_rejects_window_without_edges(self, depth, window_depth):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no 0/0 RuntimeWarning on the way
+            with pytest.raises(ValueError, match="edge law needs a window depth of at least 1"):
+                fixed_point_test(make_ising(0.25), 3, depth, 1, 10, np.random.default_rng(0),
+                                 window_depth=window_depth)
+
+    def test_fixed_point_depth_one_with_window_one(self):
+        report = fixed_point_test(make_ising(0.25), 3, 1, 2, 2000, np.random.default_rng(32),
+                                  window_depth=1)
+        assert np.isfinite(report.tv_edge) and report.edge_ok
 
     @pytest.mark.parametrize("driver", [estimate_hamming_decay, converge_from_iid,
                                         fixed_point_test])

@@ -5,8 +5,9 @@ import pytest
 
 from treelab.errors import BudgetExceededError
 from treelab.glauber import conditional_dist
-from treelab.graphs import (circulant_graph, complete_graph, cycle_graph, graph_from_edges,
-                            sample_regular_graph)
+from treelab import kernels
+from treelab.graphs import (circulant_graph, complete_bipartite, complete_graph, cycle_graph,
+                            graph_from_edges, sample_regular_graph)
 from treelab.kernels import (TransitionKernel, dobrushin_coefficient, kernel_from_matrix,
                              load_kernel, make_ising, make_potts, make_walk_kernel,
                              spectral_radius, uniform_kernel, write_kernel)
@@ -151,7 +152,63 @@ class TestWalkKernel:
             make_walk_kernel(graph)
 
 
+def dobrushin_per_multiset(kernel, d):
+    """dobrushin_coefficient as one loop over the multisets of shared neighbor states."""
+    k = kernel.state_count
+    best = 0.0
+    for shared in itertools.combinations_with_replacement(range(k), d - 1):
+        w = kernel.pi.copy()
+        for u in shared:
+            w = w * kernel.q[:, u]
+        cond = w[:, None] * kernel.q
+        totals = cond.sum(axis=0)
+        live = totals > 0.0
+        if np.count_nonzero(live) < 2:
+            continue
+        cond = cond[:, live] / totals[live]
+        diffs = 0.5 * np.abs(cond[:, :, None] - cond[:, None, :]).sum(axis=0)
+        best = max(best, float(diffs.max()))
+    return best
+
+
+def lazy(kernel):
+    """Half the time stay put: the same support as ``kernel`` plus the diagonal."""
+    return TransitionKernel(q=0.5 * np.eye(kernel.state_count) + 0.5 * kernel.q, pi=kernel.pi)
+
+
+SPARSE_WALKS = {
+    "cycle6": make_walk_kernel(cycle_graph(6)),
+    "circulant10": make_walk_kernel(circulant_graph(10, [1, 2])),
+    "k33": make_walk_kernel(complete_bipartite(3, 3)),
+}
+
+
 class TestDobrushin:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(SPARSE_WALKS))
+    @pytest.mark.parametrize("lazy_walk", [False, True], ids=["walk", "lazy"])
+    def test_equals_per_multiset_loop(self, name, d, lazy_walk):
+        kernel = lazy(SPARSE_WALKS[name]) if lazy_walk else SPARSE_WALKS[name]
+        assert dobrushin_coefficient(kernel, d) == dobrushin_per_multiset(kernel, d)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equals_per_multiset_loop_on_skewed_sparse_kernel(self, d):
+        # symmetric weights over twelve decades, half of them zero: tiny
+        # nonzero conditional weights must not be taken for zeros
+        rng = np.random.default_rng(7)
+        w = 10.0 ** rng.uniform(-12, 0, size=(9, 9)) * (rng.random((9, 9)) < 0.5)
+        w = w + w.T + np.diag(10.0 ** rng.uniform(-12, 0, size=9))
+        kernel = TransitionKernel(q=w / w.sum(axis=1, keepdims=True), pi=w.sum(axis=1) / w.sum())
+        value = dobrushin_coefficient(kernel, d)
+        assert value > 0.0
+        assert value == dobrushin_per_multiset(kernel, d)
+
+    def test_blocks_of_one_multiset(self, monkeypatch):
+        kernel = lazy(SPARSE_WALKS["k33"])
+        want = dobrushin_per_multiset(kernel, 3)
+        monkeypatch.setattr(kernels, "_DOBRUSHIN_BLOCK", 1)
+        assert dobrushin_coefficient(kernel, 3) == want
+
     def test_ising_point_two_d3(self):
         assert dobrushin_coefficient(make_ising(0.2), 3) == pytest.approx(0.2, abs=1e-12)
 

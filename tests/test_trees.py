@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from treelab import trees
 from treelab.errors import BudgetExceededError
-from treelab.kernels import make_ising, make_potts, uniform_kernel
-from treelab.trees import (_draw_rows, build_tree, classify_correlation_decay, dump_configuration,
+from treelab.graphs import circulant_graph
+from treelab.kernels import (TransitionKernel, make_ising, make_potts, make_walk_kernel,
+                             uniform_kernel)
+from treelab.trees import (_draw_rows, _row_sampler, build_tree, classify_correlation_decay, dump_configuration,
                            estimate_correlation, exact_bmc_marginals, exact_correlations,
                            local_correlation_bound, sample_bmc, sample_bmc_batch,
                            sample_iid, sample_uniform_labels, tree_distance,
@@ -38,6 +41,30 @@ def loop_built_tree(d, depth):
         neighbors[v, : len(nbrs)] = nbrs
         neighbor_count[v] = len(nbrs)
     return parent, depth_of, neighbors, neighbor_count, children, child_count
+
+
+def column_count_draw(probs, u, rows):
+    """Inverse-CDF draws by counting, one column at a time, cumulative values <= u."""
+    cum = np.cumsum(probs, axis=-1)
+    cum /= cum[..., -1:]
+    out = np.zeros(u.shape, dtype=np.int64)
+    for col in cum.T[:-1]:
+        out += col[rows] <= u
+    return out
+
+
+def per_level_sample(kernel, tree, rng, replicas):
+    """sample_bmc_batch with each level found by a depth scan and drawn by column count."""
+    states = np.empty((tree.n, replicas), dtype=np.int64)
+    states[0] = _draw_rows(kernel.pi, rng.random(replicas))
+    for ell in range(1, tree.depth + 1):
+        verts = np.flatnonzero(tree.depth_of == ell)
+        parents = states[tree.parent[verts]]
+        states[verts] = column_count_draw(kernel.q, rng.random((verts.size, replicas)), parents)
+    return states
+
+
+WALK70 = make_walk_kernel(circulant_graph(70, [1, 2]))
 
 
 class TestBuildTree:
@@ -89,6 +116,15 @@ class TestBuildTree:
         grand = int(tree.children[child, 0])
         assert tree_distance(tree, 0, grand) == 2
         assert tree_distance(tree, int(tree.children[0, 0]), int(tree.children[0, 1])) == 2
+
+
+    @pytest.mark.parametrize("d, depth", [(3, 1), (3, 6), (4, 4), (7, 2)])
+    def test_level_is_the_depth_scan(self, d, depth):
+        tree = build_tree(d, depth)
+        for ell in range(-1, depth + 2):
+            got = tree.level(ell)
+            want = np.flatnonzero(tree.depth_of == ell)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestSampleBmc:
@@ -150,6 +186,15 @@ class TestSampleBmc:
         noise = sum(np.sqrt(p * (1 - p) / reps) for p in (law1 / reps).ravel())
         assert tv < 4 * noise
 
+    @pytest.mark.parametrize("kernel", [WALK70, make_potts(12, 0.3), make_ising(0.3)],
+                             ids=["walk70", "potts12", "ising"])
+    def test_batch_equals_per_level_column_count(self, kernel):
+        tree = build_tree(3, 6)
+        for seed, replicas in ((60, 1), (61, 37)):
+            got = sample_bmc_batch(kernel, tree, np.random.default_rng(seed), replicas)
+            want = per_level_sample(kernel, tree, np.random.default_rng(seed), replicas)
+            assert np.array_equal(got, want)
+
     def test_single_draw_wrapper(self):
         tree = build_tree(3, 2)
         config = sample_bmc(make_ising(0.2), tree, np.random.default_rng(5))
@@ -172,6 +217,58 @@ class TestDrawRows:
             u[1] = cum[rows[1], rng.integers(0, k - 1, size=25)]  # exactly on a cumulative value
             want = (u[..., None] < cum[rows]).argmax(axis=-1)
             assert np.array_equal(_draw_rows(probs, u, rows), want)
+
+    @pytest.mark.parametrize("k", [2, 5, 70, 200])
+    def test_row_sampler_equals_column_count(self, k):
+        rng = np.random.default_rng(51 + k)
+        probs = rng.random((k, k)) * (rng.random((k, k)) < 0.3)  # zero-probability plateaus
+        probs[0, : k // 2] = 0.0
+        probs[np.arange(k), rng.integers(k // 2, k, size=k)] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        self.check_edge_uniforms(probs, rng)
+
+    def test_row_sampler_on_walk70_rows(self):
+        self.check_edge_uniforms(WALK70.q, np.random.default_rng(52))
+
+    @pytest.mark.parametrize("cells", [70, 70 * 8])
+    def test_row_sampler_on_capped_grids(self, cells, monkeypatch):
+        # a grid of 1 or 8 cells: most draws are finished by the binary search
+        monkeypatch.setattr(trees, "_GUIDE_MAX_CELLS", cells)
+        self.check_edge_uniforms(WALK70.q, np.random.default_rng(54))
+
+    def test_row_sampler_with_negative_entry(self):
+        # entries down to -1e-12 pass the kernel checks; such laws count columns
+        q = make_potts(12, 0.4).q.copy()
+        q[[0, 1], [0, 1]] += q[0, 1] + 1e-13
+        q[[0, 1], [1, 0]] = -1e-13
+        kernel = TransitionKernel(q=q, pi=np.full(12, 1 / 12))
+        self.check_edge_uniforms(kernel.q, np.random.default_rng(53))
+
+    @staticmethod
+    def check_edge_uniforms(probs, rng):
+        """Compare with the column count at u = 0, at every grid point b/1024 (the
+        guide grids of k <= 256 divide it) and the float just below, at each row's
+        own cumulative values and the float just below, and at random u."""
+        k = probs.shape[0]
+        cum = np.cumsum(probs, axis=1)
+        cum /= cum[:, -1:]
+        grid = np.arange(1024) / 1024
+        grid = np.concatenate([grid, np.nextafter(grid[1:], 0.0)])
+        own = cum[:, :-1]
+        u = np.concatenate([np.tile(grid, k), own.ravel(), np.nextafter(own, 0.0).ravel(),
+                            rng.random(4000)])
+        rows = np.concatenate([np.repeat(np.arange(k), grid.size),
+                               np.repeat(np.arange(k), k - 1), np.repeat(np.arange(k), k - 1),
+                               rng.integers(0, k, size=4000)])
+        keep = np.flatnonzero((u >= 0.0) & (u < 1.0))
+        keep = keep[: keep.size // 2 * 2]  # an even count, for the (m, 2) view below
+        u, rows = u[keep], rows[keep]
+        want = column_count_draw(probs, u, rows)
+        draw = _row_sampler(probs)
+        assert np.array_equal(draw(u, rows), want)
+        assert np.array_equal(draw(u.reshape(-1, 2)[:, ::-1], rows.reshape(-1, 2)[:, ::-1]),
+                              want.reshape(-1, 2)[:, ::-1])
+        assert np.array_equal(_draw_rows(probs, u, rows), want)
 
 
 class TestSampleIid:
@@ -253,6 +350,16 @@ class TestCorrelations:
         est = estimate_correlation(uniform_kernel(4), 3, [0.0, 1.0, 2.0, 3.0], 50_000,
                                    np.random.default_rng(12))
         assert abs(est.value) < 3 * est.stderr
+
+    def test_chain_steps_equal_column_count(self):
+        enc = np.arange(70, dtype=float)
+        est = estimate_correlation(WALK70, 3, enc, 3000, np.random.default_rng(13))
+        rng = np.random.default_rng(13)
+        x0 = _draw_rows(WALK70.pi, rng.random(3000))
+        x = x0
+        for _ in range(3):
+            x = column_count_draw(WALK70.q, rng.random(3000), x)
+        assert est.value == float(np.corrcoef(enc[x0], enc[x])[0, 1])
 
     def test_distance_zero(self):
         est = estimate_correlation(make_ising(0.3), 0, [1.0, -1.0], 1000,

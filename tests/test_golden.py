@@ -50,10 +50,16 @@ CASES = [
     " --seed 4",
     "glauber-fixed-point --kernel potts(3,0.3) --d 3 --depth 4 --sweeps 2 --replicas 2100"
     " --seed 8 --window-depth 1",
+    "glauber-fixed-point --kernel walk(<tmp>/c70.txt) --d 3 --depth 4 --sweeps 2 --replicas 300"
+    " --seed 5",
     "glauber-contraction --kernel ising(0.2) --d 3 --depth 4 --sweeps 5 --replicas 100"
     " --seed 3 --csv <tmp>/contraction.csv",
     "glauber-contraction --kernel potts(3,0.2) --d 3 --depth 4 --sweeps 3 --replicas 2050"
     " --seed 9",
+    "glauber-contraction --kernel walk(<tmp>/c70.txt) --d 3 --depth 4 --sweeps 3 --replicas 200"
+    " --seed 6",
+    "glauber-contraction --kernel potts(17,0.1) --d 3 --depth 4 --sweeps 3 --replicas 200"
+    " --seed 6",
     "glauber-converge --kernel uniform(3) --d 3 --depth 4 --sweeps 10 --replicas 200"
     " --seed 5 --csv <tmp>/converge.csv",
     "glauber-converge --kernel ising(0.2) --d 3 --depth 4 --sweeps 3 --replicas 2050"

@@ -19,7 +19,12 @@ self-plus-neighbor max hops, each a pair of block reshapes; exact ties are
 broken toward the smaller index by comparing each vertex with its earlier
 ball members (parent, grandparent, earlier siblings).  When k^d is small the
 conditional laws of all ordered neighbor tuples are tabulated once per sweep
-and looked up by the base-k code of the neighbor states.  All of this gives
+and looked up by the base-k code of the neighbor states.  Otherwise a woken
+vertex's law is taken on its column set: the states s with q[s, w] != 0 for its
+first neighbor state w (in a coupled sweep, the union over both copies), in order,
+with zero-weight sentinels as padding.  Zero weights leave the running sums as they
+are wherever they sit; a sum of at most two nonzero terms rounds alike in any
+grouping, and longer rows are summed by numpy as dense rows.  So all of this gives
 bitwise the same draws as evaluating the definitions one site at a time.
 """
 
@@ -149,52 +154,82 @@ def conditional_dist(kernel: TransitionKernel, neighbors) -> np.ndarray:
     return w / total
 
 
-def _woken_laws(states: np.ndarray, v_idx: np.ndarray, r_idx: np.ndarray,
-                tree: TruncatedTree, kernel: TransitionKernel):
-    """Conditional laws of the woken (vertex, replica) pairs, as (laws, rows).
+def _row_sums(w: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """Row sums of laws on column sets, each the float numpy sums from the dense k-state row."""
+    totals = w.sum(axis=1)
+    many = np.count_nonzero(w, axis=1) > 2  # fewer terms sum alike in any grouping
+    totals[many] = _dense(w[many], cols[many], k).sum(axis=1)
+    return totals
 
-    When k^d is at most _LAW_TABLE_MAX and at most the number of woken pairs,
-    ``laws`` holds the law of every ordered neighbor tuple and pair i uses row
-    ``rows[i]``, the base-k code of its neighbor states; otherwise ``rows`` is
-    None and ``laws`` has one row per pair.  Both evaluate the same expression
-    per row, so they agree bit for bit.
+
+def _dense(w: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
+    """(m, k) rows of laws on column sets, zero off the sets."""
+    dense = np.zeros((w.shape[0], k + 1))
+    np.put_along_axis(dense, cols, w, axis=1)
+    return dense[:, :k]
+
+
+def _woken_laws(states: np.ndarray, v_idx: np.ndarray, r_idx: np.ndarray,
+                tree: TruncatedTree, kernel: TransitionKernel, cols=None):
+    """Conditional laws of the woken (vertex, replica) pairs, as (laws, rows, cols).
+
+    Without ``cols``, when k^d is at most _LAW_TABLE_MAX and at most the number of
+    woken pairs, ``laws`` holds the law of every ordered neighbor tuple and pair i
+    uses row ``rows[i]``, the base-k code of its neighbor states; otherwise row i
+    is pair i's law on the states ``cols[i]`` (the given sets, else its own; None
+    is all k states).  Both evaluate the same expression per entry, bit for bit.
     """
     k, d = kernel.state_count, tree.d
     nbr_states = states[tree.neighbors[v_idx], r_idx[:, None]]  # (m, d)
+    sets, q_t, pi_t = kernel.column_sets
     rows = None
-    if k**d <= min(_LAW_TABLE_MAX, v_idx.size):
+    if cols is None and k**d <= min(_LAW_TABLE_MAX, v_idx.size):
         rows = nbr_states @ k ** np.arange(d - 1, -1, -1)
         nbr_states = np.indices((k,) * d).reshape(d, -1).T
-    w = kernel.pi[None, :] * np.prod(kernel.q.T[nbr_states], axis=1)
-    totals = w.sum(axis=1)
+    elif cols is None and sets.shape[1] < k:
+        cols = sets[nbr_states[:, 0]]
+    at, nbr = (slice(k), nbr_states) if cols is None else (cols, nbr_states[:, :, None])
+    w = q_t[nbr[:, 0], at]
+    for j in range(1, d):  # the product over the neighbors in order, as np.prod takes it
+        w = w * q_t[nbr[:, j], at]
+    w = pi_t[at] * w
+    totals = w.sum(axis=1) if cols is None else _row_sums(w, cols, k)
     if np.any((totals if rows is None else totals[rows]) <= 0.0):
         raise ImpossibleConfigurationError(
             "a woken vertex saw a neighbor configuration of probability zero"
         )
     with np.errstate(divide="ignore", invalid="ignore"):  # unwoken impossible codes
-        return w / totals[:, None], rows
+        return w / totals[:, None], rows, cols
 
 
-def _pair_laws(states, v_idx, r_idx, tree, kernel) -> np.ndarray:
-    """(m, k) conditional laws, one row per woken pair."""
-    laws, rows = _woken_laws(states, v_idx, r_idx, tree, kernel)
+def _pair_laws(states, v_idx, r_idx, tree, kernel, cols) -> np.ndarray:
+    """One law per woken pair: its row of the law table, or its law on ``cols``."""
+    laws, rows, _ = _woken_laws(states, v_idx, r_idx, tree, kernel, cols)
     return laws if rows is None else laws[rows]
 
 
 def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
                     kernel: TransitionKernel):
-    """Normalized conditional laws for every woken (vertex, replica) pair."""
+    """Normalized (m, k) conditional laws for every woken (vertex, replica) pair."""
     v_idx, r_idx = np.nonzero(member)
-    return v_idx, r_idx, _pair_laws(states, v_idx, r_idx, tree, kernel)
+    laws, rows, cols = _woken_laws(states, v_idx, r_idx, tree, kernel)
+    laws = laws if cols is None else _dense(laws, cols, kernel.state_count)
+    return v_idx, r_idx, laws if rows is None else laws[rows]
 
 
 def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKernel,
                   rng: np.random.Generator) -> None:
     """One in-place sweep of an (n, R) state block."""
     v_idx, r_idx = _waking_sites(tree, rng.random(states.shape))
-    laws, rows = _woken_laws(states, v_idx, r_idx, tree, kernel)
     if v_idx.size:
-        states[v_idx, r_idx] = _draw_rows(laws, rng.random(v_idx.size), rows)
+        laws, rows, cols = _woken_laws(states, v_idx, r_idx, tree, kernel)
+        x = _draw_rows(laws, rng.random(v_idx.size), rows)
+        states[v_idx, r_idx] = x if cols is None else cols[np.arange(x.size), x]
+
+
+def _check_states(kernel: TransitionKernel, *configs: Configuration) -> None:
+    if any(not 0 <= c.states.min() <= c.states.max() < kernel.state_count for c in configs):
+        raise ValueError(f"configuration states must lie in 0..{kernel.state_count - 1}")
 
 
 def glauber_sweep(config: Configuration, kernel: TransitionKernel,
@@ -205,6 +240,7 @@ def glauber_sweep(config: Configuration, kernel: TransitionKernel,
     their conditional laws given the (pre-sweep) neighbor states; separation
     makes pre- and post-sweep neighbor states identical.
     """
+    _check_states(kernel, config)
     states = config.states[:, None].copy()
     _sweep_states(states, config.tree, kernel, rng)
     return Configuration(config.tree, states[:, 0])
@@ -222,6 +258,8 @@ def maximal_coupling(p, q, rng: np.random.Generator) -> tuple[int, int]:
     q = np.asarray(q, dtype=float)
     if p.ndim != 1 or p.shape != q.shape:
         raise ValueError("distributions must be vectors on one support")
+    if not all(np.isfinite(x).all() and (x >= 0).all() and x.sum() > 0 for x in (p, q)):
+        raise ValueError("distributions need finite nonnegative entries and positive mass")
     # _coupled_draw on one row: numpy takes the sums, so they round alike
     common = np.minimum(p, q)
     c = float(common.sum())
@@ -243,11 +281,15 @@ def _draw_one(weights: np.ndarray, total: float, u: float) -> int:
     return next((i for i, x in enumerate(cum) if u < x / cum[-1]), 0)
 
 
-def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator):
-    """Row-wise maximal coupling: (m, k) laws -> paired draws (xa, xb)."""
+def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator, cols=None, k=0):
+    """Row-wise maximal coupling: (m, c) laws -> paired draws (xa, xb); with ``cols``,
+    column j of row i is state cols[i, j] of k, and masses sum by ``_row_sums``."""
+    def total(x, rows=slice(None)):
+        return x.sum(axis=1) if cols is None else _row_sums(x, cols[rows], k)
+
     m = pa.shape[0]
     common = np.minimum(pa, pb)
-    c = common.sum(axis=1)
+    c = total(common)
     u_branch, u_draw, u_draw_b = rng.random((3, m))
     same = u_branch < c
     xa = np.empty(m, dtype=np.int64)
@@ -255,23 +297,22 @@ def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator):
     if same.any():
         rows = common[same] / c[same, None]
         xa[same] = xb[same] = _draw_rows(rows, u_draw[same])
-    diff = ~same
-    if diff.any():
+    diff = np.flatnonzero(~same)
+    if diff.size:
         ra = pa[diff] - common[diff]  # nonnegative: common is the smaller of the two
         rb = pb[diff] - common[diff]
-        sa, sb = ra.sum(axis=1), rb.sum(axis=1)
+        sa, sb = total(ra, diff), total(rb, diff)
         # guard exact-overlap rows that lost the branch lottery to roundoff
         dead = (sa <= 0.0) | (sb <= 0.0)
         if dead.any():
-            ra[dead] = pa[diff][dead]
+            ra[dead] = pa[diff[dead]]
             rb[dead] = ra[dead]
-            sa[dead] = ra[dead].sum(axis=1)
+            sa[dead] = total(ra[dead], diff[dead])
             sb[dead] = sa[dead]
         xa[diff] = _draw_rows(ra / sa[:, None], u_draw[diff])
         xb[diff] = _draw_rows(rb / sb[:, None], u_draw_b[diff])
-        both = np.flatnonzero(diff)[dead]
-        xb[both] = xa[both]
-    return xa, xb
+        xb[diff[dead]] = xa[diff[dead]]
+    return (xa, xb) if cols is None else (cols[np.arange(m), xa], cols[np.arange(m), xb])
 
 
 def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
@@ -283,12 +324,14 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
     independently across members.
     """
     v_idx, r_idx = _waking_sites(tree, rng.random(sa.shape))
-    pa = _pair_laws(sa, v_idx, r_idx, tree, kernel)
-    pb = _pair_laws(sb, v_idx, r_idx, tree, kernel)
-    if v_idx.size:
-        xa, xb = _coupled_draw(pa, pb, rng)
-        sa[v_idx, r_idx] = xa
-        sb[v_idx, r_idx] = xb
+    k, sets, cols = kernel.state_count, kernel.column_sets[0], None
+    if sets.shape[1] < k and k**tree.d > min(_LAW_TABLE_MAX, v_idx.size):
+        first = tree.neighbors[v_idx, 0]  # both laws go on the union of the copies' sets
+        cols = np.sort(np.hstack([sets[sa[first, r_idx]], sets[sb[first, r_idx]]]), axis=1)
+        cols[:, 1:][cols[:, 1:] == cols[:, :-1]] = k  # a repeat becomes a sentinel
+    pa = _pair_laws(sa, v_idx, r_idx, tree, kernel, cols)
+    pb = _pair_laws(sb, v_idx, r_idx, tree, kernel, cols)
+    sa[v_idx, r_idx], sb[v_idx, r_idx] = _coupled_draw(pa, pb, rng, cols, k)
 
 
 @dataclass(frozen=True)
@@ -311,6 +354,7 @@ class CoupledPair:
 def coupled_sweep(pair: CoupledPair, kernel: TransitionKernel,
                   rng: np.random.Generator) -> CoupledPair:
     """Advance a coupled pair by one shared sweep."""
+    _check_states(kernel, pair.config_a, pair.config_b)
     sa = pair.config_a.states[:, None].copy()
     sb = pair.config_b.states[:, None].copy()
     _coupled_sweep_states(sa, sb, pair.tree, kernel, rng)

@@ -10,6 +10,7 @@ and the spectral radius of the kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,6 +70,19 @@ class TransitionKernel:
     @property
     def state_count(self) -> int:
         return self.q.shape[0]
+
+    @functools.cached_property
+    def column_sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sets, q_t, pi_t), built on first use: row t of ``sets`` lists in order the
+        states s with q[s, t] != 0 (all k if a column of q has no zero), padded with a
+        sentinel state k; ``q_t`` and ``pi_t`` are q.T and pi with a zero for it."""
+        k, live = self.state_count, self.q.T != 0  # not > 0: entries down to -ATOL pass
+        width = int(live.sum(axis=1).max())
+        sets = np.sort(np.where(live | (width == k), np.arange(k), k), axis=1)[:, :width]
+        out = (sets, np.hstack([self.q.T, np.zeros((k, 1))]), np.append(self.pi, 0.0))
+        for a in out:
+            a.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)

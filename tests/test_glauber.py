@@ -5,15 +5,15 @@ import pytest
 
 from treelab import glauber
 from treelab.errors import ImpossibleConfigurationError
-from treelab.glauber import (CoupledPair, _member_weights, _sweep_states, _waking_mask,
-                             conditional_dist, converge_from_iid, coupled_sweep,
+from treelab.glauber import (CoupledPair, _coupled_sweep_states, _member_weights, _sweep_states,
+                             _waking_mask, conditional_dist, converge_from_iid, coupled_sweep,
                              estimate_hamming_decay, fixed_point_test, glauber_sweep,
                              maximal_coupling, wake_probability, waking_set)
 from treelab.graphs import circulant_graph
 from treelab.kernels import (NeighborConfig, TransitionKernel, make_ising, make_potts,
                              make_walk_kernel, uniform_kernel)
-from treelab.trees import (Configuration, RealField, build_tree, sample_bmc, sample_bmc_batch,
-                           sample_uniform_labels, tree_distance)
+from treelab.trees import (Configuration, RealField, _draw_rows, build_tree, sample_bmc,
+                           sample_bmc_batch, sample_uniform_labels, tree_distance)
 
 
 def waking_reference_scan(tree, values):
@@ -189,6 +189,192 @@ class TestLawTable:
             _member_weights(states, member, tree, kernel)
 
 
+def dense_coupled_draw(pa, pb, rng):
+    """Row-wise maximal coupling of dense (m, k) laws: the reference for the column-set draw."""
+    m = pa.shape[0]
+    common = np.minimum(pa, pb)
+    c = common.sum(axis=1)
+    u_branch, u_draw, u_draw_b = rng.random((3, m))
+    same = u_branch < c
+    xa = np.empty(m, dtype=np.int64)
+    xb = np.empty(m, dtype=np.int64)
+    if same.any():
+        rows = common[same] / c[same, None]
+        xa[same] = xb[same] = _draw_rows(rows, u_draw[same])
+    diff = ~same
+    if diff.any():
+        ra = pa[diff] - common[diff]
+        rb = pb[diff] - common[diff]
+        sa, sb = ra.sum(axis=1), rb.sum(axis=1)
+        dead = (sa <= 0.0) | (sb <= 0.0)
+        if dead.any():
+            ra[dead] = pa[diff][dead]
+            rb[dead] = ra[dead]
+            sa[dead] = ra[dead].sum(axis=1)
+            sb[dead] = sa[dead]
+        xa[diff] = _draw_rows(ra / sa[:, None], u_draw[diff])
+        xb[diff] = _draw_rows(rb / sb[:, None], u_draw_b[diff])
+        both = np.flatnonzero(diff)[dead]
+        xb[both] = xa[both]
+    return xa, xb
+
+
+def dense_sweep(states, tree, kernel, rng):
+    """One sweep drawing from the dense per-member laws."""
+    member = _waking_mask(tree, rng.random(states.shape))
+    if member.any():
+        states[member] = _draw_rows(per_member_laws(states, member, tree, kernel),
+                                    rng.random(member.sum()))
+
+
+def dense_coupled_sweep(sa, sb, tree, kernel, rng):
+    """One coupled sweep through ``dense_coupled_draw`` of the dense per-member laws."""
+    member = _waking_mask(tree, rng.random(sa.shape))
+    if member.any():
+        sa[member], sb[member] = dense_coupled_draw(per_member_laws(sa, member, tree, kernel),
+                                                    per_member_laws(sb, member, tree, kernel), rng)
+
+
+def walk70():
+    return make_walk_kernel(circulant_graph(70, [1, 2]))
+
+
+def uneven_kernel():
+    """Reversible 23-state kernel of a sparse weighted graph: supports of 1 to 9 states."""
+    rng = np.random.default_rng(23)
+    w = np.triu(rng.random((23, 23)) * (rng.random((23, 23)) < 0.15), 1)
+    w[np.arange(22), np.arange(1, 23)] += 1.0  # a path keeps it irreducible
+    w = w + w.T + np.diag(rng.random(23) * (rng.random(23) < 0.5))
+    return TransitionKernel(q=w / w.sum(axis=1, keepdims=True), pi=w.sum(axis=1) / w.sum())
+
+
+def negative_entry_kernel():
+    """Lazy walk on the 20-cycle with q[0, 10] = q[10, 0] = -1e-12, as the kernel checks allow."""
+    q = (np.eye(20) + make_walk_kernel(circulant_graph(20, [1])).q) / 2.0
+    q[0, 10] = q[10, 0] = -1e-12
+    q[0, 0] += 1e-12
+    q[10, 10] += 1e-12
+    return TransitionKernel(q=q, pi=np.full(20, 0.05))
+
+
+SPARSE_KERNELS = {"walk70": walk70, "uneven23": uneven_kernel,
+                  "negative20": negative_entry_kernel, "potts17": lambda: make_potts(17, 0.1)}
+
+
+def union_columns(cols_a, cols_b, k):
+    """Row-wise sorted unions of two column sets, padded with k to one width."""
+    rows = [np.union1d(a, b) for a, b in zip(cols_a, cols_b)]
+    width = max(map(len, rows))
+    return np.array([np.pad(row, (0, width - row.size), constant_values=k) for row in rows])
+
+
+def scatter(laws, cols, k):
+    """(m, k) laws from laws on column sets padded with the sentinel k."""
+    dense = np.zeros((laws.shape[0], k + 1))
+    np.put_along_axis(dense, cols, laws, axis=1)
+    return dense[:, :k]
+
+
+class TestColumnSets:
+    @pytest.mark.parametrize("name", SPARSE_KERNELS)
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_laws_equal_dense_laws_bitwise(self, name, d):
+        kernel = SPARSE_KERNELS[name]()
+        k = kernel.state_count
+        tree = build_tree(d, 5 if d == 3 else 4)
+        rng = np.random.default_rng(50 + d)
+        sa, sb = (sample_bmc_batch(kernel, tree, rng, 64) for _ in range(2))
+        member = _waking_mask(tree, rng.random(sa.shape))
+        v_idx, r_idx = np.nonzero(member)
+        assert k**d > min(glauber._LAW_TABLE_MAX, v_idx.size)  # the per-pair path
+        sets, first = kernel.column_sets[0], tree.neighbors[v_idx, 0]
+        cols = union_columns(sets[sa[first, r_idx]], sets[sb[first, r_idx]], k)
+        for states in (sa, sb):
+            dense = per_member_laws(states, member, tree, kernel)
+            assert np.array_equal(_member_weights(states, member, tree, kernel)[2], dense)
+            laws = glauber._pair_laws(states, v_idx, r_idx, tree, kernel, cols)
+            assert np.array_equal(scatter(laws, cols, k), dense)
+            if name == "walk70":  # rows of four terms take the dense-sum fallback
+                assert (np.count_nonzero(dense, axis=1) > 2).any()
+
+    @pytest.mark.parametrize("name", SPARSE_KERNELS)
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("pairing", ["independent", "identical"])
+    def test_sweeps_equal_dense_sweeps(self, name, d, pairing):
+        kernel = SPARSE_KERNELS[name]()
+        tree = build_tree(d, 5 if d == 3 else 4)
+        rng = np.random.default_rng(60 + d)
+        sa = sample_bmc_batch(kernel, tree, rng, 64)
+        sb = sample_bmc_batch(kernel, tree, rng, 64) if pairing == "independent" else sa.copy()
+        new, ref = [sa.copy(), sb.copy()], [sa.copy(), sb.copy()]
+        new_rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
+        for _ in range(4):
+            _coupled_sweep_states(*new, tree, kernel, new_rng)
+            dense_coupled_sweep(*ref, tree, kernel, ref_rng)
+            assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+        if pairing == "identical":
+            assert np.array_equal(*new)
+        for _ in range(4):
+            for i in range(2):
+                _sweep_states(new[i], tree, kernel, new_rng)
+                dense_sweep(ref[i], tree, kernel, ref_rng)
+                assert np.array_equal(new[i], ref[i])
+        assert new_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("k", [9, 23, 70])
+    def test_row_sums_equal_dense_sums(self, k):
+        # rows of 1 to 9 terms over several magnitudes, some with a -1e-12 term;
+        # at k = 9 a full row widens the sets to k columns, most with sentinels
+        rng = np.random.default_rng(k)
+        dense = np.zeros((500, k))
+        for row in dense:
+            at = rng.choice(k, size=rng.integers(1, 10), replace=False)
+            row[at] = rng.random(at.size) ** 6
+            if rng.random() < 0.2:
+                row[at[0]] = -1e-12
+        live = dense != 0
+        cols = np.sort(np.where(live, np.arange(k), k), axis=1)[:, : live.sum(axis=1).max()]
+        w = np.take_along_axis(np.hstack([dense, np.zeros((500, 1))]), cols, axis=1)
+        assert np.array_equal(glauber._row_sums(w, cols, k), dense.sum(axis=1))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_coupled_draw_on_columns_equals_dense(self, seed):
+        # sparse laws of mass 1 or 1/2, equal in some rows, so that the
+        # dense-sum fallback and the guard for a lost exact overlap are reached
+        rng = np.random.default_rng(seed)
+        m, k = 400, 30
+        pa, pb = np.zeros((m, k)), np.zeros((m, k))
+        for law in (pa, pb):
+            for row in law:
+                at = rng.choice(k, size=rng.integers(1, 7), replace=False)
+                row[at] = rng.dirichlet(np.ones(at.size))
+        equal = rng.random(m) < 0.3
+        pb[equal] = pa[equal]
+        half = rng.random(m) < 0.3
+        pa[half] /= 2.0
+        pb[half] /= 2.0
+        live = (pa != 0) | (pb != 0)
+        width = live.sum(axis=1).max()
+        cols = np.sort(np.where(live, np.arange(k), k), axis=1)[:, :width]
+        ca = np.take_along_axis(np.hstack([pa, np.zeros((m, 1))]), cols, axis=1)
+        cb = np.take_along_axis(np.hstack([pb, np.zeros((m, 1))]), cols, axis=1)
+        one, ref = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        for _ in range(5):
+            xa, xb = glauber._coupled_draw(ca, cb, one, cols, k)
+            ya, yb = dense_coupled_draw(pa, pb, ref)
+            assert np.array_equal(xa, ya) and np.array_equal(xb, yb)
+        assert one.random() == ref.random()
+
+    def test_iid_start_on_walk70_is_impossible(self):
+        kernel, tree = walk70(), build_tree(3, 5)
+        rng = np.random.default_rng(70)
+        with pytest.raises(ImpossibleConfigurationError):
+            _sweep_states(rng.integers(0, 70, size=(tree.n, 32)), tree, kernel, rng)
+        with pytest.raises(ImpossibleConfigurationError), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # walk70 is outside the Dobrushin regime
+            converge_from_iid(kernel, 3, 5, 2, 32, rng)
+
+
 class TestGlauberSweep:
     def test_uniform_kernel_members_randomized_others_fixed(self):
         tree = build_tree(3, 3)
@@ -202,6 +388,20 @@ class TestGlauberSweep:
         # leaves can never change; deep-interior vertices almost surely did
         assert not changed[tree.depth_of == tree.depth].any()
         assert changed[tree.depth_of <= 1].all()
+
+    @pytest.mark.parametrize("bad", [-1, 2, 5])
+    def test_states_out_of_range_rejected(self, bad):
+        tree, kernel = build_tree(3, 3), make_ising(0.25)
+        good = Configuration(tree, np.zeros(tree.n, dtype=np.int64))
+        states = np.zeros(tree.n, dtype=np.int64)
+        states[tree.n // 2 :] = bad
+        config = Configuration(tree, states)
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match=r"0\.\.1"):
+            glauber_sweep(config, kernel, rng)
+        for pair in (CoupledPair(config, good), CoupledPair(good, config)):
+            with pytest.raises(ValueError, match=r"0\.\.1"):
+                coupled_sweep(pair, kernel, rng)
 
     def test_constant_configuration_flip_rate(self):
         # a woken vertex leaves the constant state with probability
@@ -275,6 +475,13 @@ class TestMaximalCoupling:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             maximal_coupling([0.5, 0.5], [0.3, 0.3, 0.4], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p, q", [([0.5, 0.5], [2.0, -1.0]), ([0.0, 0.0], [0.0, 0.0]),
+                                      ([0.5, 0.5], [0.0, 0.0]), ([np.nan, 1.0], [0.5, 0.5]),
+                                      ([1.0, 0.0], [np.inf, 0.0])])
+    def test_rejects_laws_that_are_not_measures(self, p, q):
+        with pytest.raises(ValueError, match="nonnegative"):
+            maximal_coupling(p, q, np.random.default_rng(0))
 
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("kind", ["random", "equal", "disjoint", "half"])

@@ -183,6 +183,43 @@ SPARSE_WALKS = {
 }
 
 
+class TestColumnSets:
+    @pytest.mark.parametrize("kernel", [*SPARSE_WALKS.values(), lazy(SPARSE_WALKS["cycle6"]),
+                                        make_walk_kernel(circulant_graph(70, [1, 2]))])
+    def test_rows_list_the_nonzero_states_in_order(self, kernel):
+        sets, q_t, pi_t = kernel.column_sets
+        k = kernel.state_count
+        width = max(np.count_nonzero(kernel.q[:, t]) for t in range(k))
+        assert sets.shape == (k, width) and width < k
+        for t in range(k):
+            live = np.flatnonzero(kernel.q[:, t])
+            assert sets[t].tolist() == live.tolist() + [k] * (width - live.size)
+        assert np.array_equal(q_t[:, :k], kernel.q.T) and not q_t[:, k].any()
+        assert np.array_equal(pi_t[:k], kernel.pi) and pi_t[k] == 0.0
+
+    def test_uneven_supports_are_padded_with_the_sentinel(self):
+        # a star with loops: the hub column holds every state, each leaf column two
+        w = np.eye(4)
+        w[0] += 1.0
+        w[:, 0] += 1.0
+        kernel = TransitionKernel(q=w / w.sum(axis=1, keepdims=True), pi=w.sum(axis=1) / w.sum())
+        assert np.array_equal(kernel.column_sets[0], np.tile(np.arange(4), (4, 1)))
+        q = 0.5 * np.eye(5) + 0.5 * make_walk_kernel(cycle_graph(5)).q
+        q[0, 2] = q[2, 0] = -1e-12  # the checks allow it, and != 0 keeps it
+        q[0, 0] += 1e-12
+        q[2, 2] += 1e-12
+        sets = TransitionKernel(q=q, pi=np.full(5, 0.2)).column_sets[0]
+        assert sets.tolist() == [[0, 1, 2, 4], [0, 1, 2, 5], [0, 1, 2, 3], [2, 3, 4, 5],
+                                 [0, 3, 4, 5]]
+
+    def test_built_once_on_first_use(self):
+        kernel = make_potts(3, 0.2)
+        assert "column_sets" not in vars(kernel)
+        first = kernel.column_sets
+        assert kernel.column_sets is first
+        assert all(not a.flags.writeable for a in first)
+
+
 class TestDobrushin:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(SPARSE_WALKS))

@@ -240,7 +240,7 @@ def walk70():
 
 
 def uneven_kernel():
-    """Reversible 23-state kernel of a sparse weighted graph: supports of 1 to 9 states."""
+    """Reversible 23-state kernel of a sparse weighted graph: supports of 3 to 9 states."""
     rng = np.random.default_rng(23)
     w = np.triu(rng.random((23, 23)) * (rng.random((23, 23)) < 0.15), 1)
     w[np.arange(22), np.arange(1, 23)] += 1.0  # a path keeps it irreducible

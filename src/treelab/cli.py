@@ -162,11 +162,11 @@ def _correlation(args) -> dict:
            else np.arange(kernel.state_count, dtype=float))
     rng = np.random.default_rng(args.seed)
     est = trees.estimate_correlation(kernel, args.distance, enc, args.replicas, rng)
-    exact = trees.exact_correlations(kernel, enc, max(args.distance, 1))[args.distance - 1] \
+    exact = trees.exact_correlations(kernel, enc, args.distance)[args.distance - 1] \
         if args.distance >= 1 else 1.0
     out = {
         "estimate": est.value, "stderr": est.stderr, "exact": float(exact),
-        "bound": trees.local_correlation_bound(max(args.distance, 1), args.d),
+        "bound": trees.local_correlation_bound(args.distance, args.d),
     }
     if not np.isfinite(est.value):
         out.update(estimate=None, stderr=None, estimate_note=(
@@ -333,11 +333,6 @@ def _epsilon0(args) -> dict:
     else:
         report = covering.epsilon0(args.family, d=args.d, s_count=args.s_count)
     out = _fields(report, "d s_count delta_id epsilon0 certificate_lo certificate_hi")
-    scan_g = [float(g) if np.isfinite(g) else None for g in report.grid_values]
-    out.update(scan_eps=report.grid, scan_g=scan_g)
-    if None in scan_g:
-        out["scan_note"] = (
-            "null where the delta bound is nonpositive: the premise fails and eps counts as crossed")
     bound = {"dominating": "dominating_bound", "bipartite": "independence_bound"}
     if report.delta_id in bound:
         out[bound[report.delta_id]] = report.ratio_bound

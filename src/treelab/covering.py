@@ -16,7 +16,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -253,20 +254,23 @@ def delta_lower_bound(matrix: CoveringMatrix, eps: float) -> float:
 
 
 _REL_TOL = 1e-6  # epsilon0 bisects until the bracket is this small relative to its low end
+_STEP = 2.0**-16  # epsilon0 moves its low end down by this factor until g turns positive
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """First crossing of g(eps) = (delta^d - eps)/2 - sqrt(eps ln|S| (d-1)/(d-2))."""
+    """Root of g(eps) = (delta^d - eps)/2 - sqrt(eps ln|S| (d-1)/(d-2)).
+
+    ``certificate_lo`` and ``certificate_hi`` are g at eps_0 (1 - 1e-5) and
+    eps_0 (1 + 1e-5): positive and nonpositive, so the root lies between.
+    """
 
     epsilon0: float
     d: int
     s_count: int
     delta_id: str
-    grid: np.ndarray = field(repr=False)
-    grid_values: np.ndarray = field(repr=False)
-    certificate_lo: float  # g just below the root: positive
-    certificate_hi: float  # g just above the root: nonpositive
+    certificate_lo: float
+    certificate_hi: float
 
     @property
     def ratio_bound(self) -> float | None:
@@ -305,13 +309,18 @@ def epsilon0(family, d: int | None = None, s_count: int | None = None) -> Thresh
 
     ``family`` is a CoveringMatrix or a registered id, "dominating" for
     ``dominating_matrix(d)`` or "independence" for ``bipartite_matrix(d)``.
-    A 64-point logarithmic scan of [1e-16, 1/2] locates the first sign change of
+    Returns the root of
 
         g(eps) = (delta(eps)^d - eps)/2 - sqrt(eps * ln(s) * (d-1)/(d-2))
 
-    (natural logarithm), then bisection sharpens it to relative tolerance
-    1e-6.  The full scan is retained in the report so a non-monotone g would
-    be visible; eps values where the delta premise fails count as crossed.
+    (natural logarithm).  Every delta bound is nonincreasing in eps, so g is
+    strictly decreasing while delta > 0 and has exactly one root; eps values
+    where the delta premise fails count as crossed.  g(1/2) < 0 for every
+    matrix and s >= 2, since delta <= 1 and sqrt(ln 2 / 2) > 1/4, so the low
+    end steps down from 1/2 by factors of 2^16 until g turns positive, and
+    geometric bisection sharpens the bracket to relative tolerance 1e-6.  The
+    search stops at the smallest normal float: a root below it (the
+    dominating family from d = 81 on) raises ValueError.
     """
     delta_fn, d, s_default, delta_id = _resolve_delta(family, d)
     if d < 3:
@@ -327,31 +336,20 @@ def epsilon0(family, d: int | None = None, s_count: int | None = None) -> Thresh
             return -math.inf
         return 0.5 * (dv**d - eps) - math.sqrt(eps * coef)
 
-    grid = np.logspace(-16, math.log10(0.5), 64)
-    # thresholds shrink like delta^(2d); extend the scan downward when the
-    # default window starts past the crossing
-    low_exp = -16
-    while g(float(grid[0])) <= 0.0 and low_exp > -300:
-        extension = np.logspace(low_exp - 24, low_exp, 48, endpoint=False)
-        grid = np.concatenate([extension, grid])
-        low_exp -= 24
-    values = np.array([g(e) for e in grid])
-    if values[0] <= 0.0:
-        raise ValueError("g is already nonpositive at the smallest scanned eps")
-    crossing = np.flatnonzero(values <= 0.0)
-    if crossing.size == 0:
-        raise ValueError("no crossing found on the scan grid")
-    lo = float(grid[crossing[0] - 1])
-    hi = float(grid[crossing[0]])
+    lo = hi = 0.5
+    while g(lo) <= 0.0:
+        if lo == sys.float_info.min:
+            raise ValueError(f"eps_0 is below the smallest normal float {lo:.3e}")
+        lo, hi = max(lo * _STEP, sys.float_info.min), lo
     while hi - lo > _REL_TOL * lo:
-        mid = math.sqrt(lo * hi)
+        mid = math.sqrt(lo) * math.sqrt(hi)
         if g(mid) > 0.0:
             lo = mid
         else:
             hi = mid
     eps0 = 0.5 * (lo + hi)
     return ThresholdReport(
-        epsilon0=eps0, d=d, s_count=s, delta_id=delta_id, grid=grid, grid_values=values,
+        epsilon0=eps0, d=d, s_count=s, delta_id=delta_id,
         certificate_lo=g(eps0 * (1.0 - 1e-5)), certificate_hi=g(eps0 * (1.0 + 1e-5)),
     )
 

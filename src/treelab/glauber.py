@@ -524,9 +524,12 @@ def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     noise floor (the sweep preserves the chain law exactly, also on the
     truncated tree).  The star law is skipped when k^(d+1) > _STAR_MAX.  The
     edge law needs a window of depth at least 1, so depth 1 needs an explicit
-    ``window_depth=1``.
+    ``window_depth=1``.  A one-state kernel is rejected: every TV and every
+    floor would be 0, and no law could pass.
     """
     k = kernel.state_count
+    if k < 2:
+        raise ValueError("the fixed-point test needs at least two states")
     tree = build_tree(d, depth)
     window_depth, window = _window(tree, window_depth)
     if window_depth < 1:

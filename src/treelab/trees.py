@@ -329,9 +329,9 @@ def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
 
 
 def local_correlation_bound(distance: int, d: int) -> float:
-    """(k + 1 - 2k/d) * (d-1)^(-k/2): the correlation ceiling for local processes."""
-    if distance < 1:
-        raise ValueError("distance must be at least 1")
+    """(k + 1 - 2k/d) * (d-1)^(-k/2): the correlation ceiling for local processes, 1 at k = 0."""
+    if distance < 0:
+        raise ValueError("distance must be nonnegative")
     if d < 3:
         raise ValueError("degree must be at least 3")
     k = distance

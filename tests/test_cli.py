@@ -58,6 +58,12 @@ class TestCommands:
         assert lines[0] == "d,epsilon0,dominating_bound"
         assert len(lines) == 3
 
+    def test_dominating_table_past_d_47(self, capsys):
+        # thresholds below 1e-150, where a bisection midpoint sqrt(lo * hi) underflows to 0
+        out = run_json(capsys, ["dominating-table", "--d-from", "47", "--d-to", "50"])
+        assert [row["d"] for row in out["rows"]] == [47, 48, 49, 50]
+        assert all(0.0 < row["epsilon0"] < 1e-150 for row in out["rows"])
+
     def test_counterexample(self, capsys):
         out = run_json(capsys, ["counterexample", "--k", "70", "--q-deg", "4", "--d", "3"])
         assert out["verdict"] == "NONTYPICAL"
@@ -243,6 +249,11 @@ class TestContracts:
         # a window of depth 0 holds no edge, so the edge law would be 0/0
         ["glauber-fixed-point", "--kernel", "ising(0.25)", "--d", "3", "--depth", "2",
          "--sweeps", "1", "--replicas", "10", "--seed", "1", "--window-depth", "0"],
+        # one state: every TV and every floor is 0, and 0 < 3 * 0 fails every law
+        ["glauber-fixed-point", "--kernel", "uniform(1)", "--d", "3", "--depth", "2",
+         "--sweeps", "1", "--replicas", "2", "--seed", "1"],
+        # eps_0 lies below the smallest normal float
+        ["epsilon0", "--family", "dominating", "--d", "200"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {

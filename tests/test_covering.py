@@ -212,10 +212,16 @@ class TestEpsilon0:
         assert report.epsilon0 > 0.0
         assert report.delta_id == "generic"
 
-    def test_scan_is_reported(self):
-        report = epsilon0("dominating", d=3)
-        assert report.grid.shape == (64,)
-        assert report.grid_values.shape == (64,)
+    @pytest.mark.parametrize("d", [48, 60, 79, 80])
+    def test_tiny_thresholds_return(self, d):
+        # roots below 1e-160, where a bisection midpoint sqrt(lo * hi) underflows to 0
+        report = epsilon0("dominating", d=d)
+        assert 0.0 < report.epsilon0 < 1e-160
+        assert report.certificate_lo > 0.0 >= report.certificate_hi
+
+    def test_threshold_below_normal_floats_raises(self):
+        with pytest.raises(ValueError, match="smallest normal float"):
+            epsilon0("dominating", d=81)
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
@@ -284,6 +290,58 @@ def test_aligned_text_table():
     assert len(lines) == 3
     assert lines[0].split() == ["d", "epsilon0", "dominating_bound"]
     assert lines[1].split()[0] == "3"
+
+
+def _mp_root(delta, d: int, s: int):
+    """The root of g at 50 digits.
+
+    In x = ln(eps), g / sqrt(eps ln(s) (d-1)/(d-2)) has the same sign as g and is
+    of order 1, so mpmath's bracketing Anderson-Bjorck solver meets its absolute
+    tolerance at full relative precision.  Bisection of [ln 1e-400, ln 1/2] to a
+    width of 1 gives the bracket.
+    """
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(50):
+        coef = mp.log(s) * (d - 1) / (d - 2)
+
+        def h(x):
+            eps = mp.exp(x)
+            dv = delta(eps)
+            return (dv**d - eps) / (2 * mp.sqrt(eps * coef)) - 1 if dv > 0 else mp.mpf(-1)
+
+        lo, hi = mp.log(mp.mpf(10) ** -400), mp.log(mp.mpf(1) / 2)
+        assert h(lo) > 0 >= h(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) / 2
+            if h(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        x = mp.findroot(h, (lo, hi), solver="anderson")
+        assert lo <= x <= hi
+        return mp.exp(x)
+
+
+@pytest.mark.parametrize("family", ["dominating", "independence"])
+@pytest.mark.parametrize("s_count", [None, 3])
+def test_epsilon0_matches_mpmath_root(family, s_count):
+    mp = pytest.importorskip("mpmath").mp
+    for d in range(3, 80):
+        if family == "dominating":
+            delta = lambda e, d=d: (1 - e) / (d + 1)  # noqa: E731
+        else:
+            delta = lambda e: mp.mpf(1) / 2 - e  # noqa: E731
+        root = _mp_root(delta, d, 2 if s_count is None else s_count)
+        eps0 = epsilon0(family, d=d, s_count=s_count).epsilon0
+        assert abs(eps0 - root) <= 1e-6 * root, (family, d, s_count)
+
+
+def test_generic_epsilon0_matches_mpmath_root():
+    mp = pytest.importorskip("mpmath").mp
+    # support diameter K = 2 (0 -> 1 -> 2 and back), so delta = 1/(3 * 3^2) - eps (1/3 + 1/9)
+    root = _mp_root(lambda e: mp.mpf(1) / 27 - e * mp.mpf(4) / 9, 3, 3)
+    eps0 = epsilon0(CoveringMatrix([[1, 2, 0], [1, 0, 2], [0, 2, 1]])).epsilon0
+    assert abs(eps0 - root) <= 1e-6 * root
 
 
 def test_independence_threshold_values_match_standalone_bisection():

@@ -9,7 +9,8 @@ purpose regenerates both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in CHANGES.md.
+which prints the name of each case and demo whose recorded output changed;
+CHANGES.md says why each one did.
 """
 
 import contextlib
@@ -83,6 +84,7 @@ CASES = [
     "epsilon0 --family dominating --d 3",
     "epsilon0 --family independence --d 4",
     "epsilon0 --matrix <tmp>/m3.txt",
+    "epsilon0 --family dominating --d 60",
     "dominating-table --d-from 3 --d-to 4 --csv <tmp>/table.csv --text <tmp>/table.txt",
 ]
 
@@ -153,10 +155,18 @@ def test_demo_output(path):
     assert run_demo(path) == json.loads(GOLDEN_DEMOS.read_text())[path.name]
 
 
+def regenerate(path: Path, records: dict) -> None:
+    """Write ``records`` to ``path`` and print each entry that is new, changed or gone."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for name in sorted(old.keys() | records.keys()):
+        if old.get(name) != records.get(name):
+            status = "new" if name not in old else "gone" if name not in records else "changed"
+            print(f"{path.name}: {status}: {name}")
+    path.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmpdir:
         write_inputs(Path(tmpdir))
-        records = {case: run_case(case, Path(tmpdir)) for case in CASES}
-    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
-    demos = {path.name: run_demo(path) for path in DEMOS}
-    GOLDEN_DEMOS.write_text(json.dumps(demos, indent=1, sort_keys=True) + "\n")
+        regenerate(GOLDEN, {case: run_case(case, Path(tmpdir)) for case in CASES})
+    regenerate(GOLDEN_DEMOS, {path.name: run_demo(path) for path in DEMOS})

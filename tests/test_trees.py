@@ -383,6 +383,11 @@ class TestCorrelations:
     def test_bound_value(self):
         assert local_correlation_bound(1, 3) == pytest.approx((4 / 3) * 2**-0.5, abs=1e-12)
 
+    def test_bound_at_distance_zero_is_one(self):
+        assert local_correlation_bound(0, 3) == 1.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            local_correlation_bound(-1, 3)
+
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_bound_needs_degree_three(self, d):
         with pytest.raises(ValueError, match="degree must be at least 3"):

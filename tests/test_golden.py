@@ -38,6 +38,8 @@ CASES = [
     "dobrushin --kernel potts(5,0.3) --d 4",
     "dobrushin --kernel walk(<tmp>/k4.txt) --d 3",
     "dobrushin --kernel walk(<tmp>/c70.txt) --d 3",
+    "dobrushin --kernel potts(3,0.4) --d 1",
+    "dobrushin --kernel walk(<tmp>/c70.txt) --d 2",
     "spectral --kernel potts(7,0.3)",
     "spectral --kernel <tmp>/kernel.txt",
     "bmc-sample --kernel ising(0.5) --d 3 --depth 3 --seed 7 --out <tmp>/config.txt",

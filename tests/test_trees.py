@@ -218,6 +218,36 @@ class TestDrawRows:
             want = (u[..., None] < cum[rows]).argmax(axis=-1)
             assert np.array_equal(_draw_rows(probs, u, rows), want)
 
+    @pytest.mark.parametrize("k", [2, 3, 7, 70])
+    def test_per_row_draw_equals_argmax_form(self, k):
+        # one law per draw (no ``rows``), as the sweeps' column-set and coupled draws use
+        rng = np.random.default_rng(55 + k)
+        probs = rng.random((300, k)) * (rng.random((300, k)) < 0.5)  # zero plateaus
+        probs[:100, 0] = 0.0  # an empty first bin
+        probs[np.arange(300), rng.integers(1, k, size=300)] += 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        cum = np.cumsum(probs, axis=1)
+        cum /= cum[:, -1:]
+        u = rng.random(300)
+        u[:50] = 0.0
+        u[50:150] = cum[np.arange(50, 150), rng.integers(0, k - 1, size=100)]  # on a cumulative value
+        u[150:200] = np.nextafter(u[50:100], 0.0)
+        u = np.where(u < 1.0, u, 0.5)
+        want = (u[:, None] < cum).argmax(axis=-1)
+        assert np.array_equal(_draw_rows(probs, u), want)
+
+    @pytest.mark.parametrize("law", [[0.0, 0.25, 0.0, 0.75], WALK70.pi, [1.0]],
+                             ids=["plateaus", "walk70", "one-state"])
+    def test_vector_draw_equals_argmax_form(self, law):
+        law = np.asarray(law)
+        cum = np.cumsum(law)
+        cum /= cum[-1]
+        u = np.concatenate([[0.0], cum[:-1], np.nextafter(cum[:-1], 0.0),
+                            np.random.default_rng(56).random(500)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        want = (u[:, None] < cum).argmax(axis=-1)
+        assert np.array_equal(_draw_rows(law, u), want)
+
     @pytest.mark.parametrize("k", [2, 5, 70, 200])
     def test_row_sampler_equals_column_count(self, k):
         rng = np.random.default_rng(51 + k)

@@ -54,21 +54,12 @@ def parse_matrix(spec: str, d: int) -> covering.CoveringMatrix:
     return covering.read_covering_matrix(spec)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def _emit(payload: dict) -> None:
-    """Print strict JSON: a NaN or infinity raises ValueError before anything is printed."""
-    print(json.dumps(_jsonable(payload), sort_keys=True, allow_nan=False))
+    """Print strict JSON: a NaN or infinity raises ValueError before anything is printed.
+
+    numpy arrays and scalars go through ``tolist``; ``np.float64`` is a float already.
+    """
+    print(json.dumps(payload, sort_keys=True, allow_nan=False, default=lambda o: o.tolist()))
 
 
 def _write_csv(path: str, header: str, rows) -> None:
@@ -301,6 +292,8 @@ def _local_distance(args) -> dict:
           _arg("--seed", type=int, default=None, help="needed if the exact search overflows"),
           help="covering error ratio of a graph")
 def _covering_min(args) -> dict:
+    if args.restarts < 1:
+        raise ValueError("--restarts must be at least 1")
     graph = graphs.read_graph(args.graph)
     matrix = parse_matrix(args.matrix, d=graph.d)
     try:

@@ -402,8 +402,9 @@ def rigidity_check(star_joint, tol: float = 1e-9) -> RigidityVerdict:
     joint = np.asarray(star_joint, dtype=float)
     if joint.ndim < 3:
         raise ValueError("star law needs a center and at least two leaves")
-    if abs(joint.sum() - 1.0) > 1e-9 or np.any(joint < 0):
-        raise ValueError("star law must be a probability array")
+    # a non-finite entry makes the sum NaN or infinite, which fails the <= test
+    if not abs(joint.sum() - 1.0) <= 1e-9 or np.any(joint < 0):
+        raise ValueError("star law must be a finite probability array")
 
     # (i): the leaf on axis 1 is determined by the other coordinates
     support_per_rest = (joint > 0).sum(axis=1)

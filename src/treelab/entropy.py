@@ -32,8 +32,9 @@ def shannon(dist) -> float:
     p = np.asarray(dist, dtype=float).ravel()
     if np.any(p < -1e-12):
         raise ValueError("negative probability")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("probabilities must sum to 1")
+    # a non-finite entry makes the sum NaN or infinite, which fails the <= test
+    if not abs(p.sum() - 1.0) <= 1e-9:
+        raise ValueError("probabilities must be finite and sum to 1")
     pos = p[p > 0.0]
     return float(-(pos * np.log(pos)).sum())
 

@@ -259,21 +259,19 @@ def matching_identity_check(n: int) -> list[MatchingIdentityRecord]:
     matchings = list(iter_perfect_matchings(points))
     pairs = [(a, b) for a in range(2) for b in range(2)]
 
-    achievable: dict = {}
+    witness: dict = {}  # (mu, nu) -> its first coloring in lexicographic order
     for bits in itertools.product(range(2), repeat=n):
         mu = (bits.count(0), bits.count(1))
         for matching in matchings:
             counts = _directed_pair_counts(matching, bits)
-            nu_key = tuple(counts.get(p, 0) for p in pairs)
-            achievable.setdefault((mu, nu_key), set()).add(bits)
+            witness.setdefault((mu, tuple(counts.get(p, 0) for p in pairs)), bits)
 
     # ordered-pair colorings of the n/2 edges, counted by their symmetrized law nu
     pair_colorings = Counter(
         tuple(_directed_pair_counts(assign, (0, 1)).get(p, 0) for p in pairs)
         for assign in itertools.product(pairs, repeat=n // 2))
     records = []
-    for (mu, nu_key), witnesses in sorted(achievable.items()):
-        f = min(witnesses)
+    for (mu, nu_key), f in sorted(witness.items()):
         nu = {p: Fraction(c, n) for p, c in zip(pairs, nu_key)}
         m_f = matching_color_count(f, nu)
         h_mu = coloring_count(mu)

@@ -193,10 +193,15 @@ def write_kernel(kernel: TransitionKernel, path) -> None:
 
 
 def _heat_bath_weights(kernel: TransitionKernel, neighbors) -> np.ndarray:
-    """Unnormalized heat-bath law pi[s] * prod_u q[s, u], multiplied in neighbor order."""
-    w = kernel.pi.copy()
-    for u in neighbors:
-        w = w * kernel.q[:, int(u)]
+    """Unnormalized heat-bath laws pi[s] * prod_u q[s, u], multiplied in neighbor order.
+
+    ``neighbors`` holds neighbor states on its last axis under any leading shape,
+    which the result keeps, with the k center states as its last axis.
+    """
+    neighbors = np.asarray(neighbors, dtype=np.int64)
+    w = np.broadcast_to(kernel.pi, neighbors.shape[:-1] + kernel.pi.shape).copy()
+    for j in range(neighbors.shape[-1]):
+        w = w * kernel.q.T[neighbors[..., j]]
     return w
 
 
@@ -210,8 +215,8 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     exchangeable in the neighbors) times ordered pairs of differing states;
     the budget counts C(k+d-2, d-1) * k^2 conditional-law evaluations.
 
-    The weights ``pi * q[:, x1] * ...`` of a block of multisets are multiplied
-    at once.  A multiset whose weights are all zero has probability zero and
+    The weights of a block of multisets come from one ``_heat_bath_weights``
+    call.  A multiset whose weights are all zero has probability zero and
     is skipped before its k x k conditional laws are formed; on a sparse
     kernel that is most of them (2135 of 2485 for the 70-state walk at d=3).
     The other configurations of probability zero under the chain carry no
@@ -226,18 +231,15 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
             f"Dobrushin enumeration needs {n_multisets * k * k} conditional-law "
             f"evaluations, over the budget of {budget}"
         )
-    q = kernel.q
     multisets = itertools.combinations_with_replacement(range(k), d - 1)
     per_block = max(1, _DOBRUSHIN_BLOCK // (d + k))
     best = 0.0
     while block := list(itertools.islice(multisets, per_block)):
-        # row i: _heat_bath_weights of multiset i, the same products in the same order
-        weights = np.tile(kernel.pi, (len(block), 1))
-        for col in np.array(block, dtype=np.int64).T:
-            weights = weights * q.T[col]
+        # B multisets of d - 1 states each (none at d = 1) give (B, k) weights
+        weights = _heat_bath_weights(kernel, block)
         for i in np.flatnonzero((weights != 0).any(axis=1)):
             # column a: weights of the center given the multiset + {a}
-            cond = weights[i, :, None] * q
+            cond = weights[i, :, None] * kernel.q
             totals = cond.sum(axis=0)
             live = totals > 0.0
             if np.count_nonzero(live) < 2:

@@ -244,6 +244,8 @@ def dcn_estimate(graph_a, graph_b, r_max: int, k_max: int,
     """
     if r_max < 1 or k_max < 1:
         raise ValueError("r_max and k_max must be at least 1")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     r_values = list(range(1, r_max + 1))
     terms: dict = {}
     total = 0.0
@@ -260,8 +262,6 @@ def dcn_estimate(graph_a, graph_b, r_max: int, k_max: int,
             exact = False
             if rng is None:
                 raise ValueError("sampling mode needs an rng (coloring budget exceeded)")
-            if samples < 1:
-                raise ValueError("sampling mode needs at least 1 sample")
         fam_a = family(graph_a.n, k, enumerate_all)  # drawn before graph_b's sample
         fam_b = fam_a if graph_b.n == graph_a.n else family(graph_b.n, k, enumerate_all)
         prof_a = _coloring_profiles(graph_a, fam_a, r_values)

@@ -28,9 +28,9 @@ class TruncatedTree:
 
     The root's children are 1..d and the children of vertex v >= 1 are the d-1
     indices from d + 1 + (v-1)(d-1) on, so the vertices of depth < R, which
-    have all d neighbors, come first.  ``neighbors`` is an (n, d) index table
-    padded with the sentinel ``n`` (parent first, then children); ``children``
-    likewise holds only children.
+    have all d neighbors, come first.  ``neighbors`` is an (n, d) index table,
+    parent first, then children, padded with the sentinel ``n``; so the
+    children of v are ``neighbors[v, int(v > 0) : neighbor_count[v]]``.
     """
 
     d: int
@@ -39,8 +39,6 @@ class TruncatedTree:
     depth_of: np.ndarray
     neighbors: np.ndarray
     neighbor_count: np.ndarray
-    children: np.ndarray
-    child_count: np.ndarray
 
     @property
     def n(self) -> int:
@@ -81,23 +79,16 @@ def build_tree(d: int, depth: int, max_vertices: int = 5_000_000) -> TruncatedTr
     sizes = [1] + [d * (d - 1) ** (ell - 1) for ell in range(1, depth + 1)]
     depth_of = np.repeat(np.arange(depth + 1, dtype=np.int64), sizes)
 
-    children = np.full((n, d), n, dtype=np.int64)
-    children[0] = np.arange(1, d + 1)
-    children[1:internal, : d - 1] = np.arange(d + 1, n).reshape(-1, d - 1)
-    child_count = np.zeros(n, dtype=np.int64)
-    child_count[0] = d
-    child_count[1:internal] = d - 1
-
-    neighbors = np.empty((n, d), dtype=np.int64)
-    neighbors[0] = children[0]
+    neighbors = np.full((n, d), n, dtype=np.int64)
+    neighbors[0] = np.arange(1, d + 1)
     neighbors[1:, 0] = parent[1:]
-    neighbors[1:, 1:] = children[1:, : d - 1]
-    neighbor_count = child_count + 1
-    neighbor_count[0] = d
+    neighbors[1:internal, 1:] = np.arange(d + 1, n).reshape(-1, d - 1)
+    neighbor_count = np.ones(n, dtype=np.int64)
+    neighbor_count[:internal] = d
 
-    for arr in (parent, depth_of, neighbors, neighbor_count, children, child_count):
+    for arr in (parent, depth_of, neighbors, neighbor_count):
         arr.setflags(write=False)
-    return TruncatedTree(d, depth, parent, depth_of, neighbors, neighbor_count, children, child_count)
+    return TruncatedTree(d, depth, parent, depth_of, neighbors, neighbor_count)
 
 
 def tree_distance(tree: TruncatedTree, u: int, v: int) -> int:
@@ -145,15 +136,16 @@ def _cumulate(probs: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _count_columns(cum: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Draw i is the number of columns of ``cum[rows[i]]`` that are <= u[i].
+def _count_columns(cum: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Draw i is the number of entries <= u[i] in its cumulative law: row
+    ``rows[i]`` of ``cum``, row i without ``rows``, or ``cum`` if it is one vector.
 
     The cumulative rows are nondecreasing, so this is the first bin above u;
     it is counted one column at a time without gathering whole rows.
     """
     out = np.zeros(u.shape, dtype=np.int64)
     for col in cum.T[:-1]:  # the last column is 1.0 > u
-        out += col[rows] <= u
+        out += (col if rows is None else col[rows]) <= u
     return out
 
 
@@ -161,14 +153,11 @@ def _draw_rows(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None)
     """Inverse-CDF draw of one category per uniform in ``u``.
 
     Each law in ``probs`` (one per row, or a single vector) is cumulated and
-    rescaled to end at exactly 1.0, so every u in [0, 1) lands in a bin.  With
-    ``rows`` given, draw i uses the law ``probs[rows[i]]``: a table of laws is
-    cumulated once and its columns counted (``_count_columns``).
+    rescaled to end at exactly 1.0, so every u in [0, 1) lands in a bin, and
+    its columns are counted (``_count_columns``).  With ``rows`` given, draw i
+    uses the law ``probs[rows[i]]``, so a table of laws is cumulated once.
     """
-    cum = _cumulate(probs)
-    if rows is None:
-        return (u[..., None] < cum).argmax(axis=-1)
-    return _count_columns(cum, u, rows)
+    return _count_columns(_cumulate(probs), u, rows)
 
 
 def _row_sampler(probs: np.ndarray):
@@ -250,8 +239,9 @@ def sample_bmc(kernel: TransitionKernel, tree: TruncatedTree, rng: np.random.Gen
 def sample_iid(dist, tree: TruncatedTree, rng: np.random.Generator) -> Configuration:
     """Independent per-vertex draws from a finite distribution."""
     dist = np.asarray(dist, dtype=float)
-    if dist.ndim != 1 or abs(dist.sum() - 1.0) > 1e-9 or np.any(dist < 0):
-        raise ValueError("dist must be a probability vector")
+    # a non-finite entry makes the sum NaN or infinite, which fails the <= test
+    if dist.ndim != 1 or not abs(dist.sum() - 1.0) <= 1e-9 or np.any(dist < 0):
+        raise ValueError("dist must be a finite probability vector")
     states = _draw_rows(dist, rng.random(tree.n))
     return Configuration(tree, states.astype(np.int64))
 
@@ -296,6 +286,18 @@ class CorrelationEstimate:
     distance: int
 
 
+def _encoding_moments(kernel: TransitionKernel, encoding) -> tuple[np.ndarray, float, float]:
+    """The encoding as floats with its stationary mean and variance, checked."""
+    encoding = np.asarray(encoding, dtype=float)
+    if encoding.shape != (kernel.state_count,) or not np.isfinite(encoding).all():
+        raise ValueError("encoding must assign one finite real per state")
+    mean = float(kernel.pi @ encoding)
+    var = float(kernel.pi @ (encoding - mean) ** 2)
+    if var <= 0.0:
+        raise ValueError("encoding has zero variance under the stationary law")
+    return encoding, mean, var
+
+
 def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
                          replicas: int, rng: np.random.Generator) -> CorrelationEstimate:
     """Monte Carlo Pearson correlation of encoded states at tree distance k.
@@ -303,12 +305,7 @@ def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
     The two observation points are the root and a depth-k descendant, whose
     joint law is the k-step stationary chain, so only the path is sampled.
     """
-    encoding = np.asarray(encoding, dtype=float)
-    if encoding.shape != (kernel.state_count,):
-        raise ValueError("encoding must assign one real per state")
-    mean = float(kernel.pi @ encoding)
-    if float(kernel.pi @ (encoding - mean) ** 2) <= 0.0:
-        raise ValueError("encoding has zero variance under the stationary law")
+    encoding, _, _ = _encoding_moments(kernel, encoding)
     if distance < 0:
         raise ValueError("distance must be nonnegative")
     if replicas < 2:
@@ -340,12 +337,8 @@ def local_correlation_bound(distance: int, d: int) -> float:
 
 def exact_correlations(kernel: TransitionKernel, encoding, k_max: int) -> np.ndarray:
     """Exact stationary correlations at distances 1..k_max via transfer matrices."""
-    encoding = np.asarray(encoding, dtype=float)
+    encoding, mean, var = _encoding_moments(kernel, encoding)
     pi, q = kernel.pi, kernel.q
-    mean = float(pi @ encoding)
-    var = float(pi @ (encoding - mean) ** 2)
-    if var <= 0.0:
-        raise ValueError("encoding has zero variance under the stationary law")
     out = np.empty(k_max)
     v = encoding.copy()
     for k in range(1, k_max + 1):

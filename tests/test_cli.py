@@ -254,6 +254,10 @@ class TestContracts:
          "--sweeps", "1", "--replicas", "2", "--seed", "1"],
         # eps_0 lies below the smallest normal float
         ["epsilon0", "--family", "dominating", "--d", "200"],
+        # the exact paths never read these flags, which are still rejected
+        ["covering-min", "--graph", "{k4}", "--matrix", "m1", "--restarts", "-3"],
+        ["local-distance", "--graph-a", "{k4}", "--graph-b", "{k4}", "--r-max", "1",
+         "--k-max", "1", "--samples", "0"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {

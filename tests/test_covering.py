@@ -282,6 +282,14 @@ class TestRigidity:
         with pytest.raises(ValueError):
             rigidity_check(np.full((2, 2, 2), 0.2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_law_rejected(self, bad):
+        law = np.full((2, 2, 2), 0.125)
+        law[1, 0, 1] = bad
+        for joint in (law, np.full((2, 2, 2), bad)):
+            with pytest.raises(ValueError, match="finite"):
+                rigidity_check(joint)
+
 
 def test_aligned_text_table():
     rows = dominating_table(3, 4)

@@ -28,6 +28,11 @@ class TestShannon:
         with pytest.raises(ValueError):
             shannon([1.2, -0.2])
 
+    @pytest.mark.parametrize("dist", [[np.nan, 1.0], [np.inf, 1.0], [np.nan, np.nan]])
+    def test_non_finite_rejected(self, dist):
+        with pytest.raises(ValueError, match="finite"):
+            shannon(dist)
+
     def test_concavity_spot_checks(self):
         rng = np.random.default_rng(0)
         for _ in range(20):

@@ -178,7 +178,7 @@ class TestLawTable:
         kernel = make_walk_kernel(circulant_graph(5, [1]))
         tree = build_tree(3, 4)
         states = sample_bmc_batch(kernel, tree, np.random.default_rng(43), 64)
-        states[tree.children[0], 0] = [0, 1, 0]  # the root's neighborhood is now impossible
+        states[tree.neighbors[0], 0] = [0, 1, 0]  # the root's neighborhood is now impossible
         member = np.zeros(states.shape, dtype=bool)
         member[tree.neighbor_count == 3, 1:] = True  # replica 0 stays asleep
         assert kernel.state_count ** 3 <= min(glauber._LAW_TABLE_MAX, member.sum())

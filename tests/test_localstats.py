@@ -453,6 +453,11 @@ class TestDcn:
             dcn_estimate(g1, g1, 1, 4, coloring_budget=64, samples=0,
                          rng=np.random.default_rng(0))
 
+    def test_exact_mode_checks_samples_too(self):
+        g1 = complete_graph(4)
+        with pytest.raises(ValueError, match="sample"):
+            dcn_estimate(g1, g1, 1, 1, samples=0)
+
     def test_estimate_mode_needs_rng(self):
         g1 = complete_graph(4)
         with pytest.raises(ValueError, match="rng"):

@@ -17,7 +17,7 @@ CHI2_3SIGMA = {1: 9.00, 2: 11.83, 3: 14.16, 4: 16.25, 6: 20.06}
 
 
 def loop_built_tree(d, depth):
-    """Per-vertex construction: parent, depth, neighbor and child tables, level by level."""
+    """Per-vertex construction: parent, depth and neighbor tables, level by level."""
     n = tree_vertex_count(d, depth)
     parent = np.full(n, -1, dtype=np.int64)
     depth_of = np.zeros(n, dtype=np.int64)
@@ -40,7 +40,7 @@ def loop_built_tree(d, depth):
         nbrs = ([] if v == 0 else [int(parent[v])]) + children[v, : child_count[v]].tolist()
         neighbors[v, : len(nbrs)] = nbrs
         neighbor_count[v] = len(nbrs)
-    return parent, depth_of, neighbors, neighbor_count, children, child_count
+    return parent, depth_of, neighbors, neighbor_count
 
 
 def column_count_draw(probs, u, rows):
@@ -72,8 +72,7 @@ class TestBuildTree:
     @pytest.mark.parametrize("depth", [1, 2, 3, 6])
     def test_equals_per_vertex_loop(self, d, depth):
         tree = build_tree(d, depth)
-        arrays = (tree.parent, tree.depth_of, tree.neighbors, tree.neighbor_count,
-                  tree.children, tree.child_count)
+        arrays = (tree.parent, tree.depth_of, tree.neighbors, tree.neighbor_count)
         for got, want in zip(arrays, loop_built_tree(d, depth)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert not got.flags.writeable
@@ -87,15 +86,17 @@ class TestBuildTree:
 
     def test_structure(self):
         tree = build_tree(3, 3)
-        assert tree.child_count[0] == 3
+        assert tree.neighbor_count[0] == 3
         internal = (tree.depth_of > 0) & (tree.depth_of < tree.depth)
-        assert np.all(tree.child_count[internal] == 2)
+        assert np.all(tree.neighbor_count[internal] == 3)
         leaves = tree.depth_of == tree.depth
-        assert np.all(tree.child_count[leaves] == 0)
-        # parent/child tables agree
+        assert np.all(tree.neighbor_count[leaves] == 1)
+        assert np.all(tree.neighbors[leaves, 1:] == tree.n)
+        # parent table and the children read from the neighbor table agree
         for v in range(1, tree.n):
             p = int(tree.parent[v])
-            assert v in tree.children[p, : tree.child_count[p]]
+            assert tree.neighbors[v, 0] == p
+            assert v in tree.neighbors[p, int(p > 0) : tree.neighbor_count[p]]
             assert tree.depth_of[v] == tree.depth_of[p] + 1
         # explicit level-by-level count for d=4, depth=2: 1 + 4 + 12
         t2 = build_tree(4, 2)
@@ -112,10 +113,10 @@ class TestBuildTree:
     def test_tree_distance(self):
         tree = build_tree(3, 3)
         assert tree_distance(tree, 0, 0) == 0
-        child = int(tree.children[0, 0])
-        grand = int(tree.children[child, 0])
+        child = int(tree.neighbors[0, 0])
+        grand = int(tree.neighbors[child, 1])
         assert tree_distance(tree, 0, grand) == 2
-        assert tree_distance(tree, int(tree.children[0, 0]), int(tree.children[0, 1])) == 2
+        assert tree_distance(tree, int(tree.neighbors[0, 0]), int(tree.neighbors[0, 1])) == 2
 
 
     @pytest.mark.parametrize("d, depth", [(3, 1), (3, 6), (4, 4), (7, 2)])
@@ -177,7 +178,7 @@ class TestSampleBmc:
         tree = build_tree(3, 2)
         reps = 40_000
         states = sample_bmc_batch(kernel, tree, np.random.default_rng(4), reps)
-        c1, c2 = int(tree.children[0, 0]), int(tree.children[0, 1])
+        c1, c2 = int(tree.neighbors[0, 0]), int(tree.neighbors[0, 1])
         law1 = np.zeros((2, 2))
         law2 = np.zeros((2, 2))
         np.add.at(law1, (states[0], states[c1]), 1)
@@ -230,8 +231,9 @@ class TestDrawRows:
         cum /= cum[:, -1:]
         u = rng.random(300)
         u[:50] = 0.0
-        u[50:150] = cum[np.arange(50, 150), rng.integers(0, k - 1, size=100)]  # on a cumulative value
-        u[150:200] = np.nextafter(u[50:100], 0.0)
+        # exactly on a cumulative value of the row's own law, then just below one
+        u[50:150] = cum[np.arange(50, 150), rng.integers(0, k - 1, size=100)]
+        u[150:200] = np.nextafter(cum[np.arange(150, 200), rng.integers(0, k - 1, size=50)], 0.0)
         u = np.where(u < 1.0, u, 0.5)
         want = (u[:, None] < cum).argmax(axis=-1)
         assert np.array_equal(_draw_rows(probs, u), want)
@@ -330,6 +332,11 @@ class TestSampleIid:
         with pytest.raises(ValueError):
             sample_iid([0.5, 0.6], tree, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dist", [[np.nan, 1.0], [np.inf, 0.0], [np.nan, np.nan]])
+    def test_non_finite_dist_rejected(self, dist):
+        with pytest.raises(ValueError, match="finite"):
+            sample_iid(dist, build_tree(3, 1), np.random.default_rng(0))
+
 
 class TestExactMarginals:
     def test_ising_edge_entry(self):
@@ -409,6 +416,20 @@ class TestCorrelations:
         with pytest.raises(ValueError):
             estimate_correlation(make_ising(0.3), 2, [1.0, 1.0], 1000,
                                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("encoding", [[0.0, np.nan], [np.inf, 1.0], [0.0, 1.0, 2.0], [1.0]])
+    def test_bad_encoding_rejected_by_both(self, encoding):
+        # the sampled and the exact correlations share one encoding check
+        with pytest.raises(ValueError, match="one finite real per state"):
+            estimate_correlation(make_ising(0.5), 2, encoding, 100, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="one finite real per state"):
+            exact_correlations(make_ising(0.5), encoding, 3)
+        with pytest.raises(ValueError, match="one finite real per state"):
+            classify_correlation_decay(make_ising(0.5), 3, encoding, 3)
+
+    def test_zero_variance_encoding_exact(self):
+        with pytest.raises(ValueError, match="zero variance"):
+            exact_correlations(make_ising(0.3), [2.0, 2.0], 3)
 
     def test_bound_value(self):
         assert local_correlation_bound(1, 3) == pytest.approx((4 / 3) * 2**-0.5, abs=1e-12)

@@ -63,10 +63,16 @@ CASES = [
     " --seed 6",
     "glauber-contraction --kernel potts(17,0.1) --d 3 --depth 4 --sweeps 3 --replicas 200"
     " --seed 6",
+    "glauber-contraction --kernel walk(<tmp>/k4.txt) --d 3 --depth 4 --sweeps 3 --replicas 200"
+    " --seed 7",
     "glauber-converge --kernel uniform(3) --d 3 --depth 4 --sweeps 10 --replicas 200"
     " --seed 5 --csv <tmp>/converge.csv",
     "glauber-converge --kernel ising(0.2) --d 3 --depth 4 --sweeps 3 --replicas 2050"
     " --seed 6 --window-depth 2",
+    "glauber-converge --kernel potts(3,0.3) --d 4 --depth 3 --sweeps 3 --replicas 300"
+    " --seed 7",
+    "glauber-converge --kernel walk(<tmp>/c4.txt) --d 3 --depth 4 --sweeps 3 --replicas 50"
+    " --seed 7",
     "entropy-check --kernel uniform(2) --d 3 --bits",
     "entropy-check --kernel walk(<tmp>/c70.txt) --d 3",
     "counterexample --k 70 --q-deg 4 --d 3",
@@ -96,6 +102,7 @@ def write_inputs(tmp: Path) -> None:
     write_graph(complete_graph(4), tmp / "k4.txt")
     write_graph(complete_bipartite(3, 3), tmp / "k33.txt")
     write_graph(circulant_graph(70, [1, 2]), tmp / "c70.txt")
+    write_graph(circulant_graph(4, [1]), tmp / "c4.txt")
     write_graph(sample_regular_graph(10, 3, True, np.random.default_rng(2)), tmp / "cubic10.txt")
     write_graph(sample_regular_graph(40, 3, True, np.random.default_rng(0)), tmp / "cubic40.txt")
     (tmp / "kernel.txt").write_text("0.7 0.3\n0.3 0.7\n")

@@ -18,8 +18,9 @@ layout of the tree.  The radius-2 maximum of the float labels is two
 self-plus-neighbor max hops, each a pair of block reshapes; exact ties are
 broken toward the smaller index by comparing each vertex with its earlier
 ball members (parent, grandparent, earlier siblings).  When k^d is small the
-conditional laws of all ordered neighbor tuples are tabulated once per sweep
-and looked up by the base-k code of the neighbor states.  Otherwise a woken
+conditional laws of all ordered neighbor tuples are tabulated once per (kernel, d)
+and looked up by the base-k code of the neighbor states; when k^(2d) is small, so
+is the maximal coupling of every ordered pair of codes.  Otherwise a woken
 vertex's law is taken on its column set: the states s with q[s, w] != 0 for its
 first neighbor state w (in a coupled sweep, the union over both copies), in order,
 with zero-weight sentinels as padding.  Zero weights leave the running sums as they
@@ -33,13 +34,15 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ImpossibleConfigurationError
 from .kernels import NeighborConfig, TransitionKernel, _heat_bath_weights, dobrushin_coefficient
-from .trees import (Configuration, RealField, TruncatedTree, _draw_rows, build_tree,
-                    exact_bmc_marginals, sample_bmc_batch, tree_vertex_count)
+from .trees import (Configuration, RealField, TruncatedTree, _count_columns, _cumulate,
+                    _draw_rows, build_tree, exact_bmc_marginals, sample_bmc_batch,
+                    tree_vertex_count)
 
 # Replica block size for the vectorized drivers; fixed so that results are a
 # deterministic function of (arguments, seed).
@@ -48,8 +51,8 @@ _CHUNK = 2048
 # Largest k^(d+1) for which fixed_point_test compares the star law.
 _STAR_MAX = 100_000
 
-# Largest k^d for which a sweep tabulates the conditional law of every ordered
-# neighbor tuple once instead of evaluating one law per woken vertex.
+# Largest k^d for which the sweeps tabulate the law of every ordered neighbor tuple
+# (and k^(2d) for the coupled draw of every pair of tuples) instead of one per vertex.
 _LAW_TABLE_MAX = 4096
 
 
@@ -141,11 +144,13 @@ def conditional_dist(kernel: TransitionKernel, neighbors) -> np.ndarray:
 
     P(s | omega) = pi[s] * prod_u q[s, omega_u], normalized; exchangeable in
     the neighbors.  Raises ImpossibleConfigurationError when omega has
-    probability zero under the chain.
+    probability zero under the chain, and ValueError for a state not in 0..k-1.
     """
-    if isinstance(neighbors, NeighborConfig):
-        neighbors = neighbors.states
-    w = _heat_bath_weights(kernel, neighbors)
+    states = np.asarray(neighbors.states if isinstance(neighbors, NeighborConfig) else neighbors)
+    k = kernel.state_count
+    if states.size and (states.dtype.kind not in "iu" or not 0 <= states.min() <= states.max() < k):
+        raise ValueError(f"neighbor states must be integers in 0..{k - 1}")
+    w = _heat_bath_weights(kernel, states)
     total = w.sum()
     if total <= 0.0:
         raise ImpossibleConfigurationError(
@@ -169,43 +174,70 @@ def _dense(w: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     return dense[:, :k]
 
 
+def _laws(kernel: TransitionKernel, nbr_states: np.ndarray, cols=None):
+    """Laws of (m, d) neighbor states on ``cols`` (None: all k), and zero-total flags."""
+    k, (q_t, pi_t) = kernel.state_count, kernel.column_sets[1:]
+    at, nbr = (slice(k), nbr_states) if cols is None else (cols, nbr_states[:, :, None])
+    w = q_t[nbr[:, 0], at]
+    for j in range(1, nbr_states.shape[1]):  # the neighbors in order, as np.prod takes them
+        w = w * q_t[nbr[:, j], at]
+    w = pi_t[at] * w
+    totals = w.sum(axis=1) if cols is None else _row_sums(w, cols, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return w / totals[:, None], totals <= 0.0
+
+
+def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
+    """Read-only tables over the K = k^d neighbor codes, kept per d on the kernel: ``zero``
+    flags, ``laws`` and cumulative laws ``cum``, and if K^2 <= _LAW_TABLE_MAX, ``pair`` over
+    codes a*K + b (overlap mass, cumulative overlap and residual laws, lost-overlap flags),
+    each row bit for bit as ``_coupled_draw`` computes it from laws a and b."""
+    if d not in kernel.code_tables:
+        laws, zero = _laws(kernel, np.indices((kernel.state_count,) * d).reshape(d, -1).T)
+        with np.errstate(divide="ignore", invalid="ignore"):  # nan rows: zero-total codes, no overlap
+            tables = SimpleNamespace(zero=zero, laws=laws, cum=_cumulate(laws), pair=None)
+            if laws.shape[0] ** 2 <= _LAW_TABLE_MAX:
+                pa, pb = np.repeat(laws, laws.shape[0], axis=0), np.tile(laws, (laws.shape[0], 1))
+                common = np.minimum(pa, pb)
+                ra, rb = pa - common, pb - common
+                sa, sb = ra.sum(axis=1), rb.sum(axis=1)
+                dead = (sa <= 0.0) | (sb <= 0.0)  # an exact overlap: both draw from pa
+                ra[dead] = rb[dead] = pa[dead]
+                sa[dead] = sb[dead] = pa[dead].sum(axis=1)
+                c = common.sum(axis=1)
+                cums = (_cumulate(r / s[:, None]) for r, s in ((common, c), (ra, sa), (rb, sb)))
+                tables.pair = (c, *cums, dead)
+        for a in (zero, laws, tables.cum, *(tables.pair or ())):
+            a.setflags(write=False)
+        kernel.code_tables[d] = tables
+    return kernel.code_tables[d]
+
+
 def _woken_laws(states: np.ndarray, v_idx: np.ndarray, r_idx: np.ndarray,
                 tree: TruncatedTree, kernel: TransitionKernel, cols=None):
     """Conditional laws of the woken (vertex, replica) pairs, as (laws, rows, cols).
 
-    Without ``cols``, when k^d is at most _LAW_TABLE_MAX and at most the number of
-    woken pairs, ``laws`` holds the law of every ordered neighbor tuple and pair i
-    uses row ``rows[i]``, the base-k code of its neighbor states; otherwise row i
-    is pair i's law on the states ``cols[i]`` (the given sets, else its own; None
-    is all k states).  Both evaluate the same expression per entry, bit for bit.
+    Without ``cols``, when k^d is at most _LAW_TABLE_MAX, ``laws`` is the law table
+    of ``_code_tables`` and pair i uses row ``rows[i]``, the base-k code of its
+    neighbor states; otherwise row i is pair i's law on the states ``cols[i]`` (the
+    given sets, else its own; None is all k states).  Both evaluate the same
+    expression per entry, bit for bit.
     """
     k, d = kernel.state_count, tree.d
     nbr_states = states[tree.neighbors[v_idx], r_idx[:, None]]  # (m, d)
-    sets, q_t, pi_t = kernel.column_sets
-    rows = None
-    if cols is None and k**d <= min(_LAW_TABLE_MAX, v_idx.size):
-        rows = nbr_states @ k ** np.arange(d - 1, -1, -1)
-        nbr_states = np.indices((k,) * d).reshape(d, -1).T
-    elif cols is None and sets.shape[1] < k:
-        cols = sets[nbr_states[:, 0]]
-    at, nbr = (slice(k), nbr_states) if cols is None else (cols, nbr_states[:, :, None])
-    w = q_t[nbr[:, 0], at]
-    for j in range(1, d):  # the product over the neighbors in order, as np.prod takes it
-        w = w * q_t[nbr[:, j], at]
-    w = pi_t[at] * w
-    totals = w.sum(axis=1) if cols is None else _row_sums(w, cols, k)
-    if np.any((totals if rows is None else totals[rows]) <= 0.0):
+    if cols is None and k**d <= _LAW_TABLE_MAX:
+        tables, rows = _code_tables(kernel, d), nbr_states @ k ** np.arange(d - 1, -1, -1)
+        laws, zero = tables.laws, tables.zero[rows]
+    else:
+        sets, rows = kernel.column_sets[0], None
+        if cols is None and sets.shape[1] < k:
+            cols = sets[nbr_states[:, 0]]
+        laws, zero = _laws(kernel, nbr_states, cols)
+    if zero.any():
         raise ImpossibleConfigurationError(
             "a woken vertex saw a neighbor configuration of probability zero"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):  # unwoken impossible codes
-        return w / totals[:, None], rows, cols
-
-
-def _pair_laws(states, v_idx, r_idx, tree, kernel, cols) -> np.ndarray:
-    """One law per woken pair: its row of the law table, or its law on ``cols``."""
-    laws, rows, _ = _woken_laws(states, v_idx, r_idx, tree, kernel, cols)
-    return laws if rows is None else laws[rows]
+    return laws, rows, cols
 
 
 def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
@@ -223,7 +255,8 @@ def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKer
     v_idx, r_idx = _waking_sites(tree, rng.random(states.shape))
     if v_idx.size:
         laws, rows, cols = _woken_laws(states, v_idx, r_idx, tree, kernel)
-        x = _draw_rows(laws, rng.random(v_idx.size), rows)
+        cum = _cumulate(laws) if rows is None else _code_tables(kernel, tree.d).cum
+        x = _count_columns(cum, rng.random(v_idx.size), rows)
         states[v_idx, r_idx] = x if cols is None else cols[np.arange(x.size), x]
 
 
@@ -321,17 +354,28 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
 
     A single label draw selects one shared waking set; each member is
     resampled through the maximal coupling of its two conditional laws,
-    independently across members.
+    independently across members (by the pair table's rows when it exists).
     """
     v_idx, r_idx = _waking_sites(tree, rng.random(sa.shape))
     k, sets, cols = kernel.state_count, kernel.column_sets[0], None
-    if sets.shape[1] < k and k**tree.d > min(_LAW_TABLE_MAX, v_idx.size):
+    if sets.shape[1] < k and k**tree.d > _LAW_TABLE_MAX:
         first = tree.neighbors[v_idx, 0]  # both laws go on the union of the copies' sets
         cols = np.sort(np.hstack([sets[sa[first, r_idx]], sets[sb[first, r_idx]]]), axis=1)
         cols[:, 1:][cols[:, 1:] == cols[:, :-1]] = k  # a repeat becomes a sentinel
-    pa = _pair_laws(sa, v_idx, r_idx, tree, kernel, cols)
-    pb = _pair_laws(sb, v_idx, r_idx, tree, kernel, cols)
-    sa[v_idx, r_idx], sb[v_idx, r_idx] = _coupled_draw(pa, pb, rng, cols, k)
+    (pa, rows_a, _), (pb, rows_b, _) = (_woken_laws(s, v_idx, r_idx, tree, kernel, cols)
+                                        for s in (sa, sb))
+    pair = None if rows_a is None else _code_tables(kernel, tree.d).pair
+    if pair is None:
+        pa, pb = (pa, pb) if rows_a is None else (pa[rows_a], pb[rows_b])
+        sa[v_idx, r_idx], sb[v_idx, r_idx] = _coupled_draw(pa, pb, rng, cols, k)
+        return
+    c, overlap, res_a, res_b, dead = pair
+    code = rows_a * pa.shape[0] + rows_b
+    u_branch, u_draw, u_draw_b = rng.random((3, code.size))
+    same = u_branch < c[code]
+    xa = np.where(same, _count_columns(overlap, u_draw, code), _count_columns(res_a, u_draw, code))
+    sb[v_idx, r_idx] = np.where(same | dead[code], xa, _count_columns(res_b, u_draw_b, code))
+    sa[v_idx, r_idx] = xa
 
 
 @dataclass(frozen=True)

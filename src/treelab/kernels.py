@@ -84,6 +84,11 @@ class TransitionKernel:
             a.setflags(write=False)
         return out
 
+    @functools.cached_property
+    def code_tables(self) -> dict:
+        """Per-degree law tables of the Glauber sweeps, filled by ``glauber._code_tables``."""
+        return {}
+
 
 @dataclass(frozen=True)
 class NeighborConfig:

@@ -9,7 +9,7 @@ from treelab.glauber import (CoupledPair, _coupled_sweep_states, _member_weights
                              _waking_mask, conditional_dist, converge_from_iid, coupled_sweep,
                              estimate_hamming_decay, fixed_point_test, glauber_sweep,
                              maximal_coupling, wake_probability, waking_set)
-from treelab.graphs import circulant_graph
+from treelab.graphs import circulant_graph, complete_graph
 from treelab.kernels import (NeighborConfig, TransitionKernel, make_ising, make_potts,
                              make_walk_kernel, uniform_kernel)
 from treelab.trees import (Configuration, RealField, _draw_rows, build_tree, sample_bmc,
@@ -131,6 +131,15 @@ class TestConditionalDist:
         identity = TransitionKernel(q=[[1.0, 0.0], [0.0, 1.0]], pi=[0.5, 0.5])
         with pytest.raises(ImpossibleConfigurationError):
             conditional_dist(identity, [0, 1])
+
+    @pytest.mark.parametrize("neighbors", [[-1], [0.5], [2], [0, 1, 2], np.array([1.0, 0.0])])
+    def test_states_outside_the_kernel_rejected(self, neighbors):
+        with pytest.raises(ValueError, match="integers in 0..1"):
+            conditional_dist(make_ising(0.2), neighbors)
+
+    def test_integer_arrays_accepted(self):
+        out = conditional_dist(make_ising(0.2), np.array([1, 0, 0], dtype=np.uint8))
+        assert out[0] == pytest.approx(0.6, abs=1e-12)
 
 
 def per_member_laws(states, member, tree, kernel):
@@ -292,7 +301,7 @@ class TestColumnSets:
         for states in (sa, sb):
             dense = per_member_laws(states, member, tree, kernel)
             assert np.array_equal(_member_weights(states, member, tree, kernel)[2], dense)
-            laws = glauber._pair_laws(states, v_idx, r_idx, tree, kernel, cols)
+            laws = glauber._woken_laws(states, v_idx, r_idx, tree, kernel, cols)[0]
             assert np.array_equal(scatter(laws, cols, k), dense)
             if name == "walk70":  # rows of four terms take the dense-sum fallback
                 assert (np.count_nonzero(dense, axis=1) > 2).any()
@@ -373,6 +382,68 @@ class TestColumnSets:
         with pytest.raises(ImpossibleConfigurationError), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # walk70 is outside the Dobrushin regime
             converge_from_iid(kernel, 3, 5, 2, 32, rng)
+
+
+def k4_walk():
+    """Walk on K4: zero diagonal, so overlaps of two laws can vanish."""
+    return make_walk_kernel(complete_graph(4))
+
+
+PAIR_TABLE_CASES = {"ising0.25": (make_ising(0.25), 3), "ising-0.6": (make_ising(-0.6), 3),
+                    "potts3": (make_potts(3, 0.4), 3), "k4walk": (k4_walk(), 3),
+                    "ising-d6": (make_ising(0.1), 6)}
+
+
+class TestPairTable:
+    @pytest.mark.parametrize("case", PAIR_TABLE_CASES)
+    @pytest.mark.parametrize("start", ["independent", "identical", "iid"])
+    def test_sweeps_equal_dense_sweeps(self, case, start):
+        kernel, d = PAIR_TABLE_CASES[case]
+        assert glauber._code_tables(kernel, d).pair is not None  # K^2 <= _LAW_TABLE_MAX
+        tree = build_tree(d, 6 if d == 3 else 4)
+        rng = np.random.default_rng(80 + d)
+        sa = sample_bmc_batch(kernel, tree, rng, 64)
+        sb = {"independent": lambda: sample_bmc_batch(kernel, tree, rng, 64),
+              "identical": sa.copy,
+              "iid": lambda: rng.integers(0, kernel.state_count, size=sa.shape)}[start]()
+        new, ref = [sa.copy(), sb.copy()], [sa.copy(), sb.copy()]
+        new_rng, ref_rng = np.random.default_rng(81), np.random.default_rng(81)
+        for _ in range(6):
+            _coupled_sweep_states(*new, tree, kernel, new_rng)
+            dense_coupled_sweep(*ref, tree, kernel, ref_rng)
+            assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+        if start == "identical":
+            assert np.array_equal(*new)
+        for _ in range(3):
+            for i in range(2):
+                _sweep_states(new[i], tree, kernel, new_rng)
+                dense_sweep(ref[i], tree, kernel, ref_rng)
+                assert np.array_equal(new[i], ref[i])
+        assert new_rng.random() == ref_rng.random()
+
+    def test_zero_code_woken_in_one_copy_raises(self):
+        # the walk on the 4-cycle is bipartite: no state is adjacent to both 0 and 1,
+        # so i.i.d. states wake zero-total codes, and chain samples never do
+        kernel, tree = make_walk_kernel(circulant_graph(4, [1])), build_tree(3, 4)
+        assert glauber._code_tables(kernel, 3).zero.any()
+        assert glauber._code_tables(kernel, 3).pair is not None
+        rng = np.random.default_rng(82)
+        chain = sample_bmc_batch(kernel, tree, rng, 64)
+        iid = rng.integers(0, 4, size=chain.shape)
+        for pair in ((chain, iid), (iid, chain)):
+            with pytest.raises(ImpossibleConfigurationError):
+                _coupled_sweep_states(*(s.copy() for s in pair), tree, kernel, rng)
+        _coupled_sweep_states(chain, sample_bmc_batch(kernel, tree, rng, 64), tree, kernel, rng)
+
+    def test_tables_built_once_per_kernel_and_degree(self):
+        kernel = make_potts(3, 0.4)
+        tables = glauber._code_tables(kernel, 3)
+        assert glauber._code_tables(kernel, 3) is tables
+        deeper = glauber._code_tables(kernel, 4)
+        assert deeper is not tables and deeper.laws.shape == (81, 3) and deeper.pair is None
+        assert glauber._code_tables(make_potts(3, 0.4), 3) is not tables
+        for a in (tables.zero, tables.laws, tables.cum, *tables.pair, deeper.cum):
+            assert not a.flags.writeable
 
 
 class TestGlauberSweep:

@@ -144,12 +144,12 @@ def conditional_dist(kernel: TransitionKernel, neighbors) -> np.ndarray:
 
     P(s | omega) = pi[s] * prod_u q[s, omega_u], normalized; exchangeable in
     the neighbors.  Raises ImpossibleConfigurationError when omega has
-    probability zero under the chain, and ValueError for a state not in 0..k-1.
+    probability zero under the chain, ValueError unless omega lists ints in 0..k-1.
     """
     states = np.asarray(neighbors.states if isinstance(neighbors, NeighborConfig) else neighbors)
-    k = kernel.state_count
-    if states.size and (states.dtype.kind not in "iu" or not 0 <= states.min() <= states.max() < k):
-        raise ValueError(f"neighbor states must be integers in 0..{k - 1}")
+    if states.ndim != 1 or states.size and (states.dtype.kind not in "iu" or states.min() < 0
+                                            or states.max() >= kernel.state_count):
+        raise ValueError(f"neighbor states must be integers in 0..{kernel.state_count - 1}")
     w = _heat_bath_weights(kernel, states)
     total = w.sum()
     if total <= 0.0:

@@ -132,7 +132,8 @@ class TestConditionalDist:
         with pytest.raises(ImpossibleConfigurationError):
             conditional_dist(identity, [0, 1])
 
-    @pytest.mark.parametrize("neighbors", [[-1], [0.5], [2], [0, 1, 2], np.array([1.0, 0.0])])
+    @pytest.mark.parametrize("neighbors", [[-1], [0.5], [2], [0, 1, 2], np.array([1.0, 0.0]),
+                                           [[0, 1], [1, 1]], 1])
     def test_states_outside_the_kernel_rejected(self, neighbors):
         with pytest.raises(ValueError, match="integers in 0..1"):
             conditional_dist(make_ising(0.2), neighbors)

@@ -245,6 +245,40 @@ def dense_coupled_sweep(sa, sb, tree, kernel, rng):
                                                     per_member_laws(sb, member, tree, kernel), rng)
 
 
+class HighBranch:
+    """A generator whose coupled-draw blocks, (3, m), carry the largest float below 1 as
+    every branch uniform: each pair with overlap mass below 1 takes the residual branch,
+    and pairs whose overlap is exact lose it to roundoff."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def random(self, size=None):
+        u = self.rng.random(size)
+        if np.ndim(u) == 2 and u.shape[0] == 3:
+            u[0] = np.nextafter(1.0, 0.0)
+        return u
+
+
+def check_sweeps_equal_dense(kernel, tree, sa, sb, seed, generator=np.random.default_rng):
+    """Four coupled, then four plain sweeps of each copy, equal the dense sweeps bit for
+    bit and leave the generator in the same state; a pair that starts equal stays equal."""
+    identical = np.array_equal(sa, sb)
+    new, ref = [sa.copy(), sb.copy()], [sa.copy(), sb.copy()]
+    new_rng, ref_rng = generator(seed), generator(seed)
+    for _ in range(4):
+        _coupled_sweep_states(*new, tree, kernel, new_rng)
+        dense_coupled_sweep(*ref, tree, kernel, ref_rng)
+        assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
+    assert np.array_equal(*new) or not identical
+    for _ in range(4):
+        for i in range(2):
+            _sweep_states(new[i], tree, kernel, new_rng)
+            dense_sweep(ref[i], tree, kernel, ref_rng)
+            assert np.array_equal(new[i], ref[i])
+    assert new_rng.random() == ref_rng.random()
+
+
 def walk70():
     return make_walk_kernel(circulant_graph(70, [1, 2]))
 
@@ -316,20 +350,7 @@ class TestColumnSets:
         rng = np.random.default_rng(60 + d)
         sa = sample_bmc_batch(kernel, tree, rng, 64)
         sb = sample_bmc_batch(kernel, tree, rng, 64) if pairing == "independent" else sa.copy()
-        new, ref = [sa.copy(), sb.copy()], [sa.copy(), sb.copy()]
-        new_rng, ref_rng = np.random.default_rng(61), np.random.default_rng(61)
-        for _ in range(4):
-            _coupled_sweep_states(*new, tree, kernel, new_rng)
-            dense_coupled_sweep(*ref, tree, kernel, ref_rng)
-            assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
-        if pairing == "identical":
-            assert np.array_equal(*new)
-        for _ in range(4):
-            for i in range(2):
-                _sweep_states(new[i], tree, kernel, new_rng)
-                dense_sweep(ref[i], tree, kernel, ref_rng)
-                assert np.array_equal(new[i], ref[i])
-        assert new_rng.random() == ref_rng.random()
+        check_sweeps_equal_dense(kernel, tree, sa, sb, 61)
 
     @pytest.mark.parametrize("k", [9, 23, 70])
     def test_row_sums_equal_dense_sums(self, k):
@@ -407,20 +428,17 @@ class TestPairTable:
         sb = {"independent": lambda: sample_bmc_batch(kernel, tree, rng, 64),
               "identical": sa.copy,
               "iid": lambda: rng.integers(0, kernel.state_count, size=sa.shape)}[start]()
-        new, ref = [sa.copy(), sb.copy()], [sa.copy(), sb.copy()]
-        new_rng, ref_rng = np.random.default_rng(81), np.random.default_rng(81)
-        for _ in range(6):
-            _coupled_sweep_states(*new, tree, kernel, new_rng)
-            dense_coupled_sweep(*ref, tree, kernel, ref_rng)
-            assert np.array_equal(new[0], ref[0]) and np.array_equal(new[1], ref[1])
-        if start == "identical":
-            assert np.array_equal(*new)
-        for _ in range(3):
-            for i in range(2):
-                _sweep_states(new[i], tree, kernel, new_rng)
-                dense_sweep(ref[i], tree, kernel, ref_rng)
-                assert np.array_equal(new[i], ref[i])
-        assert new_rng.random() == ref_rng.random()
+        check_sweeps_equal_dense(kernel, tree, sa, sb, 81)
+
+    @pytest.mark.parametrize("case", ["ising-0.6", "ising-d6"])
+    def test_lost_overlaps_equal_dense_sweeps(self, case):
+        kernel, d = PAIR_TABLE_CASES[case]
+        c, *_, dead = glauber._code_tables(kernel, d).pair
+        assert (dead & (c < 1.0)).any()  # exact overlaps that can lose the lottery
+        tree = build_tree(d, 6 if d == 3 else 4)
+        rng = np.random.default_rng(83)
+        sa, sb = (sample_bmc_batch(kernel, tree, rng, 64) for _ in range(2))
+        check_sweeps_equal_dense(kernel, tree, sa, sb, 84, HighBranch)
 
     def test_zero_code_woken_in_one_copy_raises(self):
         # the walk on the 4-cycle is bipartite: no state is adjacent to both 0 and 1,

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -719,3 +720,60 @@ class TestDrivers:
         b = estimate_hamming_decay(make_ising(0.2), 3, 4, 5, 300, np.random.default_rng(22))
         assert np.array_equal(a.mean_distance, b.mean_distance)
         assert a.rate == b.rate
+
+
+FINGERPRINT_KERNELS = {  # name: (kernel, degrees at which i.i.d. states wake no impossible code)
+    "ising0.25": (make_ising(0.25), (3, 4)), "ising-0.6": (make_ising(-0.6), (3, 4)),
+    "potts3": (make_potts(3, 0.4), (3, 4)), "k4walk": (k4_walk(), (3,)),
+    "cycle5": (make_walk_kernel(circulant_graph(5, [1])), ()), "walk70": (walk70(), ()),
+}
+
+# sha256 digests of ``sweep_fingerprint``, recorded once from the sweeps as they stood
+# before the one-pass waking maximum; any change to a draw, a state or the order of the
+# generator's uniforms changes them
+SWEEP_DIGESTS = {
+    ('ising0.25', 3): "3b7c04fe000b882b9099085d0b34afe4750f4c3600f7d6cc19d1ebac97f47e03",
+    ('ising0.25', 4): "3376f1852351e9158b07948022450f5afea75e87574eeee3c0f9ee037faaa3e8",
+    ('ising-0.6', 3): "db82aaafea725eadb8a06126c18d1578e540dba294a0ef45b8399a0f984f972b",
+    ('ising-0.6', 4): "1a261378a33580cb54f821dfcb5bb1a6db1db6b75789043e1dd3ec39226a28ee",
+    ('potts3', 3): "16ba3d33d0eadf29b77f80f59f749d5874505da8b55a8bc36c208428a0844aeb",
+    ('potts3', 4): "2d5458fd646eb4a4a7b93666496014d36a708134058e89ad58a76180bad2364d",
+    ('k4walk', 3): "271d3b9610eae8ed84234151013ff4b1bb0b9e181146b3aceadd52bf568f2c8c",
+    ('k4walk', 4): "08a2dea28bc403e53e906146fdecef2fed826076b93562fe57798d174f80269d",
+    ('cycle5', 3): "81b19e050ddbf3c94b57f39f48ec8bc58c3efcb708c81682e5d28cb00c1ff531",
+    ('cycle5', 4): "0d769c2e741a2349e2d4edb6ef43b063ea01b4cd1f4ecc6df1781517cccc52f3",
+    ('walk70', 3): "eb063df1639fc230dc99b0cf555b7022d13a8b7f71ae3e89190a5eae1f0e7916",
+    ('walk70', 4): "0a7582ccd514bb501ccebc8dbe50dbaa131b0477108ae87b90417d3140edb232",
+}
+
+
+def sweep_fingerprint(kernel, d, iid):
+    """Digest of fixed-seed runs at depths 1, 2, 4 and 8 with 1, 3 and 64 replicas, from
+    independent and identical chain starts (and i.i.d. states when ``iid``): the states
+    after each of two coupled sweeps and of one plain sweep per copy, then the next draw."""
+    digest = hashlib.sha256()
+    for depth in (1, 2, 4, 8):
+        tree = build_tree(d, depth)
+        for reps in (1, 3, 64):
+            for start in ("independent", "identical", "iid")[: 3 if iid else 2]:
+                rng = np.random.default_rng([d, depth, reps, len(start)])
+                sa = sample_bmc_batch(kernel, tree, rng, reps)
+                sb = {"independent": lambda: sample_bmc_batch(kernel, tree, rng, reps),
+                      "identical": sa.copy,
+                      "iid": lambda: rng.integers(0, kernel.state_count, size=sa.shape)}[start]()
+                for _ in range(2):
+                    _coupled_sweep_states(sa, sb, tree, kernel, rng)
+                    digest.update(sa.tobytes() + sb.tobytes())
+                for states in (sa, sb):
+                    _sweep_states(states, tree, kernel, rng)
+                    digest.update(states.tobytes())
+                digest.update(np.float64(rng.random()).tobytes())
+    return digest.hexdigest()
+
+
+class TestSweepFingerprint:
+    @pytest.mark.parametrize("name", FINGERPRINT_KERNELS)
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_sweeps_match_recorded_digest(self, name, d):
+        kernel, iid_degrees = FINGERPRINT_KERNELS[name]
+        assert sweep_fingerprint(kernel, d, d in iid_degrees) == SWEEP_DIGESTS[name, d]

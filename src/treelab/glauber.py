@@ -14,24 +14,25 @@ and all reported statistics are read off an interior window (depth <= R/2 by
 default) to quarantine boundary effects of the truncation.
 
 The sweep works on (n, R) blocks of replicas and leans on the breadth-first
-layout of the tree.  The radius-2 maximum of the float labels is two
-self-plus-neighbor max hops, each a pair of block reshapes; exact ties are
-broken toward the smaller index by comparing each vertex with its earlier
-ball members (parent, grandparent, earlier siblings).  When k^d is small the
-conditional laws of all ordered neighbor tuples are tabulated once per (kernel, d)
-and looked up by the base-k code of the neighbor states; when k^(2d) is small, so
-is the maximal coupling of every ordered pair of codes.  Otherwise a woken
-vertex's law is taken on its column set: the states s with q[s, w] != 0 for its
-first neighbor state w (in a coupled sweep, the union over both copies), in order,
-with zero-weight sentinels as padding.  Zero weights leave the running sums as they
-are wherever they sit; a sum of at most two nonzero terms rounds alike in any
-grouping, and longer rows are summed by numpy as dense rows.  So all of this gives
-bitwise the same draws as evaluating the definitions one site at a time.
+layout of the tree.  The radius-2 maximum of the float labels is one pass of
+block reshapes and pairwise maxima over the vertices that can wake; exact ties
+are broken toward the smaller index by comparing each vertex with its earlier
+ball members (parent, grandparent, earlier siblings).  Woken sites are row-major
+flat indices v*R + r of the block.  When k^d is small the conditional laws of
+all ordered neighbor tuples are tabulated once per (kernel, d) and looked up by
+the base-k code of the neighbor states, formed by block arithmetic; when k^(2d)
+is small, so is the maximal coupling of every ordered pair of codes.  Otherwise
+a woken vertex's law is taken on its column set: the states s with q[s, w] != 0
+for its first neighbor state w (in a coupled sweep, the union over both copies),
+in order, with zero-weight sentinels as padding.  Zero weights leave the running
+sums as they are wherever they sit; a sum of at most two nonzero terms rounds
+alike in any grouping, and longer rows are summed by numpy as dense rows.  So
+all of this gives bitwise the same draws as evaluating the definitions one site
+at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -70,38 +71,50 @@ class WakingSet:
     density: float
 
 
-def _closed_max(tree: TruncatedTree, x: np.ndarray) -> np.ndarray:
-    """Max of an (n, R) block over each vertex and its neighbors.
+def _ball_max(tree: TruncatedTree, labels: np.ndarray) -> np.ndarray:
+    """Maxima of an (n, R) label block over the radius-2 ball of each vertex of depth < R.
 
-    Uses the breadth-first layout: the children of every non-root vertex of
-    depth < R form one block of d-1 consecutive rows, so both directions are
-    block reshapes, with no index gather.
+    The children of each non-root vertex of depth < R are one block of d-1 rows,
+    so each step is a block reshape with pairwise maxima.  ``low`` is the maximum
+    over a vertex and its children; a ball adds ``low`` of the children, ``low``
+    of the parent and the grandparent's label (``up`` holds the last two).
     """
-    d, internal = tree.d, tree_vertex_count(tree.d, tree.depth - 1)
-    out = x.copy()
-    kids = x[d + 1 :].reshape((internal - 1, d - 1) + x.shape[1:])
-    for j in range(d - 1):
-        np.maximum(out[1:internal], kids[:, j], out=out[1:internal])
-    np.maximum(out[0], x[1 : d + 1].max(axis=0), out=out[0])
-    np.maximum(out[1 : d + 1], x[0], out=out[1 : d + 1])
-    out_kids = out[d + 1 :].reshape(kids.shape)
-    np.maximum(out_kids, x[1:internal, None], out=out_kids)
-    return out
+    d, reps = tree.d, labels.shape[1]
+    internal, inner, core = (tree_vertex_count(d, tree.depth - i) if tree.depth >= i else 0
+                             for i in (1, 2, 3))  # vertices of depth < R, R-1 and R-2
+    kids = labels[d + 1 :].reshape(internal - 1, d - 1, reps)  # children of 1, 2, ...
+    low = np.empty_like(labels[:internal])
+    low[0] = labels[: d + 1].max(axis=0)
+    np.maximum(labels[1:internal], kids[:, 0], out=low[1:])
+    for j in range(1, d - 1):
+        np.maximum(low[1:], kids[:, j], out=low[1:])
+    ball = np.empty_like(low)
+    np.maximum(low[1 : d + 1], low[0], out=ball[1 : d + 1])
+    ball[0] = low[: d + 1].max(axis=0)
+    if inner > 1:  # vertices of depth >= 2 that can wake, children of 1, 2, ...
+        up = np.empty_like(low[1:inner])
+        np.maximum(low[1 : d + 1], labels[0], out=up[:d])
+        up_kids = up[d:].reshape(-1, d - 1, reps)
+        np.maximum(low[d + 1 : inner].reshape(up_kids.shape), labels[1:core, None], out=up_kids)
+        low_kids = low[d + 1 :].reshape(inner - 1, d - 1, reps)
+        np.maximum(low_kids, up[:, None], out=ball[d + 1 :].reshape(low_kids.shape))
+        for j in range(d - 1):
+            np.maximum(ball[1:inner], low_kids[:, j], out=ball[1:inner])
+    return ball
 
 
-def _waking_sites(tree: TruncatedTree, labels: np.ndarray):
-    """Row-major (vertex, replica) indices of the waking set of an (n, R) label block.
+def _waking_sites(tree: TruncatedTree, labels: np.ndarray) -> np.ndarray:
+    """Row-major flat indices v*R + r of the waking set of an (n, R) label block.
 
-    Two self-plus-neighbor max hops give each vertex the float maximum of its
-    radius-2 ball; a vertex with all d neighbors (in breadth-first numbering,
-    the vertices of depth < R, which come first) wakes when its label equals
-    it, unless an earlier member of its ball carries the same label (the
-    smallest-index tie rule).  The earlier members are the parent, the
-    grandparent and the earlier siblings, compared block by block.
+    A vertex with all d neighbors (in breadth-first numbering, the vertices
+    of depth < R, which come first) wakes when its label equals the float
+    maximum of its radius-2 ball (``_ball_max``), unless an earlier member of
+    its ball carries the same label (the smallest-index tie rule).  The
+    earlier members are the parent, the grandparent and the earlier siblings,
+    compared block by block.
     """
     reps = labels.shape[1]
     d, internal = tree.d, tree_vertex_count(tree.d, tree.depth - 1)
-    ball_max = _closed_max(tree, _closed_max(tree, labels))
     tie = np.zeros((internal, reps), dtype=bool)
     for j in range(1, min(d + 1, internal)):  # the root's children
         tie[j] = (labels[:j] == labels[j]).any(axis=0)
@@ -112,16 +125,14 @@ def _waking_sites(tree: TruncatedTree, labels: np.ndarray):
         kid = blocks[:, j]
         hit = (kid == par) | (kid == gpar) | (kid == blocks[:, :j].transpose(1, 0, 2)).any(axis=0)
         tie[d + 1 + j : internal : d - 1] = hit
-    flat = np.flatnonzero((labels[:internal] == ball_max[:internal]) & ~tie)
-    v_idx = flat // reps
-    return v_idx, flat - v_idx * reps
+    return np.flatnonzero((labels[:internal] == _ball_max(tree, labels)) & ~tie)
 
 
 def _waking_mask(tree: TruncatedTree, labels: np.ndarray) -> np.ndarray:
-    """(n, R) membership flags of the waking set: ball maxima by float max hops,
+    """(n, R) membership flags of the waking set: radius-2 ball maxima in one pass,
     ties to the smaller index by the earlier-member check of ``_waking_sites``."""
     member = np.zeros(labels.shape, dtype=bool)
-    member[_waking_sites(tree, labels)] = True
+    np.put(member, _waking_sites(tree, labels), True)
     return member
 
 
@@ -132,9 +143,13 @@ def waking_set(tree: TruncatedTree, labels: RealField) -> WakingSet:
     radius-2 truncated ball (exact ties, a measure-zero event, are broken
     toward the smaller vertex index) and it has all d neighbors.  Members are
     pairwise at tree distance >= 3.  Computed as the label equalling the float
-    maximum of its ball, with no earlier ball member (parent, grandparent or
-    earlier sibling) carrying the same label.
+    maximum of its ball, taken in one pass of block maxima, with no earlier
+    ball member (parent, grandparent or earlier sibling) carrying the same
+    label.  Labels of +-inf order as usual.  A NaN label raises ValueError:
+    the maxima carry it into every ball it lies in, and no label equals it.
     """
+    if np.isnan(labels.values).any():
+        raise ValueError("labels must not be NaN")
     member = _waking_mask(tree, labels.values[:, None])[:, 0]
     return WakingSet(tree, member, float(member.mean()))
 
@@ -189,46 +204,62 @@ def _laws(kernel: TransitionKernel, nbr_states: np.ndarray, cols=None):
 
 def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
     """Read-only tables over the K = k^d neighbor codes, kept per d on the kernel: ``zero``
-    flags, ``laws`` and cumulative laws ``cum``, and if K^2 <= _LAW_TABLE_MAX, ``pair`` over
-    codes a*K + b (overlap mass, cumulative overlap and residual laws, lost-overlap flags),
-    each row bit for bit as ``_coupled_draw`` computes it from laws a and b."""
+    flags, ``laws`` and cumulative laws ``cum``, and if K^2 <= _LAW_TABLE_MAX, ``pair``, the
+    ``_pair_rows`` of laws a and b at row a*K + b."""
     if d not in kernel.code_tables:
         laws, zero = _laws(kernel, np.indices((kernel.state_count,) * d).reshape(d, -1).T)
-        with np.errstate(divide="ignore", invalid="ignore"):  # nan rows: zero-total codes, no overlap
-            tables = SimpleNamespace(zero=zero, laws=laws, cum=_cumulate(laws), pair=None)
-            if laws.shape[0] ** 2 <= _LAW_TABLE_MAX:
-                pa, pb = np.repeat(laws, laws.shape[0], axis=0), np.tile(laws, (laws.shape[0], 1))
-                common = np.minimum(pa, pb)
-                ra, rb = pa - common, pb - common
-                sa, sb = ra.sum(axis=1), rb.sum(axis=1)
-                dead = (sa <= 0.0) | (sb <= 0.0)  # an exact overlap: both draw from pa
-                ra[dead] = rb[dead] = pa[dead]
-                sa[dead] = sb[dead] = pa[dead].sum(axis=1)
-                c = common.sum(axis=1)
-                cums = (_cumulate(r / s[:, None]) for r, s in ((common, c), (ra, sa), (rb, sb)))
-                tables.pair = (c, *cums, dead)
+        tables = SimpleNamespace(zero=zero, laws=laws, cum=_cumulate(laws), pair=None)
+        if laws.shape[0] ** 2 <= _LAW_TABLE_MAX:  # nan rows: zero-total codes, no overlap
+            tables.pair = _pair_rows(np.repeat(laws, laws.shape[0], axis=0),
+                                     np.tile(laws, (laws.shape[0], 1)))
         for a in (zero, laws, tables.cum, *(tables.pair or ())):
             a.setflags(write=False)
         kernel.code_tables[d] = tables
     return kernel.code_tables[d]
 
 
-def _woken_laws(states: np.ndarray, v_idx: np.ndarray, r_idx: np.ndarray,
-                tree: TruncatedTree, kernel: TransitionKernel, cols=None):
-    """Conditional laws of the woken (vertex, replica) pairs, as (laws, rows, cols).
+def _neighbor_codes(states: np.ndarray, tree: TruncatedTree, k: int) -> np.ndarray:
+    """(internal, R) base-k codes of the neighbor states, parent first, of every vertex of
+    depth < R in an (n, R) block: each block of children starts from its parent's state,
+    then the states of each vertex's children are added in order (of the root's, all d)."""
+    d, reps = tree.d, states.shape[1]
+    internal = tree_vertex_count(d, tree.depth - 1)
+    kids = states[d + 1 :].reshape(internal - 1, d - 1, reps)
+    codes = np.empty((internal, reps), dtype=np.int64)
+    codes[0] = states[1 : d + 1].T @ k ** np.arange(d - 1, -1, -1)
+    codes[1 : d + 1] = states[0]
+    parents = codes[d + 1 :].reshape(-1, d - 1, reps)  # children of 1, 2, ... that can wake
+    parents[...] = states[1 : 1 + len(parents), None]
+    for j in range(d - 1):
+        codes[1:] *= k
+        codes[1:] += kids[:, j]
+    return codes
+
+
+def _neighbor_states(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree, width=None):
+    """(m, width) states of the first ``width`` (default all d) neighbors of the sites at
+    flat indices ``flat`` = v*R + r of an (n, R) block, read at the flat indices u*R + r."""
+    reps = states.shape[1]
+    return states.take(tree.neighbors[flat // reps, :width] * reps + (flat % reps)[:, None])
+
+
+def _woken_laws(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree,
+                kernel: TransitionKernel, cols=None):
+    """Conditional laws of the woken sites, at flat indices ``flat`` of the (n, R) block,
+    as (laws, rows, cols).
 
     Without ``cols``, when k^d is at most _LAW_TABLE_MAX, ``laws`` is the law table
-    of ``_code_tables`` and pair i uses row ``rows[i]``, the base-k code of its
-    neighbor states; otherwise row i is pair i's law on the states ``cols[i]`` (the
+    of ``_code_tables`` and site i uses row ``rows[i]``, the base-k code of its
+    neighbor states; otherwise row i is site i's law on the states ``cols[i]`` (the
     given sets, else its own; None is all k states).  Both evaluate the same
     expression per entry, bit for bit.
     """
     k, d = kernel.state_count, tree.d
-    nbr_states = states[tree.neighbors[v_idx], r_idx[:, None]]  # (m, d)
     if cols is None and k**d <= _LAW_TABLE_MAX:
-        tables, rows = _code_tables(kernel, d), nbr_states @ k ** np.arange(d - 1, -1, -1)
+        tables, rows = _code_tables(kernel, d), _neighbor_codes(states, tree, k).take(flat)
         laws, zero = tables.laws, tables.zero[rows]
     else:
+        nbr_states = _neighbor_states(states, flat, tree)
         sets, rows = kernel.column_sets[0], None
         if cols is None and sets.shape[1] < k:
             cols = sets[nbr_states[:, 0]]
@@ -243,26 +274,29 @@ def _woken_laws(states: np.ndarray, v_idx: np.ndarray, r_idx: np.ndarray,
 def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
                     kernel: TransitionKernel):
     """Normalized (m, k) conditional laws for every woken (vertex, replica) pair."""
-    v_idx, r_idx = np.nonzero(member)
-    laws, rows, cols = _woken_laws(states, v_idx, r_idx, tree, kernel)
+    flat = np.flatnonzero(member)
+    laws, rows, cols = _woken_laws(states, flat, tree, kernel)
     laws = laws if cols is None else _dense(laws, cols, kernel.state_count)
-    return v_idx, r_idx, laws if rows is None else laws[rows]
+    return *np.divmod(flat, member.shape[1]), laws if rows is None else laws[rows]
 
 
 def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKernel,
                   rng: np.random.Generator) -> None:
     """One in-place sweep of an (n, R) state block."""
-    v_idx, r_idx = _waking_sites(tree, rng.random(states.shape))
-    if v_idx.size:
-        laws, rows, cols = _woken_laws(states, v_idx, r_idx, tree, kernel)
-        cum = _cumulate(laws) if rows is None else _code_tables(kernel, tree.d).cum
-        x = _count_columns(cum, rng.random(v_idx.size), rows)
-        states[v_idx, r_idx] = x if cols is None else cols[np.arange(x.size), x]
+    flat = _waking_sites(tree, rng.random(states.shape))
+    if flat.size:
+        laws, rows, cols = _woken_laws(states, flat, tree, kernel)
+        u = rng.random(flat.size)
+        x = _draw_rows(laws, u) if rows is None else _count_columns(
+            _code_tables(kernel, tree.d).cum, u, rows)
+        np.put(states, flat, x if cols is None else cols[np.arange(x.size), x])
 
 
 def _check_states(kernel: TransitionKernel, *configs: Configuration) -> None:
-    if any(not 0 <= c.states.min() <= c.states.max() < kernel.state_count for c in configs):
-        raise ValueError(f"configuration states must lie in 0..{kernel.state_count - 1}")
+    k = kernel.state_count
+    if any(c.states.dtype.kind not in "iu" or not 0 <= c.states.min() <= c.states.max() < k
+           for c in configs):
+        raise ValueError(f"configuration states must be integers in 0..{k - 1}")
 
 
 def glauber_sweep(config: Configuration, kernel: TransitionKernel,
@@ -271,7 +305,8 @@ def glauber_sweep(config: Configuration, kernel: TransitionKernel,
 
     Non-members keep their state.  Members are resampled independently from
     their conditional laws given the (pre-sweep) neighbor states; separation
-    makes pre- and post-sweep neighbor states identical.
+    makes pre- and post-sweep neighbor states identical.  Raises ValueError
+    unless the states are integers in 0..k-1.
     """
     _check_states(kernel, config)
     states = config.states[:, None].copy()
@@ -284,68 +319,56 @@ def maximal_coupling(p, q, rng: np.random.Generator) -> tuple[int, int]:
 
     Construction: with probability 1 - TV sample both from the overlap
     min(p, q); otherwise draw X and Y independently from the normalized
-    residuals, whose supports are disjoint.  Consumes three uniforms of
-    ``rng`` per call, as one row of the sweep's coupled draw.
+    residuals, whose supports are disjoint.  This is one row of the sweep's
+    coupled draw, and consumes its three uniforms of ``rng``.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.ndim != 1 or p.shape != q.shape:
         raise ValueError("distributions must be vectors on one support")
     if not all(np.isfinite(x).all() and (x >= 0).all() and x.sum() > 0 for x in (p, q)):
         raise ValueError("distributions need finite nonnegative entries and positive mass")
-    # _coupled_draw on one row: numpy takes the sums, so they round alike
-    common = np.minimum(p, q)
-    c = float(common.sum())
-    u_branch, u_draw, u_draw_b = rng.random(3).tolist()
-    if u_branch >= c:
-        ra, rb = p - common, q - common
-        sa, sb = float(ra.sum()), float(rb.sum())
-        if sa > 0.0 and sb > 0.0:
-            return _draw_one(ra, sa, u_draw), _draw_one(rb, sb, u_draw_b)
-        common, c = p, float(p.sum())  # an exact overlap lost the lottery to roundoff
-    x = _draw_one(common, c, u_draw)
-    return x, x
+    xa, xb = _coupled_draw(p[None], q[None], rng)
+    return int(xa[0]), int(xb[0])
 
 
-def _draw_one(weights: np.ndarray, total: float, u: float) -> int:
-    """``_draw_rows`` of the law ``weights / total`` at one uniform, with the
-    same roundings: a running sum, rescaled by its last entry."""
-    cum = list(itertools.accumulate(w / total for w in weights.tolist()))
-    return next((i for i, x in enumerate(cum) if u < x / cum[-1]), 0)
+def _pair_rows(pa: np.ndarray, pb: np.ndarray, total=lambda x, rows=None: x.sum(axis=1)):
+    """Row-wise maximal couplings of (m, c) laws: overlap masses, cumulative overlap and
+    residual laws, and the flags of exact overlaps (both draw from pa, so that an exact
+    overlap that loses the branch lottery to roundoff still agrees).  ``total(x[, rows])``
+    sums the rows of x, which stand at the rows ``rows`` of pa (all when omitted)."""
+    common = np.minimum(pa, pb)
+    ra, rb = pa - common, pb - common  # nonnegative: common is the smaller of the two
+    sa, sb = total(ra), total(rb)
+    dead = np.minimum(sa, sb) <= 0.0
+    if dead.any():
+        ra[dead] = rb[dead] = pa[dead]
+        sa[dead] = sb[dead] = total(pa[dead], dead)
+    c = total(common)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows no branch draws from
+        return (c, *(_cumulate(r / s[:, None]) for r, s in ((common, c), (ra, sa), (rb, sb))),
+                dead)
+
+
+def _pair_draw(pair, rng: np.random.Generator, code=None):
+    """Paired draws (xa, xb) from rows i (or code[i]) of ``_pair_rows`` output, by three
+    uniforms each: the branch, the overlap or first residual, and the second residual."""
+    c, overlap, res_a, res_b, dead = pair
+    if code is not None:
+        c, dead = c[code], dead[code]
+    u_branch, u_draw, u_draw_b = rng.random((3, c.size))
+    same = u_branch < c
+    xa = np.where(same, _count_columns(overlap, u_draw, code), _count_columns(res_a, u_draw, code))
+    return xa, np.where(same | dead, xa, _count_columns(res_b, u_draw_b, code))
 
 
 def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator, cols=None, k=0):
     """Row-wise maximal coupling: (m, c) laws -> paired draws (xa, xb); with ``cols``,
     column j of row i is state cols[i, j] of k, and masses sum by ``_row_sums``."""
-    def total(x, rows=slice(None)):
-        return x.sum(axis=1) if cols is None else _row_sums(x, cols[rows], k)
-
-    m = pa.shape[0]
-    common = np.minimum(pa, pb)
-    c = total(common)
-    u_branch, u_draw, u_draw_b = rng.random((3, m))
-    same = u_branch < c
-    xa = np.empty(m, dtype=np.int64)
-    xb = np.empty(m, dtype=np.int64)
-    if same.any():
-        rows = common[same] / c[same, None]
-        xa[same] = xb[same] = _draw_rows(rows, u_draw[same])
-    diff = np.flatnonzero(~same)
-    if diff.size:
-        ra = pa[diff] - common[diff]  # nonnegative: common is the smaller of the two
-        rb = pb[diff] - common[diff]
-        sa, sb = total(ra, diff), total(rb, diff)
-        # guard exact-overlap rows that lost the branch lottery to roundoff
-        dead = (sa <= 0.0) | (sb <= 0.0)
-        if dead.any():
-            ra[dead] = pa[diff[dead]]
-            rb[dead] = ra[dead]
-            sa[dead] = total(ra[dead], diff[dead])
-            sb[dead] = sa[dead]
-        xa[diff] = _draw_rows(ra / sa[:, None], u_draw[diff])
-        xb[diff] = _draw_rows(rb / sb[:, None], u_draw_b[diff])
-        xb[diff[dead]] = xa[diff[dead]]
-    return (xa, xb) if cols is None else (cols[np.arange(m), xa], cols[np.arange(m), xb])
+    if cols is None:
+        return _pair_draw(_pair_rows(pa, pb), rng)
+    xa, xb = _pair_draw(_pair_rows(pa, pb, lambda x, rows=slice(None): _row_sums(x, cols[rows], k)),
+                        rng)
+    return cols[np.arange(xa.size), xa], cols[np.arange(xb.size), xb]
 
 
 def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
@@ -356,26 +379,22 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
     resampled through the maximal coupling of its two conditional laws,
     independently across members (by the pair table's rows when it exists).
     """
-    v_idx, r_idx = _waking_sites(tree, rng.random(sa.shape))
+    flat = _waking_sites(tree, rng.random(sa.shape))
     k, sets, cols = kernel.state_count, kernel.column_sets[0], None
     if sets.shape[1] < k and k**tree.d > _LAW_TABLE_MAX:
-        first = tree.neighbors[v_idx, 0]  # both laws go on the union of the copies' sets
-        cols = np.sort(np.hstack([sets[sa[first, r_idx]], sets[sb[first, r_idx]]]), axis=1)
+        firsts = (_neighbor_states(s, flat, tree, 1)[:, 0] for s in (sa, sb))
+        cols = np.sort(np.hstack([sets[w] for w in firsts]), axis=1)  # both laws go on the union
         cols[:, 1:][cols[:, 1:] == cols[:, :-1]] = k  # a repeat becomes a sentinel
-    (pa, rows_a, _), (pb, rows_b, _) = (_woken_laws(s, v_idx, r_idx, tree, kernel, cols)
+    (pa, rows_a, _), (pb, rows_b, _) = (_woken_laws(s, flat, tree, kernel, cols)
                                         for s in (sa, sb))
-    pair = None if rows_a is None else _code_tables(kernel, tree.d).pair
-    if pair is None:
-        pa, pb = (pa, pb) if rows_a is None else (pa[rows_a], pb[rows_b])
-        sa[v_idx, r_idx], sb[v_idx, r_idx] = _coupled_draw(pa, pb, rng, cols, k)
-        return
-    c, overlap, res_a, res_b, dead = pair
-    code = rows_a * pa.shape[0] + rows_b
-    u_branch, u_draw, u_draw_b = rng.random((3, code.size))
-    same = u_branch < c[code]
-    xa = np.where(same, _count_columns(overlap, u_draw, code), _count_columns(res_a, u_draw, code))
-    sb[v_idx, r_idx] = np.where(same | dead[code], xa, _count_columns(res_b, u_draw_b, code))
-    sa[v_idx, r_idx] = xa
+    if rows_a is None:
+        xa, xb = _coupled_draw(pa, pb, rng, cols, k)
+    elif (pair := _code_tables(kernel, tree.d).pair) is None:
+        xa, xb = _coupled_draw(pa[rows_a], pb[rows_b], rng)
+    else:
+        xa, xb = _pair_draw(pair, rng, rows_a * pa.shape[0] + rows_b)
+    np.put(sa, flat, xa)
+    np.put(sb, flat, xb)
 
 
 @dataclass(frozen=True)
@@ -399,14 +418,10 @@ def coupled_sweep(pair: CoupledPair, kernel: TransitionKernel,
                   rng: np.random.Generator) -> CoupledPair:
     """Advance a coupled pair by one shared sweep."""
     _check_states(kernel, pair.config_a, pair.config_b)
-    sa = pair.config_a.states[:, None].copy()
-    sb = pair.config_b.states[:, None].copy()
+    sa, sb = (c.states[:, None].copy() for c in (pair.config_a, pair.config_b))
     _coupled_sweep_states(sa, sb, pair.tree, kernel, rng)
-    return CoupledPair(
-        Configuration(pair.tree, sa[:, 0]),
-        Configuration(pair.tree, sb[:, 0]),
-        pair.sweeps_done + 1,
-    )
+    return CoupledPair(Configuration(pair.tree, sa[:, 0]), Configuration(pair.tree, sb[:, 0]),
+                       pair.sweeps_done + 1)
 
 
 def _window(tree: TruncatedTree, window_depth: int | None) -> tuple[int, np.ndarray]:
@@ -461,11 +476,8 @@ class DecayReport:
 
 def _run_coupled_curve(kernel, tree, sweeps, replicas, rng, window, init):
     """Shared driver: evolve coupled blocks, return per-sweep disagreement stats."""
-    chunks = _chunks(replicas, sweeps, rng)
-    sums = np.zeros(sweeps + 1)
-    sums_sq = np.zeros(sweeps + 1)
-    sample_pair = None
-    for size, sub in chunks:
+    sums, sums_sq = np.zeros((2, sweeps + 1))
+    for size, sub in _chunks(replicas, sweeps, rng):
         sa, sb = init(size, sub)
         for t in range(sweeps + 1):
             if t:
@@ -475,8 +487,7 @@ def _run_coupled_curve(kernel, tree, sweeps, replicas, rng, window, init):
             sums_sq[t] += (frac**2).sum()
         sample_pair = (sa[:, 0].copy(), sb[:, 0].copy())
     means = sums / replicas
-    var = np.maximum(sums_sq / replicas - means**2, 0.0)
-    stderrs = np.sqrt(var / replicas)
+    stderrs = np.sqrt(np.maximum(sums_sq / replicas - means**2, 0.0) / replicas)
     return means, stderrs, sample_pair
 
 
@@ -496,8 +507,7 @@ def estimate_hamming_decay(kernel: TransitionKernel, d: int, depth: int, sweeps:
     window_depth, window = _window(tree, window_depth)
 
     def init(size, sub):
-        return (sample_bmc_batch(kernel, tree, sub, size),
-                sample_bmc_batch(kernel, tree, sub, size))
+        return tuple(sample_bmc_batch(kernel, tree, sub, size) for _ in range(2))
 
     means, stderrs, _ = _run_coupled_curve(kernel, tree, sweeps, replicas, rng, window, init)
     sweep_axis = np.arange(sweeps + 1)
@@ -509,9 +519,7 @@ def estimate_hamming_decay(kernel: TransitionKernel, d: int, depth: int, sweeps:
         sweeps=sweep_axis, mean_distance=means, stderr=stderrs, rate=rate,
         rate_interval=interval, dobrushin=dob, p_wake=p,
         contraction_bound=1.0 - p * (1.0 - d * dob), replicas=replicas,
-        window_depth=window_depth,
-        fit_mask=mask,
-    )
+        window_depth=window_depth, fit_mask=mask)
 
 
 @dataclass(frozen=True)
@@ -551,8 +559,7 @@ def _tv_counts(counts: np.ndarray, exact: np.ndarray, draws: int, replicas: int)
     average never exceeds the single-vertex variance, so the floor is a valid
     (conservative) upper bound on the estimator scale.
     """
-    emp = counts / draws
-    tv = 0.5 * float(np.abs(emp - exact).sum())
+    tv = 0.5 * float(np.abs(counts / draws - exact).sum())
     floor = 0.5 * float(np.sqrt(exact * (1.0 - exact) / replicas).sum())
     return tv, floor
 
@@ -592,10 +599,8 @@ def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
         vertex_counts += np.bincount(states[window].ravel(), minlength=k)
         pair_codes = (states[tree.parent[nonroot]] * k + states[nonroot]).ravel()
         edge_counts += np.bincount(pair_codes, minlength=k * k).reshape(k, k)
-        if do_star:
-            codes = states[centers]
-            for j in range(d):
-                codes = codes * k + states[tree.neighbors[centers, j]]
+        if do_star:  # centers are the first vertices, those of depth < R in the window
+            codes = states[centers] * k**d + _neighbor_codes(states, tree, k)[centers]
             star_counts += np.bincount(codes.ravel(), minlength=k ** (d + 1))
 
     tv_v, floor_v = _tv_counts(vertex_counts, exact_bmc_marginals(kernel, "vertex"),
@@ -609,8 +614,7 @@ def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     return FixedPointReport(
         tv_vertex=tv_v, floor_vertex=floor_v, tv_edge=tv_e, floor_edge=floor_e,
         tv_star=tv_s, floor_star=floor_s, sweeps=sweeps, replicas=replicas,
-        window_depth=window_depth,
-    )
+        window_depth=window_depth)
 
 
 @dataclass(frozen=True)
@@ -647,25 +651,18 @@ def converge_from_iid(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     window_depth, window = _window(tree, window_depth)
     dob = dobrushin_coefficient(kernel, d)
     if dob >= 1.0 / d:
-        warnings.warn(
-            f"Dobrushin coefficient {dob:.4f} >= 1/d: no contraction guarantee",
-            stacklevel=2,
-        )
+        warnings.warn(f"Dobrushin coefficient {dob:.4f} >= 1/d: no contraction guarantee",
+                      stacklevel=2)
 
     def init(size, sub):
-        iid = sub.integers(0, k, size=(tree.n, size))
-        chain = sample_bmc_batch(kernel, tree, sub, size)
-        return iid, chain
+        return sub.integers(0, k, size=(tree.n, size)), sample_bmc_batch(kernel, tree, sub, size)
 
-    means, stderrs, sample_pair = _run_coupled_curve(
-        kernel, tree, sweeps, replicas, rng, window, init
-    )
+    means, stderrs, sample_pair = _run_coupled_curve(kernel, tree, sweeps, replicas, rng,
+                                                     window, init)
     p = wake_probability(d)
     return ConvergenceReport(
         sweeps=np.arange(sweeps + 1), mean_distance=means, stderr=stderrs,
         predicted_initial=1.0 - 1.0 / k, final_distance=float(means[-1]),
         final_stderr=float(stderrs[-1]), dobrushin=dob,
         contraction_bound=1.0 - p * (1.0 - d * dob), replicas=replicas,
-        window_depth=window_depth,
-        sample=Configuration(tree, sample_pair[0]),
-    )
+        window_depth=window_depth, sample=Configuration(tree, sample_pair[0]))

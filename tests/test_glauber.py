@@ -93,6 +93,55 @@ class TestWakingSet:
         for r in range(labels.shape[1]):
             assert np.array_equal(mask[:, r], waking_reference_scan(tree, labels[:, r]))
 
+    def test_pair_waking_law_matches_ball_oracle(self):
+        """P(u and v both wake) = (1/|B_u| + 1/|B_v|) / |B_u | B_v| for complete radius-2
+        balls B_u, B_v at distance >= 3 (the top label of the union is u's or v's, and
+        the other tops its own ball), and 0 within distance 2.  On T_3 that is 0, 0, 1/90,
+        1/95 and 1/100 at distances 1 to 5; pairs of depth <= 3 in a depth-5 tree reach
+        all five.  Each estimate from 2*10^5 label draws must lie within 5 standard
+        errors, a false-alarm rate of 5.7e-7 per check."""
+        tree = build_tree(3, 5)
+        inner = np.flatnonzero(tree.depth_of <= 3)  # vertices with complete radius-2 balls
+
+        def ball(u):
+            return {int(w) for w in range(tree.n) if tree_distance(tree, u, w) <= 2}
+
+        u, pairs = int(np.flatnonzero(tree.depth_of == 2)[0]), {}
+        for v in inner[inner != u]:  # the first vertex at each distance from u
+            pairs.setdefault(tree_distance(tree, u, int(v)), int(v))
+        assert sorted(pairs) == [1, 2, 3, 4, 5]
+        rng = np.random.default_rng(33)
+        draws, block = 200_000, 10_000
+        both = dict.fromkeys(pairs, 0)
+        for _ in range(draws // block):
+            mask = _waking_mask(tree, rng.random((tree.n, block)))
+            for dist, v in pairs.items():
+                both[dist] += int((mask[u] & mask[v]).sum())
+        for dist, v in pairs.items():
+            bu, bv = ball(u), ball(v)
+            p = (1 / len(bu) + 1 / len(bv)) / len(bu | bv) if dist >= 3 else 0.0
+            assert p == pytest.approx([0, 0, 1 / 90, 1 / 95, 1 / 100][dist - 1])
+            if p == 0.0:
+                assert both[dist] == 0
+            else:
+                assert abs(both[dist] / draws - p) < 5 * np.sqrt(p * (1 - p) / draws)
+
+    def test_nan_label_rejected(self):
+        tree = build_tree(3, 3)
+        values = np.random.default_rng(5).random(tree.n)
+        values[7] = np.nan  # compares unequal to every ball maximum it enters
+        with pytest.raises(ValueError, match="NaN"):
+            waking_set(tree, RealField(tree, values))
+
+    def test_infinite_labels_order(self):
+        tree = build_tree(3, 3)
+        values = np.random.default_rng(6).random(tree.n)
+        values[[0, 5, 9]] = np.inf
+        values[[3, 4, 12]] = -np.inf
+        ws = waking_set(tree, RealField(tree, values))
+        assert np.array_equal(ws.member, waking_reference_scan(tree, values))
+        assert ws.member[0] and not ws.member[[1, 2, 3, 4, 5]].any()
+
     def test_density_field(self):
         tree = build_tree(3, 4)
         ws = waking_set(tree, sample_uniform_labels(tree, np.random.default_rng(4)))
@@ -337,7 +386,7 @@ class TestColumnSets:
         for states in (sa, sb):
             dense = per_member_laws(states, member, tree, kernel)
             assert np.array_equal(_member_weights(states, member, tree, kernel)[2], dense)
-            laws = glauber._woken_laws(states, v_idx, r_idx, tree, kernel, cols)[0]
+            laws = glauber._woken_laws(states, np.flatnonzero(member), tree, kernel, cols)[0]
             assert np.array_equal(scatter(laws, cols, k), dense)
             if name == "walk70":  # rows of four terms take the dense-sum fallback
                 assert (np.count_nonzero(dense, axis=1) > 2).any()
@@ -494,6 +543,19 @@ class TestGlauberSweep:
             with pytest.raises(ValueError, match=r"0\.\.1"):
                 coupled_sweep(pair, kernel, rng)
 
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_states_that_are_not_integers_rejected(self, dtype):
+        # float states used to fail deep in the sweep, and boolean ones to run
+        tree, kernel = build_tree(3, 3), make_ising(0.25)
+        good = Configuration(tree, np.zeros(tree.n, dtype=np.int64))
+        config = Configuration(tree, (np.arange(tree.n) % 2).astype(dtype))
+        rng = np.random.default_rng(15)
+        with pytest.raises(ValueError, match="integers"):
+            glauber_sweep(config, kernel, rng)
+        for pair in (CoupledPair(config, good), CoupledPair(good, config)):
+            with pytest.raises(ValueError, match="integers"):
+                coupled_sweep(pair, kernel, rng)
+
     def test_constant_configuration_flip_rate(self):
         # a woken vertex leaves the constant state with probability
         # b^d / (a^d + b^d); flips per eligible vertex per sweep occur at
@@ -531,12 +593,18 @@ class TestMaximalCoupling:
             x, y = maximal_coupling([1.0, 0.0], [0.0, 1.0], rng)
             assert (x, y) == (0, 1)
 
+    @staticmethod
+    def sample(p, q, n, rng):
+        """n draws of the maximal coupling of p and q, as one ``_coupled_draw`` call on n
+        copies of the pair (``test_one_row_equals_coupled_draw`` ties it to
+        ``maximal_coupling`` draw by draw)."""
+        return glauber._coupled_draw(np.tile(p, (n, 1)), np.tile(q, (n, 1)), rng)
+
     def test_hand_value(self):
         rng = np.random.default_rng(10)
         n = 100_000
-        neq = sum(
-            x != y for x, y in (maximal_coupling([0.6, 0.4], [0.4, 0.6], rng) for _ in range(n))
-        )
+        x, y = self.sample([0.6, 0.4], [0.4, 0.6], n, rng)
+        neq = np.count_nonzero(x != y)
         sigma = np.sqrt(0.2 * 0.8 / n)
         assert abs(neq / n - 0.2) < 3 * sigma
 
@@ -547,7 +615,8 @@ class TestMaximalCoupling:
             q = rng.dirichlet(np.ones(4))
             tv = 0.5 * np.abs(p - q).sum()
             n = 40_000
-            neq = sum(x != y for x, y in (maximal_coupling(p, q, rng) for _ in range(n)))
+            x, y = self.sample(p, q, n, rng)
+            neq = np.count_nonzero(x != y)
             sigma = max(np.sqrt(tv * (1 - tv) / n), 1e-4)
             assert abs(neq / n - tv) < 3.5 * sigma
 
@@ -556,9 +625,8 @@ class TestMaximalCoupling:
         p = np.array([0.7, 0.1, 0.2])
         q = np.array([0.1, 0.6, 0.3])
         n = 60_000
-        draws = np.array([maximal_coupling(p, q, rng) for _ in range(n)])
-        for axis, target in ((0, p), (1, q)):
-            counts = np.bincount(draws[:, axis], minlength=3) / n
+        for draws, target in zip(self.sample(p, q, n, rng), (p, q)):
+            counts = np.bincount(draws, minlength=3) / n
             for s in range(3):
                 sigma = np.sqrt(target[s] * (1 - target[s]) / n)
                 assert abs(counts[s] - target[s]) < 3.5 * sigma

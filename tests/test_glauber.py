@@ -94,7 +94,7 @@ class TestWakingSet:
             assert np.array_equal(mask[:, r], waking_reference_scan(tree, labels[:, r]))
 
     def test_pair_waking_law_matches_ball_oracle(self):
-        """P(u and v both wake) = (1/|B_u| + 1/|B_v|) / |B_u | B_v| for complete radius-2
+        """P(u and v both wake) = (1/|B_u| + 1/|B_v|) / |B_u union B_v| for complete radius-2
         balls B_u, B_v at distance >= 3 (the top label of the union is u's or v's, and
         the other tops its own ball), and 0 within distance 2.  On T_3 that is 0, 0, 1/90,
         1/95 and 1/100 at distances 1 to 5; pairs of depth <= 3 in a depth-5 tree reach
@@ -129,7 +129,7 @@ class TestWakingSet:
     def test_nan_label_rejected(self):
         tree = build_tree(3, 3)
         values = np.random.default_rng(5).random(tree.n)
-        values[7] = np.nan  # compares unequal to every ball maximum it enters
+        values[7] = np.nan  # the maxima carry it into every ball it lies in
         with pytest.raises(ValueError, match="NaN"):
             waking_set(tree, RealField(tree, values))
 

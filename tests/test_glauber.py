@@ -794,6 +794,8 @@ FINGERPRINT_KERNELS = {  # name: (kernel, degrees at which i.i.d. states wake no
     "ising0.25": (make_ising(0.25), (3, 4)), "ising-0.6": (make_ising(-0.6), (3, 4)),
     "potts3": (make_potts(3, 0.4), (3, 4)), "k4walk": (k4_walk(), (3,)),
     "cycle5": (make_walk_kernel(circulant_graph(5, [1])), ()), "walk70": (walk70(), ()),
+    "uneven23": (uneven_kernel(), ()), "negative20": (negative_entry_kernel(), ()),
+    "potts17": (make_potts(17, 0.1), (3, 4)),
 }
 
 # sha256 digests of ``sweep_fingerprint``, recorded once from the sweeps as they stood
@@ -812,6 +814,13 @@ SWEEP_DIGESTS = {
     ('cycle5', 4): "0d769c2e741a2349e2d4edb6ef43b063ea01b4cd1f4ecc6df1781517cccc52f3",
     ('walk70', 3): "eb063df1639fc230dc99b0cf555b7022d13a8b7f71ae3e89190a5eae1f0e7916",
     ('walk70', 4): "0a7582ccd514bb501ccebc8dbe50dbaa131b0477108ae87b90417d3140edb232",
+    # recorded before the states-major column-set laws and the cached q-row sampler
+    ('uneven23', 3): "bf71c5fe2a7cc680282f753972425c816fa03a0b0694db9129296bd9e90008ce",
+    ('uneven23', 4): "9701d589c4da76d968eecd166296abcd0f7226d7b7aebbcc300718deacc21c50",
+    ('negative20', 3): "63b2eb4941b3691482fc8286be1aad1fbdb1f6895cf241cd0f1beb3e4511c55b",
+    ('negative20', 4): "0edfa229554208233df4001c38fa642f1d04d9838419eb436cafe45f6b7ae4f4",
+    ('potts17', 3): "5c0e948cee1787c3a002740f0cb282f920dedb33143bdc41e0410067ffe11ea8",
+    ('potts17', 4): "c6e0b378b391be353984e2151629584a56757ba90705ec3d5d7ade386bb21174",
 }
 
 

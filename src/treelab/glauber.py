@@ -24,11 +24,11 @@ the base-k code of the neighbor states, formed by block arithmetic; when k^(2d)
 is small, so is the maximal coupling of every ordered pair of codes.  Otherwise
 a woken vertex's law is taken on its column set: the states s with q[s, w] != 0
 for its first neighbor state w (in a coupled sweep, the union over both copies),
-in order, with zero-weight sentinels as padding.  Zero weights leave the running
-sums as they are wherever they sit; a sum of at most two nonzero terms rounds
-alike in any grouping, and longer rows are summed by numpy as dense rows.  So
-all of this gives bitwise the same draws as evaluating the definitions one site
-at a time.
+in order, with zero-weight sentinels as padding.  Laws are states-major, (c, m)
+for m sites, so each sum, cumulation and count is c vector operations.  Zero
+weights leave the running sums as they are wherever they sit, a sum of at most
+two nonzero terms rounds alike in any grouping, and longer laws are summed by
+numpy as dense rows: the draws are bitwise those of the definitions site by site.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ImpossibleConfigurationError
-from .kernels import NeighborConfig, TransitionKernel, _heat_bath_weights, dobrushin_coefficient
+from .kernels import (ATOL, NeighborConfig, TransitionKernel, _heat_bath_weights,
+                      dobrushin_coefficient)
 from .trees import (Configuration, RealField, TruncatedTree, _count_columns, _cumulate,
                     _draw_rows, build_tree, exact_bmc_marginals, sample_bmc_batch,
                     tree_vertex_count)
@@ -175,43 +176,48 @@ def conditional_dist(kernel: TransitionKernel, neighbors) -> np.ndarray:
 
 
 def _row_sums(w: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """Row sums of laws on column sets, each the float numpy sums from the dense k-state row."""
-    totals = w.sum(axis=1)
-    many = np.count_nonzero(w, axis=1) > 2  # fewer terms sum alike in any grouping
-    totals[many] = _dense(w[many], cols[many], k).sum(axis=1)
+    """Sums over axis 0 of (c, m) laws on sorted column sets, bitwise the numpy sums of their
+    dense k-state rows: both add in state order below 8 states, and numpy sums longer rows
+    pairwise, which changes no sum of at most two nonzero terms; longer laws go dense."""
+    totals = np.add.reduce(w, axis=0)
+    if k >= 8:
+        many = ((w != 0).sum(axis=0) > 2).nonzero()[0]
+        totals[many] = _dense(w[:, many], cols[:, many], k).sum(axis=1)
     return totals
 
 
 def _dense(w: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) rows of laws on column sets, zero off the sets."""
-    dense = np.zeros((w.shape[0], k + 1))
-    np.put_along_axis(dense, cols, w, axis=1)
+    """(m, k) rows of (c, m) laws on column sets, zero off the sets."""
+    dense = np.zeros((w.shape[1], k + 1))
+    dense[np.arange(w.shape[1]), cols] = w
     return dense[:, :k]
 
 
 def _laws(kernel: TransitionKernel, nbr_states: np.ndarray, cols=None):
-    """Laws of (m, d) neighbor states on ``cols`` (None: all k), and zero-total flags."""
+    """(c, m) laws of (d, m) neighbor states on the (c, m) states ``cols`` (None: all k),
+    from flat takes of q.T, and zero-total flags."""
     k, (q_t, pi_t) = kernel.state_count, kernel.column_sets[1:]
-    at, nbr = (slice(k), nbr_states) if cols is None else (cols, nbr_states[:, :, None])
-    w = q_t[nbr[:, 0], at]
-    for j in range(1, nbr_states.shape[1]):  # the neighbors in order, as np.prod takes them
-        w = w * q_t[nbr[:, j], at]
-    w = pi_t[at] * w
-    totals = w.sum(axis=1) if cols is None else _row_sums(w, cols, k)
+    at = np.arange(k)[:, None].repeat(nbr_states.shape[1], axis=1) if cols is None else cols
+    w = q_t.take(nbr_states[0] * (k + 1) + at)  # row t of q_t is q[:, t] and a sentinel 0
+    for nbr in nbr_states[1:]:  # the neighbors in order, as np.prod takes them
+        w = w * q_t.take(nbr * (k + 1) + at)
+    w = pi_t.take(at) * w
+    totals = _row_sums(w, at, k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return w / totals[:, None], totals <= 0.0
+        return w / totals, totals <= 0.0
 
 
 def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
     """Read-only tables over the K = k^d neighbor codes, kept per d on the kernel: ``zero``
-    flags, ``laws`` and cumulative laws ``cum``, and if K^2 <= _LAW_TABLE_MAX, ``pair``, the
-    ``_pair_rows`` of laws a and b at row a*K + b."""
+    flags, (k, K) ``laws`` and cumulative laws ``cum``, and if K^2 <= _LAW_TABLE_MAX, ``pair``,
+    the ``_pair_rows`` of laws a and b at column a*K + b, laws cumulated."""
     if d not in kernel.code_tables:
-        laws, zero = _laws(kernel, np.indices((kernel.state_count,) * d).reshape(d, -1).T)
+        laws, zero = _laws(kernel, np.indices((kernel.state_count,) * d).reshape(d, -1))
         tables = SimpleNamespace(zero=zero, laws=laws, cum=_cumulate(laws), pair=None)
-        if laws.shape[0] ** 2 <= _LAW_TABLE_MAX:  # nan rows: zero-total codes, no overlap
-            tables.pair = _pair_rows(np.repeat(laws, laws.shape[0], axis=0),
-                                     np.tile(laws, (laws.shape[0], 1)))
+        if laws.shape[1] ** 2 <= _LAW_TABLE_MAX:  # nan laws: zero-total codes, no overlap
+            c, *pair_laws, dead = _pair_rows(np.repeat(laws, laws.shape[1], axis=1),
+                                             np.tile(laws, laws.shape[1]))
+            tables.pair = (c, *map(_cumulate, pair_laws), dead)
         for a in (zero, laws, tables.cum, *(tables.pair or ())):
             a.setflags(write=False)
         kernel.code_tables[d] = tables
@@ -237,21 +243,21 @@ def _neighbor_codes(states: np.ndarray, tree: TruncatedTree, k: int) -> np.ndarr
 
 
 def _neighbor_states(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree, width=None):
-    """(m, width) states of the first ``width`` (default all d) neighbors of the sites at
+    """(width, m) states of the first ``width`` (default all d) neighbors of the sites at
     flat indices ``flat`` = v*R + r of an (n, R) block, read at the flat indices u*R + r."""
-    reps = states.shape[1]
-    return states.take(tree.neighbors[flat // reps, :width] * reps + (flat % reps)[:, None])
+    v, r = np.divmod(flat, states.shape[1])
+    return states.take(tree.neighbors[v, :width].T * states.shape[1] + r)
 
 
 def _woken_laws(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree,
                 kernel: TransitionKernel, cols=None):
     """Conditional laws of the woken sites, at flat indices ``flat`` of the (n, R) block,
-    as (laws, rows, cols).
+    as (laws, rows, cols), states on axis 0.
 
     Without ``cols``, when k^d is at most _LAW_TABLE_MAX, ``laws`` is the law table
-    of ``_code_tables`` and site i uses row ``rows[i]``, the base-k code of its
-    neighbor states; otherwise row i is site i's law on the states ``cols[i]`` (the
-    given sets, else its own; None is all k states).  Both evaluate the same
+    of ``_code_tables`` and site i uses law ``rows[i]``, the base-k code of its
+    neighbor states; otherwise law i is site i's law on the states ``cols[:, i]`` (the
+    given (c, m) sets, else its own; None is all k states).  Both evaluate the same
     expression per entry, bit for bit.
     """
     k, d = kernel.state_count, tree.d
@@ -262,7 +268,7 @@ def _woken_laws(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree,
         nbr_states = _neighbor_states(states, flat, tree)
         sets, rows = kernel.column_sets[0], None
         if cols is None and sets.shape[1] < k:
-            cols = sets[nbr_states[:, 0]]
+            cols = sets.T.take(nbr_states[0], axis=1)
         laws, zero = _laws(kernel, nbr_states, cols)
     if zero.any():
         raise ImpossibleConfigurationError(
@@ -276,8 +282,9 @@ def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
     """Normalized (m, k) conditional laws for every woken (vertex, replica) pair."""
     flat = np.flatnonzero(member)
     laws, rows, cols = _woken_laws(states, flat, tree, kernel)
-    laws = laws if cols is None else _dense(laws, cols, kernel.state_count)
-    return *np.divmod(flat, member.shape[1]), laws if rows is None else laws[rows]
+    laws = laws if rows is None else laws[:, rows]
+    return *np.divmod(flat, member.shape[1]), laws.T if cols is None else _dense(
+        laws, cols, kernel.state_count)
 
 
 def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKernel,
@@ -287,9 +294,9 @@ def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKer
     if flat.size:
         laws, rows, cols = _woken_laws(states, flat, tree, kernel)
         u = rng.random(flat.size)
-        x = _draw_rows(laws, u) if rows is None else _count_columns(
-            _code_tables(kernel, tree.d).cum, u, rows)
-        np.put(states, flat, x if cols is None else cols[np.arange(x.size), x])
+        x = _count_columns(_cumulate(laws) if rows is None else _code_tables(kernel, tree.d).cum,
+                           u, rows)
+        np.put(states, flat, x if cols is None else cols.take(x * x.size + np.arange(x.size)))
 
 
 def _check_states(kernel: TransitionKernel, *configs: Configuration) -> None:
@@ -317,58 +324,56 @@ def glauber_sweep(config: Configuration, kernel: TransitionKernel,
 def maximal_coupling(p, q, rng: np.random.Generator) -> tuple[int, int]:
     """One draw (X, Y) with marginals p and q and P(X != Y) = d_TV(p, q).
 
-    Construction: with probability 1 - TV sample both from the overlap
-    min(p, q); otherwise draw X and Y independently from the normalized
-    residuals, whose supports are disjoint.  This is one row of the sweep's
-    coupled draw, and consumes its three uniforms of ``rng``.
+    Construction: with probability 1 - TV sample both from the overlap min(p, q);
+    otherwise draw X and Y independently from the normalized residuals, whose supports
+    are disjoint.  This is one law of the sweep's per-row coupled draw, and consumes its
+    three uniforms of ``rng``.  Raises ValueError unless p and q are finite, nonnegative
+    and sum to 1 within ATOL.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.ndim != 1 or p.shape != q.shape:
         raise ValueError("distributions must be vectors on one support")
-    if not all(np.isfinite(x).all() and (x >= 0).all() and x.sum() > 0 for x in (p, q)):
-        raise ValueError("distributions need finite nonnegative entries and positive mass")
-    xa, xb = _coupled_draw(p[None], q[None], rng)
+    if not all((x >= 0).all() and abs(x.sum() - 1.0) <= ATOL for x in (p, q)):  # NaN, inf fail
+        raise ValueError("distributions need finite nonnegative entries summing to 1")
+    xa, xb = _pair_draw(_pair_rows(p[:, None], q[:, None]), rng)
     return int(xa[0]), int(xb[0])
 
 
-def _pair_rows(pa: np.ndarray, pb: np.ndarray, total=lambda x, rows=None: x.sum(axis=1)):
-    """Row-wise maximal couplings of (m, c) laws: overlap masses, cumulative overlap and
-    residual laws, and the flags of exact overlaps (both draw from pa, so that an exact
-    overlap that loses the branch lottery to roundoff still agrees).  ``total(x[, rows])``
-    sums the rows of x, which stand at the rows ``rows`` of pa (all when omitted)."""
+def _pair_rows(pa: np.ndarray, pb: np.ndarray, cols=None, k=0):
+    """Maximal couplings of (c, m) laws on the (c, m) column sets ``cols`` of k states (None:
+    all c states): overlap masses, overlap and residual laws, and the flags of exact overlaps
+    (both draw from pa, so that an exact overlap that loses the branch lottery to roundoff
+    still agrees).  Masses are summed by ``_row_sums``."""
+    if cols is None:
+        cols, k = np.arange(len(pa))[:, None].repeat(pa.shape[1], axis=1), len(pa)
     common = np.minimum(pa, pb)
     ra, rb = pa - common, pb - common  # nonnegative: common is the smaller of the two
-    sa, sb = total(ra), total(rb)
+    sa, sb = _row_sums(ra, cols, k), _row_sums(rb, cols, k)
     dead = np.minimum(sa, sb) <= 0.0
     if dead.any():
-        ra[dead] = rb[dead] = pa[dead]
-        sa[dead] = sb[dead] = total(pa[dead], dead)
-    c = total(common)
-    with np.errstate(divide="ignore", invalid="ignore"):  # rows no branch draws from
-        return (c, *(_cumulate(r / s[:, None]) for r, s in ((common, c), (ra, sa), (rb, sb))),
-                dead)
+        ra[:, dead] = rb[:, dead] = pa[:, dead]
+        sa[dead] = sb[dead] = _row_sums(pa[:, dead], cols[:, dead], k)
+    c = _row_sums(common, cols, k)
+    with np.errstate(divide="ignore", invalid="ignore"):  # laws no branch draws from
+        return c, common / c, ra / sa, rb / sb, dead
 
 
 def _pair_draw(pair, rng: np.random.Generator, code=None):
-    """Paired draws (xa, xb) from rows i (or code[i]) of ``_pair_rows`` output, by three
-    uniforms each: the branch, the overlap or first residual, and the second residual."""
+    """Paired draws (xa, xb) by three uniforms each: the branch, the overlap or first
+    residual, and the second residual.  Draw i takes law i of ``_pair_rows`` output,
+    cumulating only the laws its branches draw from, or law code[i] of the pair table."""
     c, overlap, res_a, res_b, dead = pair
+    u_branch, u_draw, u_draw_b = rng.random((3, c.size if code is None else code.size))
     if code is not None:
-        c, dead = c[code], dead[code]
-    u_branch, u_draw, u_draw_b = rng.random((3, c.size))
+        same, dead = u_branch < c[code], dead[code]
+        xa = np.where(same, _count_columns(overlap, u_draw, code),
+                      _count_columns(res_a, u_draw, code))
+        return xa, np.where(same | dead, xa, _count_columns(res_b, u_draw_b, code))
     same = u_branch < c
-    xa = np.where(same, _count_columns(overlap, u_draw, code), _count_columns(res_a, u_draw, code))
-    return xa, np.where(same | dead, xa, _count_columns(res_b, u_draw_b, code))
-
-
-def _coupled_draw(pa: np.ndarray, pb: np.ndarray, rng: np.random.Generator, cols=None, k=0):
-    """Row-wise maximal coupling: (m, c) laws -> paired draws (xa, xb); with ``cols``,
-    column j of row i is state cols[i, j] of k, and masses sum by ``_row_sums``."""
-    if cols is None:
-        return _pair_draw(_pair_rows(pa, pb), rng)
-    xa, xb = _pair_draw(_pair_rows(pa, pb, lambda x, rows=slice(None): _row_sums(x, cols[rows], k)),
-                        rng)
-    return cols[np.arange(xa.size), xa], cols[np.arange(xb.size), xb]
+    xa = _count_columns(_cumulate(np.where(same, overlap, res_a)), u_draw)
+    xb, other = xa.copy(), (~(same | dead)).nonzero()[0]
+    xb[other] = _count_columns(_cumulate(res_b[:, other]), u_draw_b[other])
+    return xa, xb
 
 
 def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
@@ -382,19 +387,18 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
     flat = _waking_sites(tree, rng.random(sa.shape))
     k, sets, cols = kernel.state_count, kernel.column_sets[0], None
     if sets.shape[1] < k and k**tree.d > _LAW_TABLE_MAX:
-        firsts = (_neighbor_states(s, flat, tree, 1)[:, 0] for s in (sa, sb))
-        cols = np.sort(np.hstack([sets[w] for w in firsts]), axis=1)  # both laws go on the union
-        cols[:, 1:][cols[:, 1:] == cols[:, :-1]] = k  # a repeat becomes a sentinel
+        firsts = (_neighbor_states(s, flat, tree, 1)[0] for s in (sa, sb))
+        cols = np.sort(np.vstack([sets.T.take(w, axis=1) for w in firsts]), axis=0)  # the union
+        cols[1:][cols[1:] == cols[:-1]] = k  # a repeat becomes a sentinel
     (pa, rows_a, _), (pb, rows_b, _) = (_woken_laws(s, flat, tree, kernel, cols)
                                         for s in (sa, sb))
+    code = None if rows_a is None else rows_a * pa.shape[1] + rows_b
     if rows_a is None:
-        xa, xb = _coupled_draw(pa, pb, rng, cols, k)
+        pair = _pair_rows(pa, pb, cols, k)
     elif (pair := _code_tables(kernel, tree.d).pair) is None:
-        xa, xb = _coupled_draw(pa[rows_a], pb[rows_b], rng)
-    else:
-        xa, xb = _pair_draw(pair, rng, rows_a * pa.shape[0] + rows_b)
-    np.put(sa, flat, xa)
-    np.put(sb, flat, xb)
+        pair, code = _pair_rows(pa[:, rows_a], pb[:, rows_b]), None
+    for s, x in zip((sa, sb), _pair_draw(pair, rng, code)):
+        np.put(s, flat, x if cols is None else cols.take(x * x.size + np.arange(x.size)))
 
 
 @dataclass(frozen=True)

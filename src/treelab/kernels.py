@@ -85,6 +85,12 @@ class TransitionKernel:
         return out
 
     @functools.cached_property
+    def row_sampler(self):
+        """``trees._row_sampler(q)``, the draw from the rows of q, built on first use."""
+        from .trees import _row_sampler  # trees imports this module
+        return _row_sampler(self.q)
+
+    @functools.cached_property
     def code_tables(self) -> dict:
         """Per-degree law tables of the Glauber sweeps, filled by ``glauber._code_tables``."""
         return {}

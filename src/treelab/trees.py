@@ -130,22 +130,24 @@ class RealField:
 
 
 def _cumulate(probs: np.ndarray) -> np.ndarray:
-    """Cumulative laws along the last axis, rescaled to end at exactly 1.0."""
-    cum = np.cumsum(probs, axis=-1)
-    cum /= cum[..., -1:]
+    """Cumulative laws down axis 0 (one law per column), rescaled to end at exactly 1.0."""
+    cum = np.array(probs, dtype=float, order="C")
+    for i in range(1, len(cum)):  # the sums of np.cumsum, one vector add per state
+        cum[i] += cum[i - 1]
+    cum /= cum[-1]
     return cum
 
 
 def _count_columns(cum: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """Draw i is the number of entries <= u[i] in its cumulative law: row
-    ``rows[i]`` of ``cum``, row i without ``rows``, or ``cum`` if it is one vector.
+    """Draw i is the number of entries <= u[i] in its cumulative law: column
+    ``rows[i]`` of ``cum``, column i without ``rows``, or ``cum`` if it is one vector.
 
-    The cumulative rows are nondecreasing, so this is the first bin above u;
-    it is counted one column at a time without gathering whole rows.
+    The cumulative laws are nondecreasing down axis 0, so this is the first bin
+    above u; it is counted one state at a time, each a contiguous row of ``cum``.
     """
     out = np.zeros(u.shape, dtype=np.int64)
-    for col in cum.T[:-1]:  # the last column is 1.0 > u
-        out += (col if rows is None else col[rows]) <= u
+    for row in cum[:-1]:  # the last row is 1.0 > u
+        out += (row if rows is None else row[rows]) <= u
     return out
 
 
@@ -157,11 +159,11 @@ def _draw_rows(probs: np.ndarray, u: np.ndarray, rows: np.ndarray | None = None)
     its columns are counted (``_count_columns``).  With ``rows`` given, draw i
     uses the law ``probs[rows[i]]``, so a table of laws is cumulated once.
     """
-    return _count_columns(_cumulate(probs), u, rows)
+    return _count_columns(_cumulate(probs.T), u, rows)
 
 
 def _row_sampler(probs: np.ndarray):
-    """``draw(u, rows)``, equal bit for bit to ``_draw_rows(probs, u, rows)``.
+    """``draw(u, rows)`` over read-only arrays, equal bit for bit to ``_draw_rows(probs, u, rows)``.
 
     Laws on at most _COUNT_MAX_STATES states, or with a negative entry, count
     columns.  Larger laws use a guide table (Chen and Asau, 1974) on a grid of
@@ -174,14 +176,15 @@ def _row_sampler(probs: np.ndarray):
     Both counts come in closed form: a bincount of ceil(G * cum), or
     floor(G * cum), per row, summed cumulatively along the grid.
     """
-    cum = _cumulate(probs)
-    k = cum.shape[-1]
+    cum = _cumulate(probs.T)
+    cum.setflags(write=False)
+    k = cum.shape[0]
     if k <= _COUNT_MAX_STATES or np.any(probs < 0):
         return lambda u, rows: _count_columns(cum, u, rows)
     grid = 1 << (4 * k - 1).bit_length()
     while grid > 1 and k * grid > _GUIDE_MAX_CELLS:
         grid >>= 1
-    scaled = cum[:, :-1] * grid
+    scaled = cum[:-1].T * grid
     offsets = (grid + 1) * np.arange(k)[:, None]
 
     def at_most(cells):  # (k, grid + 1) counts of row entries <= each grid index
@@ -190,6 +193,7 @@ def _row_sampler(probs: np.ndarray):
 
     lo, hi = at_most(np.ceil(scaled)), at_most(np.floor(scaled))
     guide = np.where(lo == hi, lo, ~lo)
+    guide.setflags(write=False)
 
     def draw(u: np.ndarray, rows: np.ndarray) -> np.ndarray:
         out = guide[rows, (u * grid).astype(np.int64)]
@@ -198,10 +202,10 @@ def _row_sampler(probs: np.ndarray):
         if hits.size:
             uh, rh = u.reshape(-1)[hits], rows.reshape(-1)[hits]
             a = ~flat[hits]
-            b = np.full_like(a, k - 1)  # cum[s, k - 1] = 1.0 > u
+            b = np.full_like(a, k - 1)  # cum[k - 1, s] = 1.0 > u
             for _ in range(int((b - a).max()).bit_length()):
                 mid = (a + b) >> 1
-                below = cum[rh, mid] <= uh
+                below = cum[mid, rh] <= uh
                 a = np.where(below, mid + 1, a)
                 b = np.where(below, b, mid)
             flat[hits] = a
@@ -216,18 +220,15 @@ def sample_bmc_batch(kernel: TransitionKernel, tree: TruncatedTree, rng: np.rand
 
     Exact sampler; each replica is an independent draw of the chain on the
     truncated tree.  The q-rows are cumulated, and for large k put in a guide
-    table (``_row_sampler``), once per call; each level then takes one draw
-    per (vertex, replica) from its parent's row.
+    table, once per kernel (``TransitionKernel.row_sampler``); each level then
+    takes one draw per (vertex, replica) from its parent's row.
     """
-    n = tree.n
-    draw = _row_sampler(kernel.q)
-    states = np.empty((n, replicas), dtype=np.int64)
+    states = np.empty((tree.n, replicas), dtype=np.int64)
     states[0] = _draw_rows(kernel.pi, rng.random(replicas))
     for ell in range(1, tree.depth + 1):
         verts = tree.level(ell)
-        par_states = states[tree.parent[verts]]
         u = rng.random((verts.size, replicas))
-        states[verts] = draw(u, par_states)
+        states[verts] = kernel.row_sampler(u, states[tree.parent[verts]])
     return states
 
 
@@ -312,11 +313,10 @@ def estimate_correlation(kernel: TransitionKernel, distance: int, encoding,
         raise ValueError("need at least 2 replicas")
     if distance == 0:
         return CorrelationEstimate(1.0, 0.0, replicas, 0)
-    draw = _row_sampler(kernel.q)
     x = _draw_rows(kernel.pi, rng.random(replicas))
     g0 = encoding[x]
     for _ in range(distance):
-        x = draw(rng.random(replicas), x)
+        x = kernel.row_sampler(rng.random(replicas), x)
     gk = encoding[x]
     with np.errstate(invalid="ignore", divide="ignore"):  # NaN when one end is constant
         c = np.corrcoef(g0, gk)

@@ -279,6 +279,14 @@ def dense_coupled_draw(pa, pb, rng):
     return xa, xb
 
 
+def coupled_draw(pa, pb, rng, cols=None, k=0):
+    """The per-row maximal coupling of (c, m) laws, on the states ``cols`` when given."""
+    xa, xb = glauber._pair_draw(glauber._pair_rows(pa, pb, cols, k), rng)
+    if cols is None:
+        return xa, xb
+    return tuple(np.take_along_axis(cols, x[None], axis=0)[0] for x in (xa, xb))
+
+
 def dense_sweep(states, tree, kernel, rng):
     """One sweep drawing from the dense per-member laws."""
     member = _waking_mask(tree, rng.random(states.shape))
@@ -356,16 +364,17 @@ SPARSE_KERNELS = {"walk70": walk70, "uneven23": uneven_kernel,
 
 
 def union_columns(cols_a, cols_b, k):
-    """Row-wise sorted unions of two column sets, padded with k to one width."""
+    """Sorted unions of two sets of column sets, one per row, padded with k to one width,
+    as (width, m) sets, one per column."""
     rows = [np.union1d(a, b) for a, b in zip(cols_a, cols_b)]
     width = max(map(len, rows))
-    return np.array([np.pad(row, (0, width - row.size), constant_values=k) for row in rows])
+    return np.array([np.pad(row, (0, width - row.size), constant_values=k) for row in rows]).T
 
 
 def scatter(laws, cols, k):
-    """(m, k) laws from laws on column sets padded with the sentinel k."""
-    dense = np.zeros((laws.shape[0], k + 1))
-    np.put_along_axis(dense, cols, laws, axis=1)
+    """(m, k) laws from (c, m) laws on column sets padded with the sentinel k."""
+    dense = np.zeros((laws.shape[1], k + 1))
+    np.put_along_axis(dense, cols.T, laws.T, axis=1)
     return dense[:, :k]
 
 
@@ -416,7 +425,7 @@ class TestColumnSets:
         live = dense != 0
         cols = np.sort(np.where(live, np.arange(k), k), axis=1)[:, : live.sum(axis=1).max()]
         w = np.take_along_axis(np.hstack([dense, np.zeros((500, 1))]), cols, axis=1)
-        assert np.array_equal(glauber._row_sums(w, cols, k), dense.sum(axis=1))
+        assert np.array_equal(glauber._row_sums(w.T.copy(), cols.T, k), dense.sum(axis=1))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_coupled_draw_on_columns_equals_dense(self, seed):
@@ -441,7 +450,7 @@ class TestColumnSets:
         cb = np.take_along_axis(np.hstack([pb, np.zeros((m, 1))]), cols, axis=1)
         one, ref = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
         for _ in range(5):
-            xa, xb = glauber._coupled_draw(ca, cb, one, cols, k)
+            xa, xb = coupled_draw(ca.T.copy(), cb.T.copy(), one, cols.T.copy(), k)
             ya, yb = dense_coupled_draw(pa, pb, ref)
             assert np.array_equal(xa, ya) and np.array_equal(xb, yb)
         assert one.random() == ref.random()
@@ -454,6 +463,27 @@ class TestColumnSets:
         with pytest.raises(ImpossibleConfigurationError), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # walk70 is outside the Dobrushin regime
             converge_from_iid(kernel, 3, 5, 2, 32, rng)
+
+
+class TestRowSamplerCache:
+    @pytest.mark.parametrize("name", ["walk70", "uneven23", "negative20"])
+    def test_cached_sampler_draws_as_a_fresh_kernel(self, name):
+        # walk70 and uneven23 use the guide table; negative20's -1e-12 entries count columns
+        kernel, tree = SPARSE_KERNELS[name](), build_tree(3, 6)
+        assert "row_sampler" not in vars(kernel)  # built on first use
+        first, second = (sample_bmc_batch(kernel, tree, np.random.default_rng(90), 16)
+                         for _ in range(2))
+        sampler = kernel.row_sampler
+        assert kernel.row_sampler is sampler
+        fresh = sample_bmc_batch(SPARSE_KERNELS[name](), tree, np.random.default_rng(90), 16)
+        assert np.array_equal(first, fresh) and np.array_equal(second, fresh)
+        arrays = [c.cell_contents for c in sampler.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        assert len(arrays) == (1 if name == "negative20" else 2)  # cum, and the guide table
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 def k4_walk():
@@ -509,7 +539,7 @@ class TestPairTable:
         tables = glauber._code_tables(kernel, 3)
         assert glauber._code_tables(kernel, 3) is tables
         deeper = glauber._code_tables(kernel, 4)
-        assert deeper is not tables and deeper.laws.shape == (81, 3) and deeper.pair is None
+        assert deeper is not tables and deeper.laws.shape == (3, 81) and deeper.pair is None
         assert glauber._code_tables(make_potts(3, 0.4), 3) is not tables
         for a in (tables.zero, tables.laws, tables.cum, *tables.pair, deeper.cum):
             assert not a.flags.writeable
@@ -595,10 +625,10 @@ class TestMaximalCoupling:
 
     @staticmethod
     def sample(p, q, n, rng):
-        """n draws of the maximal coupling of p and q, as one ``_coupled_draw`` call on n
+        """n draws of the maximal coupling of p and q, as one ``coupled_draw`` call on n
         copies of the pair (``test_one_row_equals_coupled_draw`` ties it to
         ``maximal_coupling`` draw by draw)."""
-        return glauber._coupled_draw(np.tile(p, (n, 1)), np.tile(q, (n, 1)), rng)
+        return coupled_draw(*(np.tile(np.asarray(x)[:, None], n) for x in (p, q)), rng)
 
     def test_hand_value(self):
         rng = np.random.default_rng(10)
@@ -642,27 +672,43 @@ class TestMaximalCoupling:
         with pytest.raises(ValueError, match="nonnegative"):
             maximal_coupling(p, q, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("p, q", [([2.0, 0.0], [1.0, 1.0]), ([0.5, 0.5 + 2e-12], [0.5, 0.5]),
+                                      ([0.25, 0.25], [0.25, 0.25])])
+    def test_rejects_laws_off_unit_mass(self, p, q):
+        # the construction reads p and q as they are: [2, 0] against the uniform [1, 1]
+        # used to give Y = 0 on every draw, P(X != Y) = 0 against a TV of 1/2
+        for args in ((p, q), (q, p)):
+            with pytest.raises(ValueError, match="summing to 1"):
+                maximal_coupling(*args, np.random.default_rng(0))
+
+    def test_accepts_laws_within_atol_of_unit_mass(self):
+        p = np.array([0.5, 0.5 - 0.9e-12])
+        assert maximal_coupling(p, p, np.random.default_rng(0)) in ((0, 0), (1, 1))
+
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("kind", ["random", "equal", "disjoint", "half"])
     def test_one_row_equals_coupled_draw(self, k, kind):
-        # numpy sums a row pairwise from 8 entries on, so k = 8 and 13 take
-        # the other summation order; equal laws of mass 1/2 reach the guard
-        # for an exact overlap that lost the branch lottery
+        # numpy sums a row pairwise from 8 entries on, so k = 8 and 13 take the other
+        # summation order.  "half" takes equal laws of mass 1 - 1e-13 (within ATOL) and
+        # branch uniforms just below 1: every draw loses the branch lottery to roundoff
+        # and reaches the guard for an exact overlap, which keeps the two draws equal
         rng = np.random.default_rng(k)
+        generator = HighBranch if kind == "half" else np.random.default_rng
         for _ in range(40):
             p = rng.dirichlet(np.full(k, 0.5))
             if kind == "half":
-                p /= 2.0
+                p *= 1.0 - 1e-13
             q = p.copy() if kind in ("equal", "half") else rng.dirichlet(np.full(k, 0.5))
             if kind == "disjoint":
                 side = np.arange(k) < rng.integers(1, k)
                 p, q = np.where(side, p, 0.0), np.where(side, 0.0, q)
                 p, q = p / p.sum(), q / q.sum()
             seed = int(rng.integers(2**32))
-            one, table = np.random.default_rng(seed), np.random.default_rng(seed)
+            one, table = generator(seed), generator(seed)
             for _ in range(25):
-                xa, xb = glauber._coupled_draw(p[None, :], q[None, :], table)
+                xa, xb = coupled_draw(p[:, None], q[:, None], table)
                 assert maximal_coupling(p, q, one) == (int(xa[0]), int(xb[0]))
+                assert kind != "half" or xa[0] == xb[0]
             assert one.random() == table.random()  # the same three uniforms per call
 
 

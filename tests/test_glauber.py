@@ -675,8 +675,8 @@ class TestMaximalCoupling:
     @pytest.mark.parametrize("p, q", [([2.0, 0.0], [1.0, 1.0]), ([0.5, 0.5 + 2e-12], [0.5, 0.5]),
                                       ([0.25, 0.25], [0.25, 0.25])])
     def test_rejects_laws_off_unit_mass(self, p, q):
-        # the construction reads p and q as they are: [2, 0] against the uniform [1, 1]
-        # used to give Y = 0 on every draw, P(X != Y) = 0 against a TV of 1/2
+        # the construction reads p and q as given: [2, 0] against the uniform [1, 1] would
+        # give Y = 0 on every draw, P(X != Y) = 0 against a TV of 1/2
         for args in ((p, q), (q, p)):
             with pytest.raises(ValueError, match="summing to 1"):
                 maximal_coupling(*args, np.random.default_rng(0))

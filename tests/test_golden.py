@@ -86,6 +86,9 @@ CASES = [
     "local-distance --graph-a <tmp>/k4.txt --graph-b <tmp>/k33.txt --r-max 2 --k-max 2",
     "local-distance --graph-a <tmp>/k4.txt --graph-b <tmp>/k33.txt --r-max 1 --k-max 2"
     " --coloring-budget 8 --samples 5 --seed 3",
+    "local-distance --graph-a <tmp>/cubic10.txt --graph-b <tmp>/k33.txt --r-max 1 --k-max 2",
+    "local-distance --graph-a <tmp>/cubic40.txt --graph-b <tmp>/cubic10.txt --r-max 2 --k-max 2"
+    " --samples 20 --seed 3",
     "covering-min --graph <tmp>/k4.txt --matrix <tmp>/m2.txt",
     "covering-min --graph <tmp>/cubic10.txt --matrix m1",
     "covering-min --graph <tmp>/cubic10.txt --matrix m1 --budget 10 --restarts 2 --seed 1",

@@ -155,6 +155,31 @@ def _extract_ball(graph, coloring, root: int, r: int):
     return edges, colors
 
 
+def _root_balls(graph, r: int) -> list:
+    """Each root's r-ball as (local edges, vertices, shape), the root local 0.  The
+    shape, the sorted multiset of sorted local edges, names one labelled multigraph."""
+    balls = [_extract_ball(graph, range(graph.n), v, r) for v in range(graph.n)]
+    return [(edges, verts, tuple(sorted(tuple(sorted(e)) for e in edges)))
+            for edges, verts in balls]
+
+
+def _count_codes(balls, coloring, store: dict | None = None) -> dict[bytes, float]:
+    """Law of the canonical colored ball over a uniform root, one ball per root.
+    ``store``, if given, keeps each code under (shape, local colors), which fix it."""
+    counts: dict[bytes, int] = {}
+    for edges, verts, shape in balls:
+        colors = [coloring[v] for v in verts]
+        if store is None:
+            code = canonical_ball(edges, colors, 0)
+        else:
+            key = (shape, tuple(colors))
+            if key not in store:
+                store[key] = canonical_ball(edges, colors, 0)
+            code = store[key]
+        counts[code] = counts.get(code, 0) + 1
+    return {code: c / len(balls) for code, c in counts.items()}
+
+
 def ball_distribution(graph, coloring, r: int) -> dict[bytes, float]:
     """Exact law of the canonical rooted colored r-ball over a uniform root.
 
@@ -165,12 +190,8 @@ def ball_distribution(graph, coloring, r: int) -> dict[bytes, float]:
         raise ValueError("coloring length must equal the vertex count")
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    counts: dict[bytes, int] = {}
-    for v in range(graph.n):
-        edges, colors = _extract_ball(graph, coloring, v, r)
-        code = canonical_ball(edges, colors, 0)
-        counts[code] = counts.get(code, 0) + 1
-    return {code: c / graph.n for code, c in counts.items()}
+    return _count_codes([(*_extract_ball(graph, range(graph.n), v, r), None)
+                         for v in range(graph.n)], coloring)
 
 
 def tv_distance(a: dict, b: dict) -> float:
@@ -217,18 +238,14 @@ class DcnEstimate:
     terms: dict
 
 
-def _coloring_profiles(graph, colorings, r_values):
+def _coloring_profiles(balls: dict, colorings, store: dict | None):
     """Deduplicated {r: set of ball distributions} over a family of colorings."""
-    out = {r: [] for r in r_values}
-    seen = {r: set() for r in r_values}
+    seen = {r: {} for r in balls}
     for coloring in colorings:
-        for r in r_values:
-            dist = ball_distribution(graph, coloring, r)
-            key = tuple(sorted(dist.items()))
-            if key not in seen[r]:
-                seen[r].add(key)
-                out[r].append(dist)
-    return out
+        for r, root_balls in balls.items():
+            dist = _count_codes(root_balls, coloring, store)
+            seen[r].setdefault(tuple(sorted(dist.items())), dist)
+    return {r: list(dists.values()) for r, dists in seen.items()}
 
 
 def dcn_estimate(graph_a, graph_b, r_max: int, k_max: int,
@@ -240,13 +257,21 @@ def dcn_estimate(graph_a, graph_b, r_max: int, k_max: int,
     For each k the coloring family is enumerated exhaustively when
     k^max(n, n') fits the budget (exact mode); otherwise a common
     pseudo-random sample of ``samples`` colorings is used and the mode flag is
-    cleared.  Sampling requires an rng.
+    cleared.  Sampling requires an rng.  An exhaustive family repeats each local
+    coloring k^(n-|B|) times, so there each distinct colored ball is canonicalised
+    once per call, for all roots, radii and both graphs.  Sampled mode stores no
+    codes: the store would grow with samples * n * r_max.
     """
     if r_max < 1 or k_max < 1:
         raise ValueError("r_max and k_max must be at least 1")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if coloring_budget < 1:
+        raise ValueError("coloring_budget must be at least 1")
     r_values = list(range(1, r_max + 1))
+    balls_a = {r: _root_balls(graph_a, r) for r in r_values}
+    balls_b = {r: _root_balls(graph_b, r) for r in r_values}
+    store: dict = {}
     terms: dict = {}
     total = 0.0
     exact = True
@@ -264,8 +289,8 @@ def dcn_estimate(graph_a, graph_b, r_max: int, k_max: int,
                 raise ValueError("sampling mode needs an rng (coloring budget exceeded)")
         fam_a = family(graph_a.n, k, enumerate_all)  # drawn before graph_b's sample
         fam_b = fam_a if graph_b.n == graph_a.n else family(graph_b.n, k, enumerate_all)
-        prof_a = _coloring_profiles(graph_a, fam_a, r_values)
-        prof_b = _coloring_profiles(graph_b, fam_b, r_values)
+        prof_a = _coloring_profiles(balls_a, fam_a, store if enumerate_all else None)
+        prof_b = _coloring_profiles(balls_b, fam_b, store if enumerate_all else None)
         for r in r_values:
             dh = hausdorff_distance(prof_a[r], prof_b[r])
             terms[(k, r)] = dh

@@ -258,6 +258,8 @@ class TestContracts:
         ["covering-min", "--graph", "{k4}", "--matrix", "m1", "--restarts", "-3"],
         ["local-distance", "--graph-a", "{k4}", "--graph-b", "{k4}", "--r-max", "1",
          "--k-max", "1", "--samples", "0"],
+        ["local-distance", "--graph-a", "{k4}", "--graph-b", "{k4}", "--r-max", "1",
+         "--k-max", "1", "--coloring-budget", "-7", "--seed", "1"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {

@@ -10,9 +10,10 @@ import pytest
 
 import treelab
 from treelab.errors import BudgetExceededError
+from treelab import localstats
 from treelab.graphs import (complete_bipartite, complete_graph, cycle_graph, graph_from_edges,
                             sample_regular_graph)
-from treelab.localstats import (_extract_ball, ball_distribution, canonical_ball,
+from treelab.localstats import (DcnEstimate, _extract_ball, ball_distribution, canonical_ball,
                                 dcn_estimate, hausdorff_distance, tv_distance)
 from treelab.trees import build_tree
 
@@ -462,6 +463,82 @@ class TestDcn:
         g1 = complete_graph(4)
         with pytest.raises(ValueError, match="rng"):
             dcn_estimate(g1, g1, 1, 4, coloring_budget=64)
+
+    @pytest.mark.parametrize("budget", [0, -7])
+    def test_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="coloring_budget"):
+            dcn_estimate(complete_graph(4), complete_graph(4), 1, 1, coloring_budget=budget,
+                         rng=np.random.default_rng(1))
+
+    def test_each_colored_ball_canonicalised_once(self, monkeypatch):
+        # K3,3 and the prism are vertex-transitive: one radius-1 star shared by
+        # both graphs and one radius-2 shape each, 2^4 + 2^6 + 2^6 colored balls
+        calls = []
+        monkeypatch.setattr(localstats, "canonical_ball",
+                            lambda *args: calls.append(args) or canonical_ball(*args))
+        prism = graph_from_edges(6, 3, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                        (0, 3), (1, 4), (2, 5)])
+        dcn_estimate(complete_bipartite(3, 3), prism, 2, 2)
+        assert 0 < len(calls) <= 160  # 1560 with one call per coloring, radius and root
+
+
+def _reference_dcn(graph_a, graph_b, r_max, k_max, coloring_budget, samples=200, rng=None):
+    """dcn_estimate as one ``ball_distribution`` per coloring and radius, with
+    the same coloring families and draw order, then ``hausdorff_distance``."""
+    terms, total, exact = {}, 0.0, True
+    for k in range(1, k_max + 1):
+        enumerate_all = k ** max(graph_a.n, graph_b.n) <= coloring_budget
+        exact &= enumerate_all
+
+        def family(n):
+            if enumerate_all:
+                return [list(c) for c in itertools.product(range(k), repeat=n)]
+            return [rng.integers(0, k, size=n).tolist() for _ in range(samples)]
+
+        fam_a = family(graph_a.n)
+        fam_b = fam_a if graph_b.n == graph_a.n else family(graph_b.n)
+        for r in range(1, r_max + 1):
+            dists = [{tuple(sorted(d.items())): d for d in
+                      (ball_distribution(graph, c, r) for c in fam)}.values()
+                     for graph, fam in ((graph_a, fam_a), (graph_b, fam_b))]
+            terms[(k, r)] = hausdorff_distance(*dists)
+            total += 2.0 ** (-k - r) * terms[(k, r)]
+    tail = 2.0**-k_max + 2.0**-r_max - 2.0 ** (-k_max - r_max)
+    return DcnEstimate(value=total, tail_bound=tail, exact=exact, terms=terms)
+
+
+def _multigraph_pairs(seed, count):
+    """Seeded pairs of pairing-model multigraphs on 4 to 8 vertices, degree 2 to 4."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < count:
+        d = int(rng.integers(2, 5))
+        sizes = [n for n in range(4, 9) if n * d % 2 == 0]
+        pairs.append(tuple(sample_regular_graph(int(rng.choice(sizes)), d, False, rng)
+                           for _ in range(2)))
+    edges = [e for pair in pairs for g in pair for e in g.edges]
+    assert any(u == v for u, v in edges) and len(set(edges)) < len(edges)
+    return pairs
+
+
+class TestDcnReference:
+    def test_exact_mode_equals_per_coloring_loop(self):
+        terms = []
+        for i, (ga, gb) in enumerate(_multigraph_pairs(40, 12)):
+            r_max, k_max = 1 + i % 3, 1 + i % 2
+            est = dcn_estimate(ga, gb, r_max, k_max, coloring_budget=300)
+            assert est.exact
+            assert est == _reference_dcn(ga, gb, r_max, k_max, 300)
+            terms += est.terms.values()
+        assert any(0.0 < t < 1.0 for t in terms)
+
+    def test_sampled_mode_equals_per_coloring_loop(self):
+        for i, (ga, gb) in enumerate(_multigraph_pairs(41, 8)):
+            r_max = 1 + i % 3
+            est = dcn_estimate(ga, gb, r_max, 2, coloring_budget=10, samples=15,
+                               rng=np.random.default_rng(i))
+            assert not est.exact
+            assert est == _reference_dcn(ga, gb, r_max, 2, 10, 15, np.random.default_rng(i))
 
 
 def build_edge_swapped_pair(n, rng):

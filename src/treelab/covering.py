@@ -134,6 +134,8 @@ def min_error_exact(graph, matrix: CoveringMatrix, budget: int = 10**8):
     """
     if graph.d != matrix.d:
         raise ValueError(f"graph degree {graph.d} does not match matrix degree {matrix.d}")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     s = matrix.s_count
     n = graph.n
     if s**n > budget:

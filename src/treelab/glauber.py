@@ -34,7 +34,7 @@ numpy as dense rows: the draws are bitwise those of the definitions site by site
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -43,8 +43,9 @@ from .errors import ImpossibleConfigurationError
 from .kernels import (ATOL, NeighborConfig, TransitionKernel, _heat_bath_weights,
                       dobrushin_coefficient)
 from .trees import (Configuration, RealField, TruncatedTree, _count_columns, _cumulate,
-                    _draw_rows, build_tree, exact_bmc_marginals, sample_bmc_batch,
-                    tree_vertex_count)
+                    build_tree, exact_bmc_marginals, sample_bmc_batch, tree_vertex_count)
+# Not called here: bench/reference.py's per-member sweep reads it as glauber._draw_rows.
+from .trees import _draw_rows  # noqa: F401
 
 # Replica block size for the vectorized drivers; fixed so that results are a
 # deterministic function of (arguments, seed).
@@ -451,48 +452,66 @@ def _fit_rate(sweeps: np.ndarray, means: np.ndarray, stderrs: np.ndarray):
     """Log-linear least squares on the sweeps where the signal dominates noise."""
     mask = (means > 0) & (means > 10.0 * stderrs)
     if mask.sum() < 2:
-        return float("nan"), float("nan"), mask
+        return float("nan"), float("nan")
     x = sweeps[mask].astype(float)
     y = np.log(means[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     denom = max(mask.sum() - 2, 1) * ((x - x.mean()) ** 2).sum()
     slope_se = float(np.sqrt((resid**2).sum() / denom)) if denom > 0 else float("nan")
-    return float(np.exp(slope)), slope_se, mask
+    return float(np.exp(slope)), slope_se
 
 
 @dataclass(frozen=True)
-class DecayReport:
-    """Coupled-run disagreement curve plus the fitted per-sweep decay rate."""
+class CoupledCurve:
+    """Per-sweep interior-window disagreement of coupled runs, with the Dobrushin bound."""
 
     sweeps: np.ndarray
     mean_distance: np.ndarray
     stderr: np.ndarray
-    rate: float
-    rate_interval: tuple[float, float]
     dobrushin: float
-    p_wake: float
     contraction_bound: float  # 1 - p_wake * (1 - d * D), meaningful when D < 1/d
     replicas: int
     window_depth: int
-    fit_mask: np.ndarray = field(repr=False)
 
 
-def _run_coupled_curve(kernel, tree, sweeps, replicas, rng, window, init):
-    """Shared driver: evolve coupled blocks, return per-sweep disagreement stats."""
+def _coupled_curve(kernel, d, depth, sweeps, replicas, rng, window_depth,
+                   from_iid: bool) -> CoupledCurve:
+    """Shared driver: per replica chunk, couple an exact chain sample with a second one or,
+    ``from_iid``, with i.i.d. uniform states, sweep both, and collect the disagreement curve.
+    Arguments are checked before the Dobrushin enumeration; from i.i.d. states, D >= 1/d
+    warns the public driver's caller that the curve need not decay."""
+    tree = build_tree(d, depth)
+    window_depth, window = _window(tree, window_depth)
+    chunks = _chunks(replicas, sweeps, rng)
+    dob = dobrushin_coefficient(kernel, d)
+    if from_iid and dob >= 1.0 / d:
+        warnings.warn(f"Dobrushin coefficient {dob:.4f} >= 1/d: no contraction guarantee",
+                      stacklevel=3)
     sums, sums_sq = np.zeros((2, sweeps + 1))
-    for size, sub in _chunks(replicas, sweeps, rng):
-        sa, sb = init(size, sub)
+    for size, sub in chunks:
+        sa = (sub.integers(0, kernel.state_count, size=(tree.n, size)) if from_iid
+              else sample_bmc_batch(kernel, tree, sub, size))
+        sb = sample_bmc_batch(kernel, tree, sub, size)
         for t in range(sweeps + 1):
             if t:
                 _coupled_sweep_states(sa, sb, tree, kernel, sub)
             frac = (sa[window] != sb[window]).mean(axis=0)
             sums[t] += frac.sum()
             sums_sq[t] += (frac**2).sum()
-        sample_pair = (sa[:, 0].copy(), sb[:, 0].copy())
     means = sums / replicas
     stderrs = np.sqrt(np.maximum(sums_sq / replicas - means**2, 0.0) / replicas)
-    return means, stderrs, sample_pair
+    return CoupledCurve(np.arange(sweeps + 1), means, stderrs, dob,
+                        1.0 - wake_probability(d) * (1.0 - d * dob), replicas, window_depth)
+
+
+@dataclass(frozen=True)
+class DecayReport(CoupledCurve):
+    """Coupled-run disagreement curve plus the fitted per-sweep decay rate."""
+
+    rate: float
+    rate_interval: tuple[float, float]
+    p_wake: float
 
 
 def estimate_hamming_decay(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
@@ -507,23 +526,11 @@ def estimate_hamming_decay(kernel: TransitionKernel, d: int, depth: int, sweeps:
     1/d the rate should not exceed 1 - p_wake * (1 - d*D) up to boundary and
     Monte Carlo effects.
     """
-    tree = build_tree(d, depth)
-    window_depth, window = _window(tree, window_depth)
-
-    def init(size, sub):
-        return tuple(sample_bmc_batch(kernel, tree, sub, size) for _ in range(2))
-
-    means, stderrs, _ = _run_coupled_curve(kernel, tree, sweeps, replicas, rng, window, init)
-    sweep_axis = np.arange(sweeps + 1)
-    rate, slope_se, mask = _fit_rate(sweep_axis, means, stderrs)
+    curve = _coupled_curve(kernel, d, depth, sweeps, replicas, rng, window_depth, from_iid=False)
+    rate, slope_se = _fit_rate(curve.sweeps, curve.mean_distance, curve.stderr)
     interval = (rate * np.exp(-3.0 * slope_se), rate * np.exp(3.0 * slope_se))
-    dob = dobrushin_coefficient(kernel, d)
-    p = wake_probability(d)
-    return DecayReport(
-        sweeps=sweep_axis, mean_distance=means, stderr=stderrs, rate=rate,
-        rate_interval=interval, dobrushin=dob, p_wake=p,
-        contraction_bound=1.0 - p * (1.0 - d * dob), replicas=replicas,
-        window_depth=window_depth, fit_mask=mask)
+    return DecayReport(**vars(curve), rate=rate, rate_interval=interval,
+                       p_wake=wake_probability(d))
 
 
 @dataclass(frozen=True)
@@ -622,20 +629,12 @@ def fixed_point_test(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(CoupledCurve):
     """Distance-to-chain upper-bound curve for the sweep iterated from i.i.d. noise."""
 
-    sweeps: np.ndarray
-    mean_distance: np.ndarray
-    stderr: np.ndarray
     predicted_initial: float
     final_distance: float
     final_stderr: float
-    dobrushin: float
-    contraction_bound: float
-    replicas: int
-    window_depth: int
-    sample: Configuration = field(repr=False)
 
 
 def converge_from_iid(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
@@ -650,23 +649,7 @@ def converge_from_iid(kernel: TransitionKernel, d: int, depth: int, sweeps: int,
     curve decays geometrically; a warning is emitted otherwise.  At sweep 0
     the independent start makes the distance exactly 1 - 1/k in expectation.
     """
-    k = kernel.state_count
-    tree = build_tree(d, depth)
-    window_depth, window = _window(tree, window_depth)
-    dob = dobrushin_coefficient(kernel, d)
-    if dob >= 1.0 / d:
-        warnings.warn(f"Dobrushin coefficient {dob:.4f} >= 1/d: no contraction guarantee",
-                      stacklevel=2)
-
-    def init(size, sub):
-        return sub.integers(0, k, size=(tree.n, size)), sample_bmc_batch(kernel, tree, sub, size)
-
-    means, stderrs, sample_pair = _run_coupled_curve(kernel, tree, sweeps, replicas, rng,
-                                                     window, init)
-    p = wake_probability(d)
-    return ConvergenceReport(
-        sweeps=np.arange(sweeps + 1), mean_distance=means, stderr=stderrs,
-        predicted_initial=1.0 - 1.0 / k, final_distance=float(means[-1]),
-        final_stderr=float(stderrs[-1]), dobrushin=dob,
-        contraction_bound=1.0 - p * (1.0 - d * dob), replicas=replicas,
-        window_depth=window_depth, sample=Configuration(tree, sample_pair[0]))
+    curve = _coupled_curve(kernel, d, depth, sweeps, replicas, rng, window_depth, from_iid=True)
+    return ConvergenceReport(**vars(curve), predicted_initial=1.0 - 1.0 / kernel.state_count,
+                             final_distance=float(curve.mean_distance[-1]),
+                             final_stderr=float(curve.stderr[-1]))

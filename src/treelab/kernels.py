@@ -224,7 +224,7 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     laws of the center state.  Deterministic: enumerates the unordered
     multisets of the d-1 shared neighbor states (the conditional law is
     exchangeable in the neighbors) times ordered pairs of differing states;
-    the budget counts C(k+d-2, d-1) * k^2 conditional-law evaluations.
+    the budget, at least 1, counts C(k+d-2, d-1) * k^2 conditional-law evaluations.
 
     The weights of a block of multisets come from one ``_heat_bath_weights``
     call.  A multiset whose weights are all zero has probability zero and
@@ -235,6 +235,8 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     """
     if d < 1:
         raise ValueError("d must be positive")
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     k = kernel.state_count
     n_multisets = math.comb(k + d - 2, d - 1)
     if n_multisets * k * k > budget:

@@ -260,6 +260,13 @@ class TestContracts:
          "--k-max", "1", "--samples", "0"],
         ["local-distance", "--graph-a", "{k4}", "--graph-b", "{k4}", "--r-max", "1",
          "--k-max", "1", "--coloring-budget", "-7", "--seed", "1"],
+        # a search budget below 1, rejected before any search or fallback
+        ["dobrushin", "--kernel", "ising(0.2)", "--d", "3", "--budget", "-1"],
+        ["covering-min", "--graph", "{k4}", "--matrix", "m1", "--budget", "-1"],
+        ["covering-min", "--graph", "{k4}", "--matrix", "m1", "--budget", "-1", "--seed", "1"],
+        # sweeps are checked before a Dobrushin enumeration that would exceed its budget
+        ["glauber-converge", "--kernel", "potts(30,0.5)", "--d", "8", "--depth", "2",
+         "--sweeps", "-1", "--replicas", "5", "--seed", "1"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {
@@ -290,6 +297,8 @@ class TestContracts:
         assert "error" in captured.err
         if "reducible" in argv[-1]:
             assert "kernel is reducible" in captured.err
+        if argv[argv.index("--budget") + 1 if "--budget" in argv else 0] == "-1":
+            assert "budget must be at least 1" in captured.err
 
     @pytest.mark.parametrize("argv, nulls, note", [
         # one sweep of five replicas: fewer than two sweeps to fit a rate to

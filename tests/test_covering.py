@@ -111,6 +111,11 @@ class TestMinError:
         with pytest.raises(BudgetExceededError):
             min_error_exact(graph, bipartite_matrix(3), budget=10**6)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            min_error_exact(complete_graph(4), bipartite_matrix(3), budget=budget)
+
     def test_local_search_matches_exact(self):
         rng = np.random.default_rng(1)
         for graph in (complete_graph(4), complete_bipartite(3, 3)):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from treelab import glauber
+from treelab import glauber, localstats, trees
 from treelab.errors import ImpossibleConfigurationError
 from treelab.glauber import (CoupledPair, _coupled_sweep_states, _member_weights, _sweep_states,
                              _waking_mask, conditional_dist, converge_from_iid, coupled_sweep,
@@ -460,9 +460,12 @@ class TestColumnSets:
         rng = np.random.default_rng(70)
         with pytest.raises(ImpossibleConfigurationError):
             _sweep_states(rng.integers(0, 70, size=(tree.n, 32)), tree, kernel, rng)
-        with pytest.raises(ImpossibleConfigurationError), warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # walk70 is outside the Dobrushin regime
-            converge_from_iid(kernel, 3, 5, 2, 32, rng)
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(ImpossibleConfigurationError):
+                converge_from_iid(kernel, 3, 5, 2, 32, rng)
+        # walk70 is outside the Dobrushin regime, which the driver reports before sweeping
+        assert ["no contraction guarantee" in str(w.message) for w in record] == [True]
 
 
 class TestRowSamplerCache:
@@ -776,9 +779,11 @@ class TestDrivers:
         assert report.vertex_ok and report.edge_ok and report.star_ok
 
     def test_no_assertion_outside_dobrushin_regime(self):
-        # D > 1/d: no contraction guarantee; the driver still reports a curve
-        report = estimate_hamming_decay(make_ising(0.9), 3, 4, 8, 200,
-                                        np.random.default_rng(30))
+        # D > 1/d: no contraction guarantee; the driver still reports a curve, and never warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = estimate_hamming_decay(make_ising(0.9), 3, 4, 8, 200,
+                                            np.random.default_rng(30))
         assert report.dobrushin > 1 / 3
         assert report.mean_distance.shape == (9,)
         assert np.isfinite(report.mean_distance).all()
@@ -807,8 +812,9 @@ class TestDrivers:
         assert report.final_distance < 0.002
 
     def test_converge_warns_outside_dobrushin_regime(self):
-        with pytest.warns(UserWarning, match="no contraction guarantee"):
+        with pytest.warns(UserWarning, match="no contraction guarantee") as record:
             converge_from_iid(make_ising(0.9), 3, 3, 1, 50, np.random.default_rng(21))
+        assert [w.filename for w in record] == [__file__]  # attributed to the caller
 
     @pytest.mark.parametrize("depth, window_depth", [(1, None), (2, 0)])
     def test_fixed_point_rejects_window_without_edges(self, depth, window_depth):
@@ -826,14 +832,22 @@ class TestDrivers:
     @pytest.mark.parametrize("driver", [estimate_hamming_decay, converge_from_iid,
                                         fixed_point_test])
     def test_negative_sweeps_rejected(self, driver):
+        # before any Dobrushin enumeration, which for walk70 at d=6 exceeds its budget
         with pytest.raises(ValueError, match="sweeps must be nonnegative"):
-            driver(make_ising(0.2), 3, 3, -1, 5, np.random.default_rng(0))
+            driver(walk70(), 6, 2, -1, 5, np.random.default_rng(0))
 
     def test_reports_are_deterministic_given_seed(self):
         a = estimate_hamming_decay(make_ising(0.2), 3, 4, 5, 300, np.random.default_rng(22))
         b = estimate_hamming_decay(make_ising(0.2), 3, 4, 5, 300, np.random.default_rng(22))
         assert np.array_equal(a.mean_distance, b.mean_distance)
         assert a.rate == b.rate
+
+
+def test_private_names_read_by_the_bench_reference_exist():
+    # bench/reference.py sweeps member by member through these private names
+    assert glauber._draw_rows is trees._draw_rows
+    assert callable(glauber._waking_mask) and callable(glauber._member_weights)
+    assert callable(localstats._extract_ball)
 
 
 FINGERPRINT_KERNELS = {  # name: (kernel, degrees at which i.i.d. states wake no impossible code)

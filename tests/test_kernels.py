@@ -313,6 +313,11 @@ class TestDobrushin:
         with pytest.raises(BudgetExceededError):
             dobrushin_coefficient(make_potts(30, 0.5), 8, budget=10**6)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            dobrushin_coefficient(make_ising(0.2), 3, budget=budget)
+
 
 class TestSpectralRadius:
     def test_ising_is_abs_theta(self):

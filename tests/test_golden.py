@@ -27,11 +27,25 @@ from treelab.cli import run
 from treelab.covering import CoveringMatrix, bipartite_matrix, write_covering_matrix
 from treelab.graphs import (circulant_graph, complete_bipartite, complete_graph,
                             sample_regular_graph, write_graph)
+from treelab.kernels import kernel_from_matrix, write_kernel
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 GOLDEN_DEMOS = Path(__file__).with_name("golden_demos.json")
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
 _OUTPUT_FLAGS = ("--out", "--csv", "--text")
+# symmetric weights of a reversible 8-state kernel with 13 zero entries: its Dobrushin
+# values (0.7578... at d=2, 0.8552... at d=3) move in the last bit if a total-variation
+# sum skips the zero entries of a conditional law
+SPARSE_WEIGHTS = [
+    [0, 0, 2, 0, 5, 3, 3, 6],
+    [0, 2, 8, 1, 7, 0, 8, 7],
+    [2, 8, 2, 7, 7, 8, 6, 5],
+    [0, 1, 7, 1, 0, 7, 0, 7],
+    [5, 7, 7, 0, 1, 0, 3, 3],
+    [3, 0, 8, 7, 0, 2, 3, 2],
+    [3, 8, 6, 0, 3, 3, 1, 7],
+    [6, 7, 5, 7, 3, 2, 7, 1],
+]
 
 CASES = [
     "dobrushin --kernel ising(0.2) --d 3",
@@ -40,6 +54,8 @@ CASES = [
     "dobrushin --kernel walk(<tmp>/c70.txt) --d 3",
     "dobrushin --kernel potts(3,0.4) --d 1",
     "dobrushin --kernel walk(<tmp>/c70.txt) --d 2",
+    "dobrushin --kernel <tmp>/sparse.txt --d 2",
+    "dobrushin --kernel <tmp>/sparse.txt --d 3",
     "spectral --kernel potts(7,0.3)",
     "spectral --kernel <tmp>/kernel.txt",
     "bmc-sample --kernel ising(0.5) --d 3 --depth 3 --seed 7 --out <tmp>/config.txt",
@@ -109,6 +125,8 @@ def write_inputs(tmp: Path) -> None:
     write_graph(sample_regular_graph(10, 3, True, np.random.default_rng(2)), tmp / "cubic10.txt")
     write_graph(sample_regular_graph(40, 3, True, np.random.default_rng(0)), tmp / "cubic40.txt")
     (tmp / "kernel.txt").write_text("0.7 0.3\n0.3 0.7\n")
+    w = np.array(SPARSE_WEIGHTS, dtype=float)
+    write_kernel(kernel_from_matrix(w / w.sum(axis=1, keepdims=True)), tmp / "sparse.txt")
     write_covering_matrix(bipartite_matrix(3), tmp / "m2.txt")
     write_covering_matrix(CoveringMatrix([[1, 2, 0], [1, 0, 2], [0, 2, 1]]), tmp / "m3.txt")
 

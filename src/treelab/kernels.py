@@ -21,7 +21,7 @@ from .errors import BudgetExceededError
 from .graphs import _neighbor_fill, _read_rows, _strongly_connected, bfs
 
 ATOL = 1e-12
-_DOBRUSHIN_BLOCK = 2**16  # entries, about multisets * (d + k), of one block of Dobrushin weights
+_DOBRUSHIN_BLOCK = 2**16  # entries of a block of Dobrushin weights or a chunk of law differences
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def _heat_bath_weights(kernel: TransitionKernel, neighbors) -> np.ndarray:
     which the result keeps, with the k center states as its last axis.
     """
     neighbors = np.asarray(neighbors, dtype=np.int64)
-    w = np.broadcast_to(kernel.pi, neighbors.shape[:-1] + kernel.pi.shape).copy()
+    w = np.ones(neighbors.shape[:-1] + (1,)) * kernel.pi
     for j in range(neighbors.shape[-1]):
         w = w * kernel.q.T[neighbors[..., j]]
     return w
@@ -226,12 +226,17 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     exchangeable in the neighbors) times ordered pairs of differing states;
     the budget, at least 1, counts C(k+d-2, d-1) * k^2 conditional-law evaluations.
 
-    The weights of a block of multisets come from one ``_heat_bath_weights``
-    call.  A multiset whose weights are all zero has probability zero and
-    is skipped before its k x k conditional laws are formed; on a sparse
-    kernel that is most of them (2135 of 2485 for the 70-state walk at d=3).
-    The other configurations of probability zero under the chain carry no
-    conditional law and are skipped as well.
+    Each block of multisets is one set of array operations.  Its weights
+    w[s] = pi[s] * prod_u q[s, u] come from one ``_heat_bath_weights`` call.  A
+    multiset whose weights are all zero has probability zero and is dropped (2135
+    of 2485 for the 70-state walk at d=3); one of positive probability (some s
+    with every q[s, u] != 0) whose weights all lie below the smallest normal float
+    has underflowed and raises ValueError.  With a state a added, the center has
+    law w[s] * q[s, a] over its column total; a zero total carries no law.  Sums
+    run in the order numpy gives one k x k array of laws per multiset, so results
+    are bitwise those of a loop over the multisets: column totals add in state
+    order (leaving out zero weights changes no bit), and each total variation
+    distance sums over all k states, zeros included.
     """
     if d < 1:
         raise ValueError("d must be positive")
@@ -249,17 +254,36 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     best = 0.0
     while block := list(itertools.islice(multisets, per_block)):
         # B multisets of d - 1 states each (none at d = 1) give (B, k) weights
-        weights = _heat_bath_weights(kernel, block)
-        for i in np.flatnonzero((weights != 0).any(axis=1)):
-            # column a: weights of the center given the multiset + {a}
-            cond = weights[i, :, None] * kernel.q
-            totals = cond.sum(axis=0)
-            live = totals > 0.0
-            if np.count_nonzero(live) < 2:
-                continue
-            cond = cond[:, live] / totals[live]
-            diffs = 0.5 * np.abs(cond[:, :, None] - cond[:, None, :]).sum(axis=0)
-            best = max(best, float(diffs.max()))
+        shared = np.fromiter(itertools.chain.from_iterable(block), np.int64)
+        shared = shared.reshape(len(block), d - 1)
+        weights = _heat_bath_weights(kernel, shared)
+        kept = (np.abs(weights) >= np.finfo(float).tiny).any(axis=1)
+        if not kept.all():
+            # bit s of row u is q[s, u] != 0: a dropped multiset whose rows share a bit underflowed
+            support = np.packbits(kernel.q.T != 0, axis=1)[shared[~kept]]
+            if np.bitwise_and.reduce(support, axis=1).any():
+                raise ValueError(f"heat-bath weights underflow at d={d}: a multiset of positive "
+                                 "probability has no weight at or above the smallest normal float")
+        weights = weights[kept]
+        # column totals: add each multiset's nonzero-weight terms in state order
+        nonzero = weights != 0
+        order = (~nonzero).argsort(axis=1, kind="stable")[:, :nonzero.sum(axis=1).max(initial=0)]
+        totals = np.zeros((len(weights), k))
+        for w_s, s in zip(weights[np.arange(len(weights))[:, None], order].T, order.T):
+            totals += w_s[:, None] * kernel.q.take(s, axis=0)
+        live = totals > 0.0
+        width = live.sum(axis=1)
+        for n_live in set(width.tolist()) - {0, 1}:
+            first, second = np.array(list(itertools.combinations(range(n_live), 2))).T
+            group = (width == n_live).nonzero()[0]
+            step = max(1, _DOBRUSHIN_BLOCK // (first.size * k))
+            for part in (group[lo:lo + step] for lo in range(0, len(group), step)):
+                # (G, L, k) laws of the center, one row per live column, states last
+                cols = live[part].nonzero()[1].reshape(-1, n_live)
+                law = weights[part, None] * kernel.q.T[cols]
+                law /= totals[part[:, None], cols, None]
+                tv = np.abs(law.take(first, axis=1) - law.take(second, axis=1)).sum(axis=-1)
+                best = max(best, 0.5 * float(tv.max()))
     return best
 
 

@@ -267,6 +267,8 @@ class TestContracts:
         # sweeps are checked before a Dobrushin enumeration that would exceed its budget
         ["glauber-converge", "--kernel", "potts(30,0.5)", "--d", "8", "--depth", "2",
          "--sweeps", "-1", "--replicas", "5", "--seed", "1"],
+        # the balanced multisets' heat-bath weights underflow to zero
+        ["dobrushin", "--kernel", "ising(0.2)", "--d", "1301"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {

@@ -152,8 +152,12 @@ class TestWalkKernel:
             make_walk_kernel(graph)
 
 
-def dobrushin_per_multiset(kernel, d):
-    """dobrushin_coefficient as one loop over the multisets of shared neighbor states."""
+def dobrushin_per_multiset(kernel, d, support_only=False):
+    """dobrushin_coefficient as one loop over the multisets of shared neighbor states.
+
+    ``support_only`` sums each total variation distance over the nonzero-weight
+    states alone, which regroups numpy's pairwise sum.
+    """
     k = kernel.state_count
     best = 0.0
     for shared in itertools.combinations_with_replacement(range(k), d - 1):
@@ -166,6 +170,8 @@ def dobrushin_per_multiset(kernel, d):
         if np.count_nonzero(live) < 2:
             continue
         cond = cond[:, live] / totals[live]
+        if support_only:
+            cond = cond[w != 0]
         diffs = 0.5 * np.abs(cond[:, :, None] - cond[:, None, :]).sum(axis=0)
         best = max(best, float(diffs.max()))
     return best
@@ -181,6 +187,27 @@ SPARSE_WALKS = {
     "circulant10": make_walk_kernel(circulant_graph(10, [1, 2])),
     "k33": make_walk_kernel(complete_bipartite(3, 3)),
 }
+
+
+def sparse_uneven(k, seed):
+    """Reversible kernel of symmetric integer weights from 0 to 9, about a third of them zero."""
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.integers(1, 10, size=(k, k)) * (rng.random((k, k)) < 0.7), 1)
+    w = w + w.T + np.diag(rng.integers(0, 4, size=k))
+    return kernel_from_matrix(w / w.sum(axis=1, keepdims=True))
+
+
+def negative_entries():
+    """The lazy 5-cycle walk with q[0, 2] = q[2, 0] = -1e-12, which the checks allow."""
+    q = 0.5 * np.eye(5) + 0.5 * make_walk_kernel(cycle_graph(5)).q
+    q[0, 2] = q[2, 0] = -1e-12
+    q[0, 0] += 1e-12
+    q[2, 2] += 1e-12
+    return TransitionKernel(q=q, pi=np.full(5, 0.2))
+
+
+SPARSE9 = sparse_uneven(9, 17)
+WALK70 = make_walk_kernel(circulant_graph(70, [1, 2]))
 
 
 class TestColumnSets:
@@ -204,11 +231,7 @@ class TestColumnSets:
         w[:, 0] += 1.0
         kernel = TransitionKernel(q=w / w.sum(axis=1, keepdims=True), pi=w.sum(axis=1) / w.sum())
         assert np.array_equal(kernel.column_sets[0], np.tile(np.arange(4), (4, 1)))
-        q = 0.5 * np.eye(5) + 0.5 * make_walk_kernel(cycle_graph(5)).q
-        q[0, 2] = q[2, 0] = -1e-12  # the checks allow it, and != 0 keeps it
-        q[0, 0] += 1e-12
-        q[2, 2] += 1e-12
-        sets = TransitionKernel(q=q, pi=np.full(5, 0.2)).column_sets[0]
+        sets = negative_entries().column_sets[0]  # != 0 keeps the -1e-12 entries
         assert sets.tolist() == [[0, 1, 2, 4], [0, 1, 2, 5], [0, 1, 2, 3], [2, 3, 4, 5],
                                  [0, 3, 4, 5]]
 
@@ -221,12 +244,29 @@ class TestColumnSets:
 
 
 class TestDobrushin:
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("name", sorted(SPARSE_WALKS))
-    @pytest.mark.parametrize("lazy_walk", [False, True], ids=["walk", "lazy"])
-    def test_equals_per_multiset_loop(self, name, d, lazy_walk):
-        kernel = lazy(SPARSE_WALKS[name]) if lazy_walk else SPARSE_WALKS[name]
+    @pytest.mark.parametrize("kernel, d", [
+        *(pytest.param(lazy(SPARSE_WALKS[name]) if lazy_walk else SPARSE_WALKS[name], d,
+                       id=f"{'lazy' if lazy_walk else 'walk'}-{name}-{d}")
+          for lazy_walk in (False, True) for name in sorted(SPARSE_WALKS) for d in (1, 2, 3)),
+        pytest.param(SPARSE9, 2, id="sparse9-2"),
+        pytest.param(SPARSE9, 3, id="sparse9-3"),
+        pytest.param(SPARSE9, 4, id="sparse9-4"),
+        pytest.param(negative_entries(), 2, id="negative5-2"),
+        pytest.param(negative_entries(), 3, id="negative5-3"),
+        pytest.param(make_potts(17, 0.1), 3, id="potts17-3"),
+        pytest.param(WALK70, 2, id="walk70-2"),
+        pytest.param(WALK70, 3, id="walk70-3"),
+    ])
+    def test_equals_per_multiset_loop(self, kernel, d):
         assert dobrushin_coefficient(kernel, d) == dobrushin_per_multiset(kernel, d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_support_only_sum_moves_the_last_bit(self, d):
+        # the sparse case of the zoo above can tell the two summation orders apart
+        value = dobrushin_coefficient(SPARSE9, d)
+        assert value != dobrushin_per_multiset(SPARSE9, d, support_only=True)
+        assert value == pytest.approx(dobrushin_per_multiset(SPARSE9, d, support_only=True),
+                                      rel=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equals_per_multiset_loop_on_skewed_sparse_kernel(self, d):
@@ -244,6 +284,15 @@ class TestDobrushin:
         kernel = lazy(SPARSE_WALKS["k33"])
         want = dobrushin_per_multiset(kernel, 3)
         monkeypatch.setattr(kernels, "_DOBRUSHIN_BLOCK", 1)
+        assert dobrushin_coefficient(kernel, 3) == want
+
+    @pytest.mark.parametrize("kernel, block", [(SPARSE9, 1000), (make_potts(17, 0.1), 10**4)],
+                             ids=["sparse9", "potts17"])
+    def test_groups_split_into_chunks(self, kernel, block, monkeypatch):
+        # one block holds every multiset at d=3, all with k live columns, and the
+        # group is cut into chunks of 3 multisets (sparse9) or 4 (potts17)
+        want = dobrushin_per_multiset(kernel, 3)
+        monkeypatch.setattr(kernels, "_DOBRUSHIN_BLOCK", block)
         assert dobrushin_coefficient(kernel, 3) == want
 
     def test_ising_point_two_d3(self):
@@ -308,6 +357,14 @@ class TestDobrushin:
         kernel = make_potts(k, (k - 1) / k)
         assert spectral_radius(kernel) == pytest.approx(0.0, abs=1e-10)
         assert dobrushin_coefficient(kernel, d) < 1 / d
+
+    def test_underflow_raises(self):
+        # the balanced multisets underflow from d = 993 on, to subnormals and then to zero;
+        # at d = 991 the smallest weights underflow but every multiset keeps a normal one
+        assert dobrushin_coefficient(make_ising(0.2), 991) == pytest.approx(0.2, abs=1e-12)
+        for d in (1001, 1301):
+            with pytest.raises(ValueError, match="underflow"):
+                dobrushin_coefficient(make_ising(0.2), d)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):

@@ -29,6 +29,15 @@ for m sites, so each sum, cumulation and count is c vector operations.  Zero
 weights leave the running sums as they are wherever they sit, a sum of at most
 two nonzero terms rounds alike in any grouping, and longer laws are summed by
 numpy as dense rows: the draws are bitwise those of the definitions site by site.
+
+On column sets, the laws of the live codes alone are tabulated, the codes of the
+neighbor tuples (u_1..u_d) with q[s, u_j] != 0 for some s and every j (3430 of
+the 343,000 of the 70-state walk at d=3), when k^d and the tuples listed stay
+under a cap; an index from code to row is looked up per site.  A coupled sweep
+takes the union of its two sets from a table over the k^2 pairs of first
+neighbor states, with the row of each union state in either set, and reads
+both laws off the live table there; its zero entries read +0 where an
+evaluated law may hold -0, which moves no sum, cumulation or draw.
 """
 
 from __future__ import annotations
@@ -56,7 +65,14 @@ _STAR_MAX = 100_000
 
 # Largest k^d for which the sweeps tabulate the law of every ordered neighbor tuple
 # (and k^(2d) for the coupled draw of every pair of tuples) instead of one per vertex.
+# Above it, the laws of the live tuples are tabulated on column sets while k^d (the
+# index holds one small integer per tuple: 0.7 MB for the 70-state walk at d=3) and the
+# tuples listed to find them are at most _LIVE_CODE_MAX, and unions of two column sets
+# are tabulated while all k^2 of them hold at most that many states.  Past the cap each
+# woken vertex multiplies its own law (the 70-state walk at d=4 has 24M tuples), or
+# each coupled sweep sorts its unions.
 _LAW_TABLE_MAX = 4096
+_LIVE_CODE_MAX = 2**19
 
 
 def wake_probability(d: int) -> float:
@@ -208,19 +224,72 @@ def _laws(kernel: TransitionKernel, nbr_states: np.ndarray, cols=None):
         return w / totals, totals <= 0.0
 
 
+def _unions(sets_a: np.ndarray, sets_b: np.ndarray, k: int) -> np.ndarray:
+    """(2c, m) sorted unions of (c, m) column sets, each repeat replaced by the sentinel k."""
+    cols = np.sort(np.vstack([sets_a, sets_b]), axis=0)
+    cols[1:][cols[1:] == cols[:-1]] = k
+    return cols
+
+
+def _live_codes(kernel: TransitionKernel, d: int):
+    """The codes, ascending, of the neighbor tuples (u_1..u_d) with q[s, u_j] != 0 for some s
+    and every j, or None when k^d or the tuples listed, sum over s of |{u: q[s, u] != 0}|^d,
+    exceed _LIVE_CODE_MAX."""
+    k, support = kernel.state_count, kernel.q != 0
+    if k**d > _LIVE_CODE_MAX or (support.sum(axis=1) ** d).sum() > _LIVE_CODE_MAX:
+        return None
+    live = np.zeros(k**d, dtype=bool)
+    for row in support:
+        codes = states = np.flatnonzero(row)
+        for _ in range(d - 1):
+            codes = (codes[:, None] * k + states).ravel()
+        live[codes] = True
+    return np.flatnonzero(live)
+
+
 def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
-    """Read-only tables over the K = k^d neighbor codes, kept per d on the kernel: ``zero``
-    flags, (k, K) ``laws`` and cumulative laws ``cum``, and if K^2 <= _LAW_TABLE_MAX, ``pair``,
-    the ``_pair_rows`` of laws a and b at column a*K + b, laws cumulated."""
+    """Read-only tables of the sweeps at degree d, kept per d on the kernel (None: absent).
+
+    If K = k^d <= _LAW_TABLE_MAX: ``zero`` flags, (k, K) ``laws`` and cumulative laws ``cum``
+    of every code, and if K^2 <= _LAW_TABLE_MAX, ``pair``, the ``_pair_rows`` of laws a and b
+    at column a*K + b, laws cumulated.  Otherwise, if ``_live_codes`` lists the live codes,
+    ``index``: each code's row (the row count L if its total is zero), in the narrowest
+    unsigned type; (c + 1, L) ``laws`` on the first neighbor state's column set and then
+    the sentinel; ``cum`` of their first c rows.  And if the sets are narrower than k and
+    the k^2 unions of two hold at most _LIVE_CODE_MAX states: ``union``, the ``_unions`` of
+    the sets of a and b at column a*k + b; ``slots``, the row of each of its states in the
+    sets of a, then of b (c if none).
+    """
     if d not in kernel.code_tables:
-        laws, zero = _laws(kernel, np.indices((kernel.state_count,) * d).reshape(d, -1))
-        tables = SimpleNamespace(zero=zero, laws=laws, cum=_cumulate(laws), pair=None)
-        if laws.shape[1] ** 2 <= _LAW_TABLE_MAX:  # nan laws: zero-total codes, no overlap
-            c, *pair_laws, dead = _pair_rows(np.repeat(laws, laws.shape[1], axis=1),
-                                             np.tile(laws, laws.shape[1]))
-            tables.pair = (c, *map(_cumulate, pair_laws), dead)
-        for a in (zero, laws, tables.cum, *(tables.pair or ())):
-            a.setflags(write=False)
+        k, sets = kernel.state_count, kernel.column_sets[0]
+        tables = SimpleNamespace(zero=None, laws=None, cum=None, pair=None, index=None,
+                                 union=None, slots=None)
+        if k**d <= _LAW_TABLE_MAX:
+            laws, tables.zero = _laws(kernel, np.indices((k,) * d).reshape(d, -1))
+            tables.laws, tables.cum = laws, _cumulate(laws)
+            if laws.shape[1] ** 2 <= _LAW_TABLE_MAX:  # nan laws: zero-total codes, no overlap
+                c, *pair_laws, dead = _pair_rows(np.repeat(laws, laws.shape[1], axis=1),
+                                                 np.tile(laws, laws.shape[1]))
+                tables.pair = (c, *map(_cumulate, pair_laws), dead)
+        else:
+            if (live := _live_codes(kernel, d)) is not None:
+                digits = np.array(np.unravel_index(live, (k,) * d))
+                padded = np.hstack([sets, np.full((k, 1), k)]).T
+                tables.laws, zero = _laws(kernel, digits, padded.take(digits[0], axis=1))
+                tables.cum = _cumulate(tables.laws[:-1])
+                tables.index = np.full(k**d, live.size, dtype=np.min_scalar_type(live.size))
+                tables.index[live[~zero]] = np.flatnonzero(~zero)
+            if (c := sets.shape[1]) < k and 2 * c * k * k <= _LIVE_CODE_MAX:
+                own, other = np.repeat(sets, k, axis=0).T, np.tile(sets, (k, 1)).T
+                union = _unions(own, other, k)
+                tables.union = union.astype(np.min_scalar_type(k))
+                tables.slots = np.array([np.where(hit.any(axis=0), hit.argmax(axis=0), c)
+                                         for hit in (s[:, None] == union for s in (own, other))],
+                                        dtype=np.min_scalar_type(c))
+        for a in vars(tables).values():
+            for array in a if isinstance(a, tuple) else (a,):
+                if array is not None:
+                    array.setflags(write=False)
         kernel.code_tables[d] = tables
     return kernel.code_tables[d]
 
@@ -251,31 +320,38 @@ def _neighbor_states(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree, 
 
 
 def _woken_laws(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree,
-                kernel: TransitionKernel, cols=None):
+                kernel: TransitionKernel, cols=None, slots=None):
     """Conditional laws of the woken sites, at flat indices ``flat`` of the (n, R) block,
     as (laws, rows, cols), states on axis 0.
 
-    Without ``cols``, when k^d is at most _LAW_TABLE_MAX, ``laws`` is the law table
-    of ``_code_tables`` and site i uses law ``rows[i]``, the base-k code of its
-    neighbor states; otherwise law i is site i's law on the states ``cols[:, i]`` (the
-    given (c, m) sets, else its own; None is all k states).  Both evaluate the same
-    expression per entry, bit for bit.
+    With a table of ``_code_tables``, ``laws`` is the table and site i uses law ``rows[i]``:
+    with the k^d table, the law of its neighbor code on all k states; with the live-code
+    table, the law of its code's row on ``cols[:, i]``, the column set of its first neighbor
+    state (None: all k states).  Given (c, m) union sets ``cols`` and their ``slots`` in the
+    live-code table, law i is site i's law on ``cols[:, i]``, read off that table (zeros as
+    +0); without them, it is evaluated there.  Otherwise law i is evaluated on the site's
+    column set.  All evaluate the same expression per entry, bit for bit.
     """
-    k, d = kernel.state_count, tree.d
-    if cols is None and k**d <= _LAW_TABLE_MAX:
-        tables, rows = _code_tables(kernel, d), _neighbor_codes(states, tree, k).take(flat)
+    k, tables = kernel.state_count, _code_tables(kernel, tree.d)
+    if tables.zero is not None:
+        rows = _neighbor_codes(states, tree, k).take(flat)
         laws, zero = tables.laws, tables.zero[rows]
     else:
-        nbr_states = _neighbor_states(states, flat, tree)
-        sets, rows = kernel.column_sets[0], None
+        nbr_states, sets, rows = _neighbor_states(states, flat, tree), kernel.column_sets[0], None
+        live = tables.index is not None and (cols is None or slots is not None)
         if cols is None and sets.shape[1] < k:
             cols = sets.T.take(nbr_states[0], axis=1)
-        laws, zero = _laws(kernel, nbr_states, cols)
+        if live:
+            rows = tables.index.take(np.ravel_multi_index(nbr_states, (k,) * tree.d))
+            laws = tables.laws if slots is not None else tables.laws[:-1]
+            zero = rows == laws.shape[1]
+        else:
+            laws, zero = _laws(kernel, nbr_states, cols)
     if zero.any():
         raise ImpossibleConfigurationError(
             "a woken vertex saw a neighbor configuration of probability zero"
         )
-    return laws, rows, cols
+    return (laws, rows, cols) if slots is None else (laws[slots, rows], None, cols)
 
 
 def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
@@ -386,18 +462,25 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
     independently across members (by the pair table's rows when it exists).
     """
     flat = _waking_sites(tree, rng.random(sa.shape))
-    k, sets, cols = kernel.state_count, kernel.column_sets[0], None
-    if sets.shape[1] < k and k**tree.d > _LAW_TABLE_MAX:
-        firsts = (_neighbor_states(s, flat, tree, 1)[0] for s in (sa, sb))
-        cols = np.sort(np.vstack([sets.T.take(w, axis=1) for w in firsts]), axis=0)  # the union
-        cols[1:][cols[1:] == cols[:-1]] = k  # a repeat becomes a sentinel
-    (pa, rows_a, _), (pb, rows_b, _) = (_woken_laws(s, flat, tree, kernel, cols)
-                                        for s in (sa, sb))
-    code = None if rows_a is None else rows_a * pa.shape[1] + rows_b
+    k, tables, cols, slots = kernel.state_count, _code_tables(kernel, tree.d), None, (None, None)
+    sets = kernel.column_sets[0]
+    if sets.shape[1] < k and tables.zero is None:  # the union of the two copies' column sets
+        wa, wb = (_neighbor_states(s, flat, tree, 1)[0] for s in (sa, sb))
+        if tables.union is None:
+            cols = _unions(sets.T.take(wa, axis=1), sets.T.take(wb, axis=1), k)
+        else:
+            key = wa * k + wb
+            cols = tables.union.take(key, axis=1)
+            if tables.index is not None:
+                slots = tables.slots.take(key, axis=2)
+    (pa, rows_a, _), (pb, rows_b, _) = (_woken_laws(s, flat, tree, kernel, cols, w)
+                                        for s, w in zip((sa, sb), slots))
     if rows_a is None:
-        pair = _pair_rows(pa, pb, cols, k)
-    elif (pair := _code_tables(kernel, tree.d).pair) is None:
+        pair, code = _pair_rows(pa, pb, cols, k), None
+    elif tables.pair is None:
         pair, code = _pair_rows(pa[:, rows_a], pb[:, rows_b]), None
+    else:
+        pair, code = tables.pair, rows_a * pa.shape[1] + rows_b
     for s, x in zip((sa, sb), _pair_draw(pair, rng, code)):
         np.put(s, flat, x if cols is None else cols.take(x * x.size + np.arange(x.size)))
 

@@ -91,6 +91,15 @@ class TransitionKernel:
         return _row_sampler(self.q)
 
     @functools.cached_property
+    def stationary_sampler(self):
+        """``draw(u)`` from pi, built on first use, bit for bit ``trees._draw_rows(pi, u)``:
+        the count of cumulative entries <= u, found by bisection since pi > 0 keeps them sorted."""
+        from .trees import _cumulate
+        cum = _cumulate(self.pi)[:-1]
+        cum.setflags(write=False)
+        return lambda u: np.searchsorted(cum, u, side="right")
+
+    @functools.cached_property
     def code_tables(self) -> dict:
         """Per-degree law tables of the Glauber sweeps, filled by ``glauber._code_tables``."""
         return {}

@@ -13,8 +13,8 @@ from treelab.glauber import (CoupledPair, _coupled_sweep_states, _member_weights
 from treelab.graphs import circulant_graph, complete_graph
 from treelab.kernels import (NeighborConfig, TransitionKernel, make_ising, make_potts,
                              make_walk_kernel, uniform_kernel)
-from treelab.trees import (Configuration, RealField, _draw_rows, build_tree, sample_bmc,
-                           sample_bmc_batch, sample_uniform_labels, tree_distance)
+from treelab.trees import (Configuration, RealField, _cumulate, _draw_rows, build_tree,
+                           sample_bmc, sample_bmc_batch, sample_uniform_labels, tree_distance)
 
 
 def waking_reference_scan(tree, values):
@@ -221,16 +221,24 @@ class TestLawTable:
 
     @pytest.mark.parametrize("kernel", [make_ising(0.25), make_potts(3, 0.4)])
     def test_sweep_is_the_same_with_and_without_table(self, kernel, monkeypatch):
+        # the k^d table, the live-code table, and the per-vertex product; each run on a
+        # fresh copy of the kernel, as the tables are kept per kernel and degree
         tree = build_tree(3, 5)
         start = sample_bmc_batch(kernel, tree, np.random.default_rng(41), 64)
         swept = []
-        for budget in (glauber._LAW_TABLE_MAX, 0):
+        for budget, live_budget in ((glauber._LAW_TABLE_MAX, glauber._LIVE_CODE_MAX),
+                                    (0, glauber._LIVE_CODE_MAX), (0, 0)):
             monkeypatch.setattr(glauber, "_LAW_TABLE_MAX", budget)
+            monkeypatch.setattr(glauber, "_LIVE_CODE_MAX", live_budget)
+            fresh = TransitionKernel(kernel.q, kernel.pi)
             states, rng = start.copy(), np.random.default_rng(42)
             for _ in range(3):
-                _sweep_states(states, tree, kernel, rng)
+                _sweep_states(states, tree, fresh, rng)
+            tables = glauber._code_tables(fresh, 3)
+            assert [tables.zero is not None, tables.index is not None] == [bool(budget),
+                                                                           bool(live_budget) and not budget]
             swept.append(states)
-        assert np.array_equal(*swept)
+        assert np.array_equal(swept[0], swept[1]) and np.array_equal(swept[0], swept[2])
 
     def test_zero_entries_raise_only_when_an_impossible_code_wakes(self):
         # the walk on the 5-cycle has no triangles: no state is adjacent to
@@ -466,6 +474,124 @@ class TestColumnSets:
                 converge_from_iid(kernel, 3, 5, 2, 32, rng)
         # walk70 is outside the Dobrushin regime, which the driver reports before sweeping
         assert ["no contraction guarantee" in str(w.message) for w in record] == [True]
+
+
+LIVE_TABLE_CASES = {  # name: (kernel factory, d); k^d above _LAW_TABLE_MAX unless patched
+    "walk70-d2": (walk70, 2), "walk70-d3": (walk70, 3), "uneven23": (uneven_kernel, 3),
+    "negative20": (negative_entry_kernel, 3), "potts17": (lambda: make_potts(17, 0.1), 3),
+    "cycle5": (lambda: make_walk_kernel(circulant_graph(5, [1])), 3),
+    "k4walk": (lambda: make_walk_kernel(complete_graph(4)), 3),
+}
+
+
+def live_tables(case, monkeypatch):
+    """A fresh kernel of the case, its degree, and its live-code tables (k^d table off)."""
+    factory, d = LIVE_TABLE_CASES[case]
+    monkeypatch.setattr(glauber, "_LAW_TABLE_MAX", 0)
+    kernel = factory()
+    return kernel, d, glauber._code_tables(kernel, d)
+
+
+class TestLiveCodeTable:
+    @pytest.mark.parametrize("case", LIVE_TABLE_CASES)
+    def test_laws_equal_per_vertex_laws_bitwise(self, case, monkeypatch):
+        # every code, in blocks: a code has a row iff its dense weights have a positive total,
+        # and the row, scattered to k states, is the per-vertex law pi * prod_u q[:, u] / total
+        kernel, d, tables = live_tables(case, monkeypatch)
+        k, n_rows = kernel.state_count, tables.laws.shape[1]
+        assert tables.index is not None and not tables.laws[-1].any()  # the sentinel's zero row
+        assert tables.index.dtype == np.min_scalar_type(n_rows)
+        sets = np.hstack([kernel.column_sets[0], np.full((k, 1), k)])
+        for start in range(0, k**d, 2**14):
+            codes = np.arange(start, min(start + 2**14, k**d))
+            digits = np.array(np.unravel_index(codes, (k,) * d))
+            w = kernel.pi * np.prod(kernel.q.T[digits.T], axis=1)
+            total = w.sum(axis=1)
+            rows = tables.index[codes]
+            assert np.array_equal(rows == n_rows, total <= 0.0)
+            ok = rows < n_rows
+            laws = tables.laws[:, rows[ok]]
+            assert np.array_equal(scatter(laws, sets[digits[0, ok]].T, k), w[ok] / total[ok, None])
+            per_vertex, _ = glauber._laws(kernel, digits[:, ok], sets[digits[0, ok]].T)
+            assert np.array_equal(laws, per_vertex)
+            assert np.array_equal(tables.cum[:, rows[ok]], _cumulate(laws[:-1]))
+
+    @pytest.mark.parametrize("case", [c for c in LIVE_TABLE_CASES if c != "potts17"])
+    def test_union_table_equals_sorted_unions(self, case, monkeypatch):
+        # all k^2 pairs: the sort of the two sets with each repeat made a sentinel, and
+        # each copy's slots name a union state's row in its own set, or a zero-law row
+        kernel, _, tables = live_tables(case, monkeypatch)
+        k, sets = kernel.state_count, kernel.column_sets[0]
+        a, b = np.divmod(np.arange(k * k), k)
+        union = np.sort(np.vstack([sets[a].T, sets[b].T]), axis=0)
+        union[1:][union[1:] == union[:-1]] = k
+        assert np.array_equal(tables.union, union)
+        padded = np.hstack([sets, np.full((k, 1), k)])
+        for own, slots in zip((a, b), tables.slots):
+            in_set = (union[:, :, None] == sets[own][None]).any(axis=2)
+            assert np.array_equal(padded[own[:, None], slots.T].T, np.where(in_set, union, k))
+
+    @pytest.mark.parametrize("case", ["walk70-d3", "uneven23", "negative20"])
+    def test_union_laws_equal_per_vertex_laws(self, case, monkeypatch):
+        # laws read off the table on the union sets equal the laws evaluated there, up to
+        # the sign of zero entries
+        kernel, d, tables = live_tables(case, monkeypatch)
+        tree, rng = build_tree(d, 5), np.random.default_rng(95)
+        sa, sb = (sample_bmc_batch(kernel, tree, rng, 64) for _ in range(2))
+        flat = np.flatnonzero(_waking_mask(tree, rng.random(sa.shape)))
+        v, r = np.divmod(flat, 64)
+        key = sa[tree.neighbors[v, 0], r] * kernel.state_count + sb[tree.neighbors[v, 0], r]
+        cols, slots = tables.union[:, key], tables.slots[:, :, key]
+        for states, own in zip((sa, sb), slots):
+            looked_up = glauber._woken_laws(states, flat, tree, kernel, cols, own)[0]
+            evaluated = glauber._laws(kernel, glauber._neighbor_states(states, flat, tree), cols)[0]
+            assert np.array_equal(looked_up, evaluated)
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_dead_code_raises(self, coupled):
+        # i.i.d. states on walk70 wake neighbor tuples with no common neighbor state
+        kernel, tree = walk70(), build_tree(3, 5)
+        rng = np.random.default_rng(96)
+        iid = rng.integers(0, 70, size=(tree.n, 32))
+        with pytest.raises(ImpossibleConfigurationError,
+                           match="^a woken vertex saw a neighbor configuration of probability zero$"):
+            if coupled:
+                _coupled_sweep_states(sample_bmc_batch(kernel, tree, rng, 32), iid, tree, kernel, rng)
+            else:
+                _sweep_states(iid, tree, kernel, rng)
+        tables = glauber._code_tables(kernel, 3)
+        assert tables.index is not None and (tables.index == tables.laws.shape[1]).any()
+
+    def test_tables_read_only_and_built_once(self, monkeypatch):
+        kernel, tree = walk70(), build_tree(3, 4)
+        calls = []
+        monkeypatch.setattr(glauber, "_live_codes",
+                            lambda *args, live=glauber._live_codes: calls.append(args) or live(*args))
+        assert 3 not in kernel.code_tables  # built on first use
+        rng = np.random.default_rng(97)
+        sa, sb = (sample_bmc_batch(kernel, tree, rng, 16) for _ in range(2))
+        for _ in range(3):
+            _coupled_sweep_states(sa, sb, tree, kernel, rng)
+            _sweep_states(sa, tree, kernel, rng)
+        tables = glauber._code_tables(kernel, 3)
+        assert len(calls) == 1 and glauber._code_tables(kernel, 3) is tables
+        assert glauber._code_tables(kernel, 2) is not tables and len(calls) == 2
+        arrays = (tables.index, tables.laws, tables.cum, tables.union, tables.slots)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+
+    def test_walk70_at_degree_4_keeps_the_per_vertex_product(self):
+        # 70^4 codes exceed _LIVE_CODE_MAX; the union table still applies
+        kernel = walk70()
+        assert 70**4 > glauber._LIVE_CODE_MAX
+        tables = glauber._code_tables(kernel, 4)
+        assert tables.index is None and tables.laws is None and tables.union is not None
+        tree, rng = build_tree(4, 3), np.random.default_rng(98)
+        states = sample_bmc_batch(kernel, tree, rng, 16)
+        flat = np.flatnonzero(_waking_mask(tree, rng.random(states.shape)))
+        laws, rows, cols = glauber._woken_laws(states, flat, tree, kernel)
+        assert rows is None and laws.shape == cols.shape == (4, flat.size)
 
 
 class TestRowSamplerCache:

@@ -303,6 +303,24 @@ class TestDrawRows:
         assert np.array_equal(_draw_rows(probs, u, rows), want)
 
 
+class TestStationarySampler:
+    @pytest.mark.parametrize("make", [lambda: make_ising(0.25),
+                                      lambda: make_walk_kernel(circulant_graph(70, [1, 2]))],
+                             ids=["k2", "walk70"])
+    @pytest.mark.parametrize("size", [1, 512])
+    def test_cached_draw_equals_draw_rows(self, make, size):
+        # u = 0, each cumulative value of pi and the float just below it, then random u
+        kernel = make()
+        assert "stationary_sampler" not in vars(kernel)  # built on first use
+        cum = trees._cumulate(kernel.pi)[:-1]
+        u = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0),
+                            np.random.default_rng(size).random(1024)])
+        for start in range(0, u.size - size + 1, size):
+            block = u[start:start + size]
+            assert np.array_equal(kernel.stationary_sampler(block), _draw_rows(kernel.pi, block))
+        assert kernel.stationary_sampler is kernel.stationary_sampler
+
+
 class TestSampleIid:
     def test_point_mass(self):
         tree = build_tree(3, 2)
@@ -458,6 +476,31 @@ class TestCorrelations:
         verdict = classify_correlation_decay(make_ising(0.3), 4, [1.0, -1.0], 200)
         assert verdict.verdict == "CONSISTENT"
         assert verdict.witness is None
+
+    def test_classifier_sees_violations_below_1e_12(self):
+        # theta = 0.72 > 1/sqrt(2): theta^k beats the ceiling from some k on, where both are
+        # near 1e-35; the first such k, in 60-digit arithmetic, is 245
+        mp = pytest.importorskip("mpmath")
+        kernel = make_ising(0.72)
+        verdict = classify_correlation_decay(kernel, 3, [-1, 1], 600)
+        assert (verdict.verdict, verdict.witness) == ("VIOLATES", 245)
+        with mp.workdps(60):
+            lam = mp.mpf(kernel.q[0, 0]) - mp.mpf(kernel.q[0, 1])
+            first = next(k for k in range(1, 601)
+                         if lam**k > (k + 1 - mp.mpf(2 * k) / 3) * mp.mpf(2) ** (-mp.mpf(k) / 2))
+        assert first == 245
+        assert np.allclose(verdict.correlations[:300], float(lam) ** np.arange(1, 301),
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kernel, encoding", [
+        (make_ising(0.70), [1.0, -1.0]), (make_ising(0.3), [0.0, 1.0]),
+        (make_potts(3, 0.4), [-1.0, 0.0, 1.0]), (make_potts(3, 0.4), [0.0, 1.0, 2.0])],
+        ids=["ising0.70", "ising0.3-01", "potts3-centred", "potts3-index"])
+    def test_classifier_consistent_below_the_threshold(self, kernel, encoding):
+        # spectral radius below 1/sqrt(2): no violation at any k, though the plain transfer-
+        # matrix correlations stall near 1e-33 (centred) or 1e-16 (off-centre encodings)
+        verdict = classify_correlation_decay(kernel, 3, encoding, 600)
+        assert (verdict.verdict, verdict.witness) == ("CONSISTENT", None)
 
 
 def test_dump_configuration_format():

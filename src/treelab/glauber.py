@@ -30,14 +30,13 @@ weights leave the running sums as they are wherever they sit, a sum of at most
 two nonzero terms rounds alike in any grouping, and longer laws are summed by
 numpy as dense rows: the draws are bitwise those of the definitions site by site.
 
-On column sets, the laws of the live codes alone are tabulated, the codes of the
-neighbor tuples (u_1..u_d) with q[s, u_j] != 0 for some s and every j (3430 of
-the 343,000 of the 70-state walk at d=3), when k^d and the tuples listed stay
-under a cap; an index from code to row is looked up per site.  A coupled sweep
-takes the union of its two sets from a table over the k^2 pairs of first
-neighbor states, with the row of each union state in either set, and reads
-both laws off the live table there; its zero entries read +0 where an
-evaluated law may hold -0, which moves no sum, cumulation or draw.
+On column sets, only the laws of the live codes are tabulated, those of neighbor
+tuples (u_1..u_d) with q[s, u_j] != 0 for some s and every j (3430 of 343,000 for
+the 70-state walk at d=3), and an index maps codes to rows.  A coupled sweep
+takes its unions from a table over the k^2 pairs of first neighbor states, with
+the row of each union state in either set, and reads both laws off the live
+table; their zero entries read +0 where an evaluated law may hold -0, which
+moves no sum, cumulation or draw.  Both tables have a size cap (_LIVE_CODE_MAX).
 """
 
 from __future__ import annotations
@@ -286,10 +285,9 @@ def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
                 tables.slots = np.array([np.where(hit.any(axis=0), hit.argmax(axis=0), c)
                                          for hit in (s[:, None] == union for s in (own, other))],
                                         dtype=np.min_scalar_type(c))
-        for a in vars(tables).values():
-            for array in a if isinstance(a, tuple) else (a,):
-                if array is not None:
-                    array.setflags(write=False)
+        for a in (*vars(tables).values(), *(tables.pair or ())):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
         kernel.code_tables[d] = tables
     return kernel.code_tables[d]
 

@@ -18,25 +18,24 @@ layout of the tree.  The radius-2 maximum of the float labels is one pass of
 block reshapes and pairwise maxima over the vertices that can wake; exact ties
 are broken toward the smaller index by comparing each vertex with its earlier
 ball members (parent, grandparent, earlier siblings).  Woken sites are row-major
-flat indices v*R + r of the block.  When k^d is small the conditional laws of
-all ordered neighbor tuples are tabulated once per (kernel, d) and looked up by
-the base-k code of the neighbor states, formed by block arithmetic; when k^(2d)
-is small, so is the maximal coupling of every ordered pair of codes.  Otherwise
-a woken vertex's law is taken on its column set: the states s with q[s, w] != 0
-for its first neighbor state w (in a coupled sweep, the union over both copies),
-in order, with zero-weight sentinels as padding.  Laws are states-major, (c, m)
-for m sites, so each sum, cumulation and count is c vector operations.  Zero
-weights leave the running sums as they are wherever they sit, a sum of at most
-two nonzero terms rounds alike in any grouping, and longer laws are summed by
-numpy as dense rows: the draws are bitwise those of the definitions site by site.
+flat indices v*R + r of the block.  A woken vertex's law is taken on its column set:
+the states s with q[s, w] != 0 for its first neighbor state w (in a coupled sweep, the
+union over both copies), in order, with zero-weight sentinels as padding (all k states
+for a kernel with no zero).  Laws are states-major, (c, m) for m sites, so each sum,
+cumulation and count is c vector operations.  Zero weights leave the running sums as
+they are wherever they sit, a sum of at most two nonzero terms rounds alike in any
+grouping, and longer laws are summed by numpy as dense rows: the draws are bitwise those
+of the definitions site by site.
 
-On column sets, only the laws of the live codes are tabulated, those of neighbor
-tuples (u_1..u_d) with q[s, u_j] != 0 for some s and every j (3430 of 343,000 for
-the 70-state walk at d=3), and an index maps codes to rows.  A coupled sweep
-takes its unions from a table over the k^2 pairs of first neighbor states, with
-the row of each union state in either set, and reads both laws off the live
-table; their zero entries read +0 where an evaluated law may hold -0, which
-moves no sum, cumulation or draw.  Both tables have a size cap (_LIVE_CODE_MAX).
+One table per (kernel, d) holds the laws of the live codes, the base-k codes of neighbor
+tuples (u_1..u_d) with q[s, u_j] != 0 for some s and every j (3430 of 343,000 for the
+70-state walk at d=3), with an index from codes to rows.  Codes are formed by block
+arithmetic; their leading digit is the first neighbor state.  For a table of few rows
+the maximal coupling of every ordered pair of rows is tabulated too, on all k states;
+otherwise a coupled sweep takes its unions from a table over the k^2 pairs of first
+neighbor states, with each union state's row in either set, and reads both laws off the
+table (zeros as +0 where an evaluated law may hold -0, which moves no sum or draw).  Past
+the size caps each woken vertex evaluates its law and each coupled sweep sorts its unions.
 """
 
 from __future__ import annotations
@@ -62,15 +61,13 @@ _CHUNK = 2048
 # Largest k^(d+1) for which fixed_point_test compares the star law.
 _STAR_MAX = 100_000
 
-# Largest k^d for which the sweeps tabulate the law of every ordered neighbor tuple
-# (and k^(2d) for the coupled draw of every pair of tuples) instead of one per vertex.
-# Above it, the laws of the live tuples are tabulated on column sets while k^d (the
-# index holds one small integer per tuple: 0.7 MB for the 70-state walk at d=3) and the
-# tuples listed to find them are at most _LIVE_CODE_MAX, and unions of two column sets
-# are tabulated while all k^2 of them hold at most that many states.  Past the cap each
-# woken vertex multiplies its own law (the 70-state walk at d=4 has 24M tuples), or
+# Caps of the law tables: the live-code table while k^d (its index holds one small integer
+# per code: 0.7 MB for the 70-state walk at d=3) and the tuples listed to find the live
+# codes are at most _LIVE_CODE_MAX; its pair table while L^2 <= _PAIR_TABLE_MAX for L rows;
+# else the union table while the k^2 unions hold at most _LIVE_CODE_MAX states.  Past them
+# each woken vertex multiplies its own law (the 70-state walk at d=4 has 24M codes), or
 # each coupled sweep sorts its unions.
-_LAW_TABLE_MAX = 4096
+_PAIR_TABLE_MAX = 4096
 _LIVE_CODE_MAX = 2**19
 
 
@@ -230,6 +227,12 @@ def _unions(sets_a: np.ndarray, sets_b: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
+def _slots(sets: np.ndarray, union: np.ndarray) -> np.ndarray:
+    """The row of each state of the (w, m) ``union`` in its (c, m) column set, c if none."""
+    hit = sets[:, None] == union
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), len(sets))
+
+
 def _live_codes(kernel: TransitionKernel, d: int):
     """The codes, ascending, of the neighbor tuples (u_1..u_d) with q[s, u_j] != 0 for some s
     and every j, or None when k^d or the tuples listed, sum over s of |{u: q[s, u] != 0}|^d,
@@ -249,42 +252,36 @@ def _live_codes(kernel: TransitionKernel, d: int):
 def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
     """Read-only tables of the sweeps at degree d, kept per d on the kernel (None: absent).
 
-    If K = k^d <= _LAW_TABLE_MAX: ``zero`` flags, (k, K) ``laws`` and cumulative laws ``cum``
-    of every code, and if K^2 <= _LAW_TABLE_MAX, ``pair``, the ``_pair_rows`` of laws a and b
-    at column a*K + b, laws cumulated.  Otherwise, if ``_live_codes`` lists the live codes,
-    ``index``: each code's row (the row count L if its total is zero), in the narrowest
-    unsigned type; (c + 1, L) ``laws`` on the first neighbor state's column set and then
-    the sentinel; ``cum`` of their first c rows.  And if the sets are narrower than k and
-    the k^2 unions of two hold at most _LIVE_CODE_MAX states: ``union``, the ``_unions`` of
-    the sets of a and b at column a*k + b; ``slots``, the row of each of its states in the
-    sets of a, then of b (c if none).
+    If ``_live_codes`` lists the L live codes: ``index``, each code's row (L for a zero
+    total) in the narrowest unsigned type; (c + 1, L) ``laws`` on the first neighbor state's
+    column set, then the sentinel; ``cum`` of their first c rows; and if L^2 <=
+    _PAIR_TABLE_MAX, ``pair``, the ``_pair_rows`` of the dense k-state laws of rows a and b
+    at column a*L + b, laws cumulated.  Else, if the sets are narrower than k and the k^2
+    unions of two hold at most _LIVE_CODE_MAX states: ``union``, the ``_unions`` of the sets
+    of a and b at column a*k + b, and ``slots``, their ``_slots`` in the sets of a, then b.
     """
     if d not in kernel.code_tables:
         k, sets = kernel.state_count, kernel.column_sets[0]
-        tables = SimpleNamespace(zero=None, laws=None, cum=None, pair=None, index=None,
-                                 union=None, slots=None)
-        if k**d <= _LAW_TABLE_MAX:
-            laws, tables.zero = _laws(kernel, np.indices((k,) * d).reshape(d, -1))
-            tables.laws, tables.cum = laws, _cumulate(laws)
-            if laws.shape[1] ** 2 <= _LAW_TABLE_MAX:  # nan laws: zero-total codes, no overlap
-                c, *pair_laws, dead = _pair_rows(np.repeat(laws, laws.shape[1], axis=1),
-                                                 np.tile(laws, laws.shape[1]))
-                tables.pair = (c, *map(_cumulate, pair_laws), dead)
-        else:
-            if (live := _live_codes(kernel, d)) is not None:
-                digits = np.array(np.unravel_index(live, (k,) * d))
-                padded = np.hstack([sets, np.full((k, 1), k)]).T
-                tables.laws, zero = _laws(kernel, digits, padded.take(digits[0], axis=1))
-                tables.cum = _cumulate(tables.laws[:-1])
-                tables.index = np.full(k**d, live.size, dtype=np.min_scalar_type(live.size))
-                tables.index[live[~zero]] = np.flatnonzero(~zero)
-            if (c := sets.shape[1]) < k and 2 * c * k * k <= _LIVE_CODE_MAX:
-                own, other = np.repeat(sets, k, axis=0).T, np.tile(sets, (k, 1)).T
-                union = _unions(own, other, k)
-                tables.union = union.astype(np.min_scalar_type(k))
-                tables.slots = np.array([np.where(hit.any(axis=0), hit.argmax(axis=0), c)
-                                         for hit in (s[:, None] == union for s in (own, other))],
-                                        dtype=np.min_scalar_type(c))
+        tables = SimpleNamespace(index=None, laws=None, cum=None, pair=None, union=None,
+                                 slots=None)
+        if (live := _live_codes(kernel, d)) is not None:
+            digits = np.array(np.unravel_index(live, (k,) * d))
+            cols = np.hstack([sets, np.full((k, 1), k)]).T.take(digits[0], axis=1)
+            tables.laws, zero = _laws(kernel, digits, cols)
+            tables.cum = _cumulate(tables.laws[:-1])
+            tables.index = np.full(k**d, live.size, dtype=np.min_scalar_type(live.size))
+            tables.index[live[~zero]] = np.flatnonzero(~zero)
+            if live.size**2 <= _PAIR_TABLE_MAX:  # nan laws: zero-total codes, no overlap
+                dense = _dense(tables.laws, cols, k).T
+                mass, *pair_laws, dead = _pair_rows(np.repeat(dense, live.size, axis=1),
+                                                    np.tile(dense, live.size))
+                tables.pair = (mass, *map(_cumulate, pair_laws), dead)
+        if tables.pair is None and (c := sets.shape[1]) < k and 2 * c * k * k <= _LIVE_CODE_MAX:
+            own, other = np.repeat(sets, k, axis=0).T, np.tile(sets, (k, 1)).T
+            union = _unions(own, other, k)
+            tables.union = union.astype(np.min_scalar_type(k))
+            tables.slots = np.array([_slots(own, union), _slots(other, union)],
+                                    dtype=np.min_scalar_type(c))
         for a in (*vars(tables).values(), *(tables.pair or ())):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
@@ -310,54 +307,60 @@ def _neighbor_codes(states: np.ndarray, tree: TruncatedTree, k: int) -> np.ndarr
     return codes
 
 
-def _neighbor_states(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree, width=None):
-    """(width, m) states of the first ``width`` (default all d) neighbors of the sites at
-    flat indices ``flat`` = v*R + r of an (n, R) block, read at the flat indices u*R + r."""
+def _neighbor_states(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree) -> np.ndarray:
+    """(d, m) neighbor states of the sites at flat indices v*R + r of an (n, R) block, read
+    at the flat indices u*R + r."""
     v, r = np.divmod(flat, states.shape[1])
-    return states.take(tree.neighbors[v, :width].T * states.shape[1] + r)
+    return states.take(tree.neighbors[v].T * states.shape[1] + r)
 
 
-def _woken_laws(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree,
-                kernel: TransitionKernel, cols=None, slots=None):
-    """Conditional laws of the woken sites, at flat indices ``flat`` of the (n, R) block,
-    as (laws, rows, cols), states on axis 0.
-
-    With a table of ``_code_tables``, ``laws`` is the table and site i uses law ``rows[i]``:
-    with the k^d table, the law of its neighbor code on all k states; with the live-code
-    table, the law of its code's row on ``cols[:, i]``, the column set of its first neighbor
-    state (None: all k states).  Given (c, m) union sets ``cols`` and their ``slots`` in the
-    live-code table, law i is site i's law on ``cols[:, i]``, read off that table (zeros as
-    +0); without them, it is evaluated there.  Otherwise law i is evaluated on the site's
-    column set.  All evaluate the same expression per entry, bit for bit.
-    """
-    k, tables = kernel.state_count, _code_tables(kernel, tree.d)
-    if tables.zero is not None:
-        rows = _neighbor_codes(states, tree, k).take(flat)
-        laws, zero = tables.laws, tables.zero[rows]
-    else:
-        nbr_states, sets, rows = _neighbor_states(states, flat, tree), kernel.column_sets[0], None
-        live = tables.index is not None and (cols is None or slots is not None)
-        if cols is None and sets.shape[1] < k:
-            cols = sets.T.take(nbr_states[0], axis=1)
-        if live:
-            rows = tables.index.take(np.ravel_multi_index(nbr_states, (k,) * tree.d))
-            laws = tables.laws if slots is not None else tables.laws[:-1]
-            zero = rows == laws.shape[1]
-        else:
-            laws, zero = _laws(kernel, nbr_states, cols)
+def _raise_if_impossible(zero: np.ndarray) -> None:
     if zero.any():
-        raise ImpossibleConfigurationError(
-            "a woken vertex saw a neighbor configuration of probability zero"
-        )
-    return (laws, rows, cols) if slots is None else (laws[slots, rows], None, cols)
+        raise ImpossibleConfigurationError("a woken vertex saw a neighbor configuration "
+                                           "of probability zero")
+
+
+def _woken_keys(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree,
+                kernel: TransitionKernel):
+    """(first, rows, nbr) of the woken sites at flat indices ``flat`` of the (n, R) block:
+    first neighbor states, and intp rows in the live-code table, by ``_neighbor_codes``
+    (nbr None; a row of zero total raises ImpossibleConfigurationError), or without the
+    table, (d, m) neighbor states (rows None).  A code's leading digit is its first state."""
+    k, tables = kernel.state_count, _code_tables(kernel, tree.d)
+    if tables.index is None:
+        nbr = _neighbor_states(states, flat, tree)
+        return nbr[0], None, nbr
+    codes = _neighbor_codes(states, tree, k).take(flat)
+    rows = tables.index.take(codes).astype(np.intp)
+    _raise_if_impossible(rows == tables.laws.shape[1])
+    return codes // k ** (tree.d - 1), rows, None
+
+
+def _first_sets(kernel: TransitionKernel, first: np.ndarray):
+    """(c, m) column sets of the first neighbor states ``first``, None when they span all k."""
+    sets = kernel.column_sets[0]
+    return sets.T.take(first, axis=1) if sets.shape[1] < kernel.state_count else None
+
+
+def _woken_laws(kernel: TransitionKernel, d: int, rows, nbr, cols=None, slots=None):
+    """(c, m) laws, states on axis 0, of woken sites with ``_woken_keys`` rows or neighbor
+    states on their (c, m) states ``cols`` (None: all k).  Rows are read off the live-code
+    table on the first neighbor state's column set or, given the ``_slots`` of a union
+    ``cols``, on the union (zeros as +0); neighbor states are evaluated by ``_laws``."""
+    if rows is None:
+        laws, zero = _laws(kernel, nbr, cols)
+        _raise_if_impossible(zero)
+        return laws
+    laws = _code_tables(kernel, d).laws
+    return laws[:-1].take(rows, axis=1) if slots is None else laws[slots, rows]
 
 
 def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
                     kernel: TransitionKernel):
     """Normalized (m, k) conditional laws for every woken (vertex, replica) pair."""
     flat = np.flatnonzero(member)
-    laws, rows, cols = _woken_laws(states, flat, tree, kernel)
-    laws = laws if rows is None else laws[:, rows]
+    first, rows, nbr = _woken_keys(states, flat, tree, kernel)
+    laws = _woken_laws(kernel, tree.d, rows, nbr, cols := _first_sets(kernel, first))
     return *np.divmod(flat, member.shape[1]), laws.T if cols is None else _dense(
         laws, cols, kernel.state_count)
 
@@ -367,10 +370,11 @@ def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKer
     """One in-place sweep of an (n, R) state block."""
     flat = _waking_sites(tree, rng.random(states.shape))
     if flat.size:
-        laws, rows, cols = _woken_laws(states, flat, tree, kernel)
-        u = rng.random(flat.size)
-        x = _count_columns(_cumulate(laws) if rows is None else _code_tables(kernel, tree.d).cum,
-                           u, rows)
+        first, rows, nbr = _woken_keys(states, flat, tree, kernel)
+        cols = _first_sets(kernel, first)
+        cum = (_code_tables(kernel, tree.d).cum if rows is not None
+               else _cumulate(_woken_laws(kernel, tree.d, rows, nbr, cols)))
+        x = _count_columns(cum, rng.random(flat.size), rows)
         np.put(states, flat, x if cols is None else cols.take(x * x.size + np.arange(x.size)))
 
 
@@ -460,25 +464,20 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
     independently across members (by the pair table's rows when it exists).
     """
     flat = _waking_sites(tree, rng.random(sa.shape))
-    k, tables, cols, slots = kernel.state_count, _code_tables(kernel, tree.d), None, (None, None)
-    sets = kernel.column_sets[0]
-    if sets.shape[1] < k and tables.zero is None:  # the union of the two copies' column sets
-        wa, wb = (_neighbor_states(s, flat, tree, 1)[0] for s in (sa, sb))
-        if tables.union is None:
-            cols = _unions(sets.T.take(wa, axis=1), sets.T.take(wb, axis=1), k)
-        else:
-            key = wa * k + wb
-            cols = tables.union.take(key, axis=1)
-            if tables.index is not None:
-                slots = tables.slots.take(key, axis=2)
-    (pa, rows_a, _), (pb, rows_b, _) = (_woken_laws(s, flat, tree, kernel, cols, w)
-                                        for s, w in zip((sa, sb), slots))
-    if rows_a is None:
-        pair, code = _pair_rows(pa, pb, cols, k), None
-    elif tables.pair is None:
-        pair, code = _pair_rows(pa[:, rows_a], pb[:, rows_b]), None
+    k, tables, cols, code = kernel.state_count, _code_tables(kernel, tree.d), None, None
+    (fa, ra, na), (fb, rb, nb) = (_woken_keys(s, flat, tree, kernel) for s in (sa, sb))
+    if tables.pair is not None:
+        pair, code = tables.pair, ra * tables.laws.shape[1] + rb
     else:
-        pair, code = tables.pair, rows_a * pa.shape[1] + rows_b
+        slots = (None, None)  # of the union of the two copies' column sets, in each
+        if tables.union is not None:
+            key = fa * k + fb
+            cols, slots = tables.union.take(key, axis=1), tables.slots.take(key, axis=2)
+        elif (own := _first_sets(kernel, fa)) is not None:
+            cols = _unions(own, other := _first_sets(kernel, fb), k)
+            slots = [_slots(s, cols) for s in (own, other)] if ra is not None else slots
+        pair = _pair_rows(*(_woken_laws(kernel, tree.d, r, n, cols, s)
+                            for r, n, s in zip((ra, rb), (na, nb), slots)), cols, k)
     for s, x in zip((sa, sb), _pair_draw(pair, rng, code)):
         np.put(s, flat, x if cols is None else cols.take(x * x.size + np.arange(x.size)))
 

@@ -337,14 +337,17 @@ def local_correlation_bound(distance: int, d: int) -> float:
 
 
 def exact_correlations(kernel: TransitionKernel, encoding, k_max: int) -> np.ndarray:
-    """Exact stationary correlations at distances 1..k_max via transfer matrices."""
-    encoding, mean, var = _encoding_moments(kernel, encoding)
-    pi, q = kernel.pi, kernel.q
-    out = np.empty(k_max)
-    v = encoding.copy()
-    for k in range(1, k_max + 1):
-        v = q @ v
-        out[k - 1] = (float(pi @ (encoding * v)) - mean * mean) / var
+    """Exact stationary correlations at distances 1..k_max via transfer matrices, on the
+    centred encoding g with q^k g re-centred under pi after each step: rounding leaves it a
+    constant part that never decays (without it ising(0.72) stalls at 2.31e-33 from k = 229
+    on, where theta^300 is 1.6e-43)."""
+    g, mean, var = _encoding_moments(kernel, encoding)
+    g = g - mean
+    out, v = np.empty(k_max), g
+    for k in range(k_max):
+        v = kernel.q @ v
+        v -= kernel.pi @ v
+        out[k] = float(kernel.pi @ (g * v)) / var
     return out
 
 
@@ -364,19 +367,11 @@ def classify_correlation_decay(kernel: TransitionKernel, d: int, encoding,
     Returns VIOLATES with the first witness distance where |correlation|
     exceeds the bound (so the chain cannot be a weak limit of local rules),
     or CONSISTENT up to k_max.  No sampling is involved.  Both fall geometrically, so
-    they compare relatively, with q^k g for the centred encoding g re-centred after
-    each step: rounding leaves a constant part that never decays, on which
-    ``exact_correlations`` stalls (ising(0.72): at 2.31e-33 from k = 229 on).
+    they compare relatively, on ``exact_correlations``.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    g, mean, var = _encoding_moments(kernel, encoding)
-    g = g - mean
-    corr, v = np.empty(k_max), g
-    for k in range(k_max):
-        v = kernel.q @ v
-        v -= kernel.pi @ v
-        corr[k] = float(kernel.pi @ (g * v)) / var
+    corr = exact_correlations(kernel, encoding, k_max)
     bounds = np.array([local_correlation_bound(k, d) for k in range(1, k_max + 1)])
     exceed = np.abs(corr) > bounds * (1.0 + 1e-9)
     if exceed.any():

@@ -213,7 +213,7 @@ class TestLawTable:
         rng = np.random.default_rng(40)
         states = sample_bmc_batch(kernel, tree, rng, 64)
         member = _waking_mask(tree, rng.random(states.shape))
-        assert kernel.state_count ** 3 <= min(glauber._LAW_TABLE_MAX, member.sum())
+        assert glauber._code_tables(kernel, 3).index is not None  # the law table's rows
         _, _, probs = _member_weights(states, member, tree, kernel)
         assert np.array_equal(probs, per_member_laws(states, member, tree, kernel))
         for row, (v, r) in zip(probs, zip(*np.nonzero(member))):
@@ -221,24 +221,20 @@ class TestLawTable:
 
     @pytest.mark.parametrize("kernel", [make_ising(0.25), make_potts(3, 0.4)])
     def test_sweep_is_the_same_with_and_without_table(self, kernel, monkeypatch):
-        # the k^d table, the live-code table, and the per-vertex product; each run on a
-        # fresh copy of the kernel, as the tables are kept per kernel and degree
+        # the law table and the per-vertex product; each run on a fresh copy of the
+        # kernel, as the tables are kept per kernel and degree
         tree = build_tree(3, 5)
         start = sample_bmc_batch(kernel, tree, np.random.default_rng(41), 64)
         swept = []
-        for budget, live_budget in ((glauber._LAW_TABLE_MAX, glauber._LIVE_CODE_MAX),
-                                    (0, glauber._LIVE_CODE_MAX), (0, 0)):
-            monkeypatch.setattr(glauber, "_LAW_TABLE_MAX", budget)
+        for live_budget in (glauber._LIVE_CODE_MAX, 0):
             monkeypatch.setattr(glauber, "_LIVE_CODE_MAX", live_budget)
             fresh = TransitionKernel(kernel.q, kernel.pi)
             states, rng = start.copy(), np.random.default_rng(42)
             for _ in range(3):
                 _sweep_states(states, tree, fresh, rng)
-            tables = glauber._code_tables(fresh, 3)
-            assert [tables.zero is not None, tables.index is not None] == [bool(budget),
-                                                                           bool(live_budget) and not budget]
+            assert (glauber._code_tables(fresh, 3).index is not None) == bool(live_budget)
             swept.append(states)
-        assert np.array_equal(swept[0], swept[1]) and np.array_equal(swept[0], swept[2])
+        assert np.array_equal(*swept)
 
     def test_zero_entries_raise_only_when_an_impossible_code_wakes(self):
         # the walk on the 5-cycle has no triangles: no state is adjacent to
@@ -249,7 +245,8 @@ class TestLawTable:
         states[tree.neighbors[0], 0] = [0, 1, 0]  # the root's neighborhood is now impossible
         member = np.zeros(states.shape, dtype=bool)
         member[tree.neighbor_count == 3, 1:] = True  # replica 0 stays asleep
-        assert kernel.state_count ** 3 <= min(glauber._LAW_TABLE_MAX, member.sum())
+        tables = glauber._code_tables(kernel, 3)
+        assert (tables.index == tables.laws.shape[1]).any()  # rows of zero-total codes
         _, _, probs = _member_weights(states, member, tree, kernel)
         assert np.array_equal(probs, per_member_laws(states, member, tree, kernel))
         member[0, 0] = True
@@ -369,6 +366,9 @@ def negative_entry_kernel():
 
 SPARSE_KERNELS = {"walk70": walk70, "uneven23": uneven_kernel,
                   "negative20": negative_entry_kernel, "potts17": lambda: make_potts(17, 0.1)}
+# the (name, d) whose laws are read off the live-code table; the others' are evaluated
+LIVE_AT = {("walk70", 3), ("uneven23", 3), ("uneven23", 4), ("negative20", 3),
+           ("negative20", 4), ("potts17", 3)}
 
 
 def union_columns(cols_a, cols_b, k):
@@ -396,14 +396,17 @@ class TestColumnSets:
         rng = np.random.default_rng(50 + d)
         sa, sb = (sample_bmc_batch(kernel, tree, rng, 64) for _ in range(2))
         member = _waking_mask(tree, rng.random(sa.shape))
-        v_idx, r_idx = np.nonzero(member)
-        assert k**d > min(glauber._LAW_TABLE_MAX, v_idx.size)  # the per-pair path
+        flat, (v_idx, r_idx) = np.flatnonzero(member), np.nonzero(member)
+        tables = glauber._code_tables(kernel, d)
+        assert (tables.index is not None) == ((name, d) in LIVE_AT) and tables.pair is None
         sets, first = kernel.column_sets[0], tree.neighbors[v_idx, 0]
         cols = union_columns(sets[sa[first, r_idx]], sets[sb[first, r_idx]], k)
         for states in (sa, sb):
             dense = per_member_laws(states, member, tree, kernel)
             assert np.array_equal(_member_weights(states, member, tree, kernel)[2], dense)
-            laws = glauber._woken_laws(states, np.flatnonzero(member), tree, kernel, cols)[0]
+            own, rows, nbr = glauber._woken_keys(states, flat, tree, kernel)
+            slots = None if rows is None else glauber._slots(sets.T[:, own], cols)
+            laws = glauber._woken_laws(kernel, d, rows, nbr, cols, slots)
             assert np.array_equal(scatter(laws, cols, k), dense)
             if name == "walk70":  # rows of four terms take the dense-sum fallback
                 assert (np.count_nonzero(dense, axis=1) > 2).any()
@@ -476,28 +479,34 @@ class TestColumnSets:
         assert ["no contraction guarantee" in str(w.message) for w in record] == [True]
 
 
-LIVE_TABLE_CASES = {  # name: (kernel factory, d); k^d above _LAW_TABLE_MAX unless patched
+LIVE_TABLE_CASES = {  # name: (kernel factory, d)
     "walk70-d2": (walk70, 2), "walk70-d3": (walk70, 3), "uneven23": (uneven_kernel, 3),
     "negative20": (negative_entry_kernel, 3), "potts17": (lambda: make_potts(17, 0.1), 3),
     "cycle5": (lambda: make_walk_kernel(circulant_graph(5, [1])), 3),
+    "cycle5-d4": (lambda: make_walk_kernel(circulant_graph(5, [1])), 4),
     "k4walk": (lambda: make_walk_kernel(complete_graph(4)), 3),
+    "k4walk-d4": (lambda: make_walk_kernel(complete_graph(4)), 4),
+    "lazy5": (lambda: TransitionKernel(q=(np.eye(5) + make_walk_kernel(circulant_graph(5, [1])).q)
+                                       / 2, pi=np.full(5, 0.2)), 3),
 }
+# the cases with a union table: the others have no column set narrower than k (potts17)
+# or a pair table (35 rows for cycle5 at d=3, 64 for k4walk)
+UNION_CASES = [c for c in LIVE_TABLE_CASES if c not in ("potts17", "cycle5", "k4walk")]
 
 
-def live_tables(case, monkeypatch):
-    """A fresh kernel of the case, its degree, and its live-code tables (k^d table off)."""
+def live_tables(case):
+    """A fresh kernel of the case, its degree, and its tables."""
     factory, d = LIVE_TABLE_CASES[case]
-    monkeypatch.setattr(glauber, "_LAW_TABLE_MAX", 0)
     kernel = factory()
     return kernel, d, glauber._code_tables(kernel, d)
 
 
 class TestLiveCodeTable:
     @pytest.mark.parametrize("case", LIVE_TABLE_CASES)
-    def test_laws_equal_per_vertex_laws_bitwise(self, case, monkeypatch):
+    def test_laws_equal_per_vertex_laws_bitwise(self, case):
         # every code, in blocks: a code has a row iff its dense weights have a positive total,
         # and the row, scattered to k states, is the per-vertex law pi * prod_u q[:, u] / total
-        kernel, d, tables = live_tables(case, monkeypatch)
+        kernel, d, tables = live_tables(case)
         k, n_rows = kernel.state_count, tables.laws.shape[1]
         assert tables.index is not None and not tables.laws[-1].any()  # the sentinel's zero row
         assert tables.index.dtype == np.min_scalar_type(n_rows)
@@ -516,11 +525,12 @@ class TestLiveCodeTable:
             assert np.array_equal(laws, per_vertex)
             assert np.array_equal(tables.cum[:, rows[ok]], _cumulate(laws[:-1]))
 
-    @pytest.mark.parametrize("case", [c for c in LIVE_TABLE_CASES if c != "potts17"])
-    def test_union_table_equals_sorted_unions(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", UNION_CASES)
+    def test_union_table_equals_sorted_unions(self, case):
         # all k^2 pairs: the sort of the two sets with each repeat made a sentinel, and
         # each copy's slots name a union state's row in its own set, or a zero-law row
-        kernel, _, tables = live_tables(case, monkeypatch)
+        kernel, _, tables = live_tables(case)
+        assert tables.pair is None
         k, sets = kernel.state_count, kernel.column_sets[0]
         a, b = np.divmod(np.arange(k * k), k)
         union = np.sort(np.vstack([sets[a].T, sets[b].T]), axis=0)
@@ -532,10 +542,10 @@ class TestLiveCodeTable:
             assert np.array_equal(padded[own[:, None], slots.T].T, np.where(in_set, union, k))
 
     @pytest.mark.parametrize("case", ["walk70-d3", "uneven23", "negative20"])
-    def test_union_laws_equal_per_vertex_laws(self, case, monkeypatch):
+    def test_union_laws_equal_per_vertex_laws(self, case):
         # laws read off the table on the union sets equal the laws evaluated there, up to
         # the sign of zero entries
-        kernel, d, tables = live_tables(case, monkeypatch)
+        kernel, d, tables = live_tables(case)
         tree, rng = build_tree(d, 5), np.random.default_rng(95)
         sa, sb = (sample_bmc_batch(kernel, tree, rng, 64) for _ in range(2))
         flat = np.flatnonzero(_waking_mask(tree, rng.random(sa.shape)))
@@ -543,7 +553,8 @@ class TestLiveCodeTable:
         key = sa[tree.neighbors[v, 0], r] * kernel.state_count + sb[tree.neighbors[v, 0], r]
         cols, slots = tables.union[:, key], tables.slots[:, :, key]
         for states, own in zip((sa, sb), slots):
-            looked_up = glauber._woken_laws(states, flat, tree, kernel, cols, own)[0]
+            rows = glauber._woken_keys(states, flat, tree, kernel)[1]
+            looked_up = glauber._woken_laws(kernel, d, rows, None, cols, own)
             evaluated = glauber._laws(kernel, glauber._neighbor_states(states, flat, tree), cols)[0]
             assert np.array_equal(looked_up, evaluated)
 
@@ -590,8 +601,28 @@ class TestLiveCodeTable:
         tree, rng = build_tree(4, 3), np.random.default_rng(98)
         states = sample_bmc_batch(kernel, tree, rng, 16)
         flat = np.flatnonzero(_waking_mask(tree, rng.random(states.shape)))
-        laws, rows, cols = glauber._woken_laws(states, flat, tree, kernel)
-        assert rows is None and laws.shape == cols.shape == (4, flat.size)
+        first, rows, nbr = glauber._woken_keys(states, flat, tree, kernel)
+        assert rows is None and nbr.shape == (4, flat.size) and np.array_equal(first, nbr[0])
+        cols = glauber._first_sets(kernel, first)
+        laws = glauber._woken_laws(kernel, 4, rows, nbr, cols)
+        assert laws.shape == cols.shape == (4, flat.size)
+
+    @pytest.mark.parametrize("case, cap", [("cycle5-d4", None), ("k4walk-d4", None),
+                                           ("lazy5", 140)])
+    @pytest.mark.parametrize("pairing", ["independent", "identical"])
+    def test_sweeps_on_live_tables_equal_dense_sweeps(self, case, cap, pairing, monkeypatch):
+        # more rows than the pair table takes: laws read off the live-code table, on the
+        # first neighbor's column set or, coupled, on the union: tabled, or sorted per sweep
+        # when the cap admits lazy5's 135 listed tuples but not its 150 union states
+        if cap:
+            monkeypatch.setattr(glauber, "_LIVE_CODE_MAX", cap)
+        kernel, d, tables = live_tables(case)
+        assert tables.index is not None and tables.pair is None
+        assert (tables.union is None) == bool(cap)
+        tree, rng = build_tree(d, 4), np.random.default_rng(99)
+        sa = sample_bmc_batch(kernel, tree, rng, 64)
+        sb = sample_bmc_batch(kernel, tree, rng, 64) if pairing == "independent" else sa.copy()
+        check_sweeps_equal_dense(kernel, tree, sa, sb, 100)
 
 
 class TestRowSamplerCache:
@@ -630,7 +661,7 @@ class TestPairTable:
     @pytest.mark.parametrize("start", ["independent", "identical", "iid"])
     def test_sweeps_equal_dense_sweeps(self, case, start):
         kernel, d = PAIR_TABLE_CASES[case]
-        assert glauber._code_tables(kernel, d).pair is not None  # K^2 <= _LAW_TABLE_MAX
+        assert glauber._code_tables(kernel, d).pair is not None  # L^2 <= _PAIR_TABLE_MAX
         tree = build_tree(d, 6 if d == 3 else 4)
         rng = np.random.default_rng(80 + d)
         sa = sample_bmc_batch(kernel, tree, rng, 64)
@@ -638,6 +669,20 @@ class TestPairTable:
               "identical": sa.copy,
               "iid": lambda: rng.integers(0, kernel.state_count, size=sa.shape)}[start]()
         check_sweeps_equal_dense(kernel, tree, sa, sb, 81)
+
+    @pytest.mark.parametrize("case", [*PAIR_TABLE_CASES, "cycle5"])
+    def test_pair_table_couples_the_k_state_laws_of_the_live_codes(self, case):
+        # the rows keyed a*L + b are the couplings of the laws of live codes a and b on all k
+        # states, as evaluated per code; cycle5's 35 live codes of 125 include zero totals
+        kernel, d = PAIR_TABLE_CASES.get(case) or (make_walk_kernel(circulant_graph(5, [1])), 3)
+        tables, live = glauber._code_tables(kernel, d), glauber._live_codes(kernel, d)
+        k, n_rows = kernel.state_count, live.size
+        laws = glauber._laws(kernel, np.array(np.unravel_index(live, (k,) * d)))[0]
+        c, *pair_laws, dead = glauber._pair_rows(np.repeat(laws, n_rows, axis=1),
+                                                 np.tile(laws, n_rows))
+        for table, ref in zip(tables.pair, (c, *map(_cumulate, pair_laws), dead)):
+            assert np.array_equal(table, ref, equal_nan=True)
+        assert tables.union is None and tables.pair[0].shape == (n_rows**2,)
 
     @pytest.mark.parametrize("case", ["ising-0.6", "ising-d6"])
     def test_lost_overlaps_equal_dense_sweeps(self, case):
@@ -653,8 +698,8 @@ class TestPairTable:
         # the walk on the 4-cycle is bipartite: no state is adjacent to both 0 and 1,
         # so i.i.d. states wake zero-total codes, and chain samples never do
         kernel, tree = make_walk_kernel(circulant_graph(4, [1])), build_tree(3, 4)
-        assert glauber._code_tables(kernel, 3).zero.any()
-        assert glauber._code_tables(kernel, 3).pair is not None
+        tables = glauber._code_tables(kernel, 3)
+        assert (tables.index == tables.laws.shape[1]).any() and tables.pair is not None
         rng = np.random.default_rng(82)
         chain = sample_bmc_batch(kernel, tree, rng, 64)
         iid = rng.integers(0, 4, size=chain.shape)
@@ -668,9 +713,10 @@ class TestPairTable:
         tables = glauber._code_tables(kernel, 3)
         assert glauber._code_tables(kernel, 3) is tables
         deeper = glauber._code_tables(kernel, 4)
-        assert deeper is not tables and deeper.laws.shape == (3, 81) and deeper.pair is None
+        # three states and the sentinel for 81 codes; 81^2 rows pairs exceed the pair table
+        assert deeper is not tables and deeper.laws.shape == (4, 81) and deeper.pair is None
         assert glauber._code_tables(make_potts(3, 0.4), 3) is not tables
-        for a in (tables.zero, tables.laws, tables.cum, *tables.pair, deeper.cum):
+        for a in (tables.index, tables.laws, tables.cum, *tables.pair, deeper.cum):
             assert not a.flags.writeable
 
 

@@ -171,9 +171,18 @@ def test_golden_covers_every_subcommand(golden):
     assert {case.split()[0] for case in CASES} == set(_COMMANDS)
 
 
+# the warning each case must emit; warnings are errors elsewhere
+WARNINGS = {
+    "glauber-converge --kernel potts(3,0.3) --d 4 --depth 3 --sweeps 3 --replicas 300"
+    " --seed 7": "no contraction guarantee",
+}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_golden_output(case, inputs, golden):
-    assert run_case(case, inputs) == golden[case]
+    with (pytest.warns(UserWarning, match=WARNINGS[case]) if case in WARNINGS
+          else contextlib.nullcontext()):
+        assert run_case(case, inputs) == golden[case]
 
 
 def test_golden_covers_every_demo():

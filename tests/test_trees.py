@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,24 @@ class TestCorrelations:
         exact = exact_correlations(make_ising(theta), enc, 6)
         assert np.allclose(exact, [theta**k for k in range(1, 7)], atol=1e-12)
 
+    def test_exact_correlations_decay_below_the_rounding_floor(self):
+        # theta^300 is 1.6e-43; an iterate q^k g that is not re-centred keeps a constant part
+        # from rounding and stalls at 2.31e-33 from k = 229 on
+        exact = exact_correlations(make_ising(0.72), [1.0, -1.0], 300)
+        assert exact[-1] == pytest.approx(0.72**300, rel=1e-9, abs=0.0)
+
+    def test_exact_correlation_of_walk70_is_the_rounded_rational_value(self):
+        # q = A/4 for the 4-regular circulant A, pi uniform, g = 0..69: (pi(g q^3 g) - m^2) / var
+        # in fractions, which float() rounds correctly
+        g = [Fraction(s) for s in range(70)]
+        v = g
+        for _ in range(3):
+            v = [sum(v[(s + j) % 70] for j in (-2, -1, 1, 2)) / 4 for s in range(70)]
+        mean = sum(g) / 70
+        var = sum(x * x for x in g) / 70 - mean**2
+        value = (sum(x * y for x, y in zip(g, v)) / 70 - mean**2) / var
+        assert exact_correlations(WALK70, np.arange(70.0), 3)[2] == float(value)
+
     def test_sampled_matches_exact(self):
         est = estimate_correlation(make_ising(0.5), 2, [1.0, -1.0], 100_000,
                                    np.random.default_rng(11))
@@ -497,8 +517,9 @@ class TestCorrelations:
         (make_potts(3, 0.4), [-1.0, 0.0, 1.0]), (make_potts(3, 0.4), [0.0, 1.0, 2.0])],
         ids=["ising0.70", "ising0.3-01", "potts3-centred", "potts3-index"])
     def test_classifier_consistent_below_the_threshold(self, kernel, encoding):
-        # spectral radius below 1/sqrt(2): no violation at any k, though the plain transfer-
-        # matrix correlations stall near 1e-33 (centred) or 1e-16 (off-centre encodings)
+        # spectral radius below 1/sqrt(2): no violation at any k, though transfer-matrix
+        # correlations without re-centring stall near 1e-33 (centred) or 1e-16 (off-centre
+        # encodings)
         verdict = classify_correlation_decay(kernel, 3, encoding, 600)
         assert (verdict.verdict, verdict.witness) == ("CONSISTENT", None)
 

@@ -323,23 +323,23 @@ def _raise_if_impossible(zero: np.ndarray) -> None:
 def _woken_keys(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree,
                 kernel: TransitionKernel):
     """(first, rows, nbr) of the woken sites at flat indices ``flat`` of the (n, R) block:
-    first neighbor states, and intp rows in the live-code table, by ``_neighbor_codes``
-    (nbr None; a row of zero total raises ImpossibleConfigurationError), or without the
-    table, (d, m) neighbor states (rows None).  A code's leading digit is its first state."""
+    first neighbor states (None if the column sets span all k), and intp rows in the table,
+    by ``_neighbor_codes``, whose leading digit is the first state (nbr None; a row of zero
+    total raises ImpossibleConfigurationError), or else (d, m) neighbor states (rows None)."""
     k, tables = kernel.state_count, _code_tables(kernel, tree.d)
+    narrow = kernel.column_sets[0].shape[1] < k
     if tables.index is None:
         nbr = _neighbor_states(states, flat, tree)
-        return nbr[0], None, nbr
+        return nbr[0] if narrow else None, None, nbr
     codes = _neighbor_codes(states, tree, k).take(flat)
-    rows = tables.index.take(codes).astype(np.intp)
-    _raise_if_impossible(rows == tables.laws.shape[1])
-    return codes // k ** (tree.d - 1), rows, None
+    rows = tables.index.take(codes)
+    _raise_if_impossible(rows.max(initial=0) == tables.laws.shape[1])
+    return codes // k ** (tree.d - 1) if narrow else None, rows.astype(np.intp), None
 
 
-def _first_sets(kernel: TransitionKernel, first: np.ndarray):
-    """(c, m) column sets of the first neighbor states ``first``, None when they span all k."""
-    sets = kernel.column_sets[0]
-    return sets.T.take(first, axis=1) if sets.shape[1] < kernel.state_count else None
+def _first_sets(kernel: TransitionKernel, first):
+    """(c, m) column sets of the first neighbor states ``first``, or None for None."""
+    return None if first is None else kernel.column_sets[0].T.take(first, axis=1)
 
 
 def _woken_laws(kernel: TransitionKernel, d: int, rows, nbr, cols=None, slots=None):

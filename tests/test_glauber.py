@@ -404,8 +404,8 @@ class TestColumnSets:
         for states in (sa, sb):
             dense = per_member_laws(states, member, tree, kernel)
             assert np.array_equal(_member_weights(states, member, tree, kernel)[2], dense)
-            own, rows, nbr = glauber._woken_keys(states, flat, tree, kernel)
-            slots = None if rows is None else glauber._slots(sets.T[:, own], cols)
+            _, rows, nbr = glauber._woken_keys(states, flat, tree, kernel)
+            slots = None if rows is None else glauber._slots(sets[states[first, r_idx]].T, cols)
             laws = glauber._woken_laws(kernel, d, rows, nbr, cols, slots)
             assert np.array_equal(scatter(laws, cols, k), dense)
             if name == "walk70":  # rows of four terms take the dense-sum fallback

@@ -314,8 +314,8 @@ def _neighbor_states(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree) 
     return states.take(tree.neighbors[v].T * states.shape[1] + r)
 
 
-def _raise_if_impossible(zero: np.ndarray) -> None:
-    if zero.any():
+def _raise_if_impossible(dead) -> None:
+    if dead:
         raise ImpossibleConfigurationError("a woken vertex saw a neighbor configuration "
                                            "of probability zero")
 
@@ -333,12 +333,12 @@ def _woken_keys(states: np.ndarray, flat: np.ndarray, tree: TruncatedTree,
         return nbr[0] if narrow else None, None, nbr
     codes = _neighbor_codes(states, tree, k).take(flat)
     rows = tables.index.take(codes)
-    _raise_if_impossible(rows.max(initial=0) == tables.laws.shape[1])
+    _raise_if_impossible(rows.max(initial=0) == tables.laws.shape[1])  # row L: zero total
     return codes // k ** (tree.d - 1) if narrow else None, rows.astype(np.intp), None
 
 
 def _first_sets(kernel: TransitionKernel, first):
-    """(c, m) column sets of the first neighbor states ``first``, or None for None."""
+    """(c, m) column sets of the first neighbor states ``first``; None (all k) for None."""
     return None if first is None else kernel.column_sets[0].T.take(first, axis=1)
 
 
@@ -349,7 +349,7 @@ def _woken_laws(kernel: TransitionKernel, d: int, rows, nbr, cols=None, slots=No
     ``cols``, on the union (zeros as +0); neighbor states are evaluated by ``_laws``."""
     if rows is None:
         laws, zero = _laws(kernel, nbr, cols)
-        _raise_if_impossible(zero)
+        _raise_if_impossible(zero.any())
         return laws
     laws = _code_tables(kernel, d).laws
     return laws[:-1].take(rows, axis=1) if slots is None else laws[slots, rows]

@@ -713,7 +713,7 @@ class TestPairTable:
         tables = glauber._code_tables(kernel, 3)
         assert glauber._code_tables(kernel, 3) is tables
         deeper = glauber._code_tables(kernel, 4)
-        # three states and the sentinel for 81 codes; 81^2 rows pairs exceed the pair table
+        # three states and the sentinel for 81 codes; 81^2 row pairs exceed the pair table
         assert deeper is not tables and deeper.laws.shape == (4, 81) and deeper.pair is None
         assert glauber._code_tables(make_potts(3, 0.4), 3) is not tables
         for a in (tables.index, tables.laws, tables.cum, *tables.pair, deeper.cum):

@@ -62,11 +62,11 @@ _CHUNK = 2048
 _STAR_MAX = 100_000
 
 # Caps of the law tables: the live-code table while k^d (its index holds one small integer
-# per code: 0.7 MB for the 70-state walk at d=3) and the tuples listed to find the live
-# codes are at most _LIVE_CODE_MAX; its pair table while L^2 <= _PAIR_TABLE_MAX for L rows;
-# else the union table while the k^2 unions hold at most _LIVE_CODE_MAX states.  Past them
-# each woken vertex multiplies its own law (the 70-state walk at d=4 has 24M codes), or
-# each coupled sweep sorts its unions.
+# per code: 0.7 MB for the 70-state walk at d=3), the tuples listed to find the live codes
+# and its (c + 1) x L law floats are at most _LIVE_CODE_MAX; its pair table while L^2 <=
+# _PAIR_TABLE_MAX for L rows; else the union table while the k^2 unions hold at most
+# _LIVE_CODE_MAX states.  Past them each woken vertex multiplies its own law (the 70-state
+# walk at d=4 has 24M codes), or each coupled sweep sorts its unions.
 _PAIR_TABLE_MAX = 4096
 _LIVE_CODE_MAX = 2**19
 
@@ -252,19 +252,21 @@ def _live_codes(kernel: TransitionKernel, d: int):
 def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
     """Read-only tables of the sweeps at degree d, kept per d on the kernel (None: absent).
 
-    If ``_live_codes`` lists the L live codes: ``index``, each code's row (L for a zero
-    total) in the narrowest unsigned type; (c + 1, L) ``laws`` on the first neighbor state's
-    column set, then the sentinel; ``cum`` of their first c rows; and if L^2 <=
-    _PAIR_TABLE_MAX, ``pair``, the ``_pair_rows`` of the dense k-state laws of rows a and b
-    at column a*L + b, laws cumulated.  Else, if the sets are narrower than k and the k^2
-    unions of two hold at most _LIVE_CODE_MAX states: ``union``, the ``_unions`` of the sets
-    of a and b at column a*k + b, and ``slots``, their ``_slots`` in the sets of a, then b.
+    If ``_live_codes`` lists the L live codes and (c + 1) * L <= _LIVE_CODE_MAX for sets of
+    width c: ``index``, each code's row (L for a zero total) in the narrowest unsigned type;
+    (c + 1, L) ``laws`` on the first neighbor state's column set, then the sentinel; ``cum``
+    of their first c rows; and if L^2 <= _PAIR_TABLE_MAX, ``pair``, the ``_pair_rows`` of
+    the dense k-state laws of rows a and b at column a*L + b, laws cumulated.  Else, if the
+    sets are narrower than k and the k^2 unions of two hold at most _LIVE_CODE_MAX states:
+    ``union``, the ``_unions`` of the sets of a and b at column a*k + b, and ``slots``, their
+    ``_slots`` in the sets of a, then b.
     """
     if d not in kernel.code_tables:
         k, sets = kernel.state_count, kernel.column_sets[0]
         tables = SimpleNamespace(index=None, laws=None, cum=None, pair=None, union=None,
                                  slots=None)
-        if (live := _live_codes(kernel, d)) is not None:
+        live = _live_codes(kernel, d)
+        if live is not None and (sets.shape[1] + 1) * live.size <= _LIVE_CODE_MAX:
             digits = np.array(np.unravel_index(live, (k,) * d))
             cols = np.hstack([sets, np.full((k, 1), k)]).T.take(digits[0], axis=1)
             tables.laws, zero = _laws(kernel, digits, cols)

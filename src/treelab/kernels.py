@@ -11,6 +11,7 @@ and the spectral radius of the kernel.
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -232,64 +233,99 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     coordinate, of the total variation distance between the two conditional
     laws of the center state.  Deterministic: enumerates the unordered
     multisets of the d-1 shared neighbor states (the conditional law is
-    exchangeable in the neighbors) times ordered pairs of differing states;
-    the budget, at least 1, counts C(k+d-2, d-1) * k^2 conditional-law evaluations.
+    exchangeable in the neighbors) times ordered pairs of differing states.
+
+    Only multisets of positive probability count: those inside the support
+    {u : q[s, u] != 0} of some row s of q.  If some row has full support, that is
+    every multiset, enumerated in lexicographic order.  Else, if the rows list
+    fewer multisets than C(k+d-2, d-1), the union of the rows' multisets is taken
+    in that order: sorted at once when they fit a block, else merged (350 of 2485
+    multisets for the 70-state walk at d=3).  If they list more, every multiset is
+    enumerated and those inside no row's support are dropped.  The budget, at
+    least 1, counts min(C(k+d-2, d-1), sum over s of C(|support of s|+d-2, d-1))
+    times k^2 conditional-law evaluations.
 
     Each block of multisets is one set of array operations.  Its weights
-    w[s] = pi[s] * prod_u q[s, u] come from one ``_heat_bath_weights`` call.  A
-    multiset whose weights are all zero has probability zero and is dropped (2135
-    of 2485 for the 70-state walk at d=3); one of positive probability (some s
-    with every q[s, u] != 0) whose weights all lie below the smallest normal float
-    has underflowed and raises ValueError.  With a state a added, the center has
-    law w[s] * q[s, a] over its column total; a zero total carries no law.  Sums
-    run in the order numpy gives one k x k array of laws per multiset, so results
-    are bitwise those of a loop over the multisets: column totals add in state
-    order (leaving out zero weights changes no bit), and each total variation
-    distance sums over all k states, zeros included.
+    w[s] = pi[s] * prod_u q[s, u] come from one ``_heat_bath_weights`` call; a
+    multiset whose weights all lie below the smallest normal float has underflowed
+    and raises ValueError.  With a state a added, the center has law
+    w[s] * q[s, a] over its column total; a zero total carries no law.  Results
+    are bitwise those of a loop over the multisets that forms one k x k array of
+    laws each: column totals add in state order (leaving out zero weights changes
+    no bit), and each total variation distance sums over the states of nonzero
+    weight, in state order, where at most two are nonzero or k < 8 (numpy adds
+    fewer than 8 terms in order, and a sum of at most two nonzero terms rounds
+    alike in any grouping), else over all k states, zeros included.
     """
     if d < 1:
         raise ValueError("d must be positive")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    k = kernel.state_count
-    n_multisets = math.comb(k + d - 2, d - 1)
+    k, support = kernel.state_count, kernel.q != 0  # not > 0: entries down to -ATOL pass
+    # the support size of each row; with no zero in q, of one row, which settles the count
+    sizes = [k] if np.count_nonzero(support) == k * k else support.sum(axis=1).tolist()
+    n_all = math.comb(k + d - 2, d - 1)
+    n_rows = sum(math.comb(c + d - 2, d - 1) for c in sizes)
+    n_multisets = min(n_all, n_rows)
     if n_multisets * k * k > budget:
         raise BudgetExceededError(
             f"Dobrushin enumeration needs {n_multisets * k * k} conditional-law "
             f"evaluations, over the budget of {budget}"
         )
-    multisets = itertools.combinations_with_replacement(range(k), d - 1)
+    if n_rows < n_all:  # no row has full support: the union of the rows' multisets
+        rows = [itertools.combinations_with_replacement(row.nonzero()[0].tolist(), d - 1)
+                for row in support]
+        if n_rows * d <= _DOBRUSHIN_BLOCK:
+            multisets = iter(sorted(set(itertools.chain.from_iterable(rows))))
+        else:  # merged in order, so that no more than a block of them is held at once
+            multisets = (m for m, _ in itertools.groupby(heapq.merge(*rows)))
+    else:
+        multisets = itertools.combinations_with_replacement(range(k), d - 1)
+    sift = n_rows >= n_all and k not in sizes
     per_block = max(1, _DOBRUSHIN_BLOCK // (d + k))
     best = 0.0
     while block := list(itertools.islice(multisets, per_block)):
         # B multisets of d - 1 states each (none at d = 1) give (B, k) weights
         shared = np.fromiter(itertools.chain.from_iterable(block), np.int64)
         shared = shared.reshape(len(block), d - 1)
+        if sift:  # keep the multisets with some s having q[s, u] != 0 for all their u
+            shared = shared[support.T[shared].all(axis=1).any(axis=1)]
         weights = _heat_bath_weights(kernel, shared)
-        kept = (np.abs(weights) >= np.finfo(float).tiny).any(axis=1)
-        if not kept.all():
-            # bit s of row u is q[s, u] != 0: a dropped multiset whose rows share a bit underflowed
-            support = np.packbits(kernel.q.T != 0, axis=1)[shared[~kept]]
-            if np.bitwise_and.reduce(support, axis=1).any():
-                raise ValueError(f"heat-bath weights underflow at d={d}: a multiset of positive "
-                                 "probability has no weight at or above the smallest normal float")
-        weights = weights[kept]
+        if not (np.abs(weights) >= np.finfo(float).tiny).any(axis=1).all():
+            raise ValueError(f"heat-bath weights underflow at d={d}: a multiset of positive "
+                             "probability has no weight at or above the smallest normal float")
         # column totals: add each multiset's nonzero-weight terms in state order
         nonzero = weights != 0
-        order = (~nonzero).argsort(axis=1, kind="stable")[:, :nonzero.sum(axis=1).max(initial=0)]
+        n_nonzero = nonzero.sum(axis=1)
+        if nonzero.all():
+            terms = zip(weights.T, kernel.q)
+        else:
+            order = (~nonzero).argsort(axis=1, kind="stable")[:, :n_nonzero.max(initial=0)]
+            terms = zip(weights[np.arange(len(weights))[:, None], order].T, kernel.q[order.T])
         totals = np.zeros((len(weights), k))
-        for w_s, s in zip(weights[np.arange(len(weights))[:, None], order].T, order.T):
-            totals += w_s[:, None] * kernel.q.take(s, axis=0)
+        for w_s, q_s in terms:
+            totals += w_s[:, None] * q_s
         live = totals > 0.0
         width = live.sum(axis=1)
-        for n_live in set(width.tolist()) - {0, 1}:
+        # each TV sums over the nonzero weights where that changes no bit, else over all k
+        n_terms = n_nonzero if k < 8 else np.where(n_nonzero > 2, k, n_nonzero)
+        keys = width * (k + 1) + n_terms
+        for key in set(keys.tolist()):
+            n_live, n_term = divmod(key, k + 1)
+            if n_live < 2 or n_term < 2:  # one live column, or one state: every TV is 0
+                continue
             first, second = np.array(list(itertools.combinations(range(n_live), 2))).T
-            group = (width == n_live).nonzero()[0]
-            step = max(1, _DOBRUSHIN_BLOCK // (first.size * k))
+            group = (keys == key).nonzero()[0]
+            step = max(1, _DOBRUSHIN_BLOCK // (first.size * n_term))
             for part in (group[lo:lo + step] for lo in range(0, len(group), step)):
-                # (G, L, k) laws of the center, one row per live column, states last
+                # (G, L, n_term) laws of the center, one row per live column, states last
                 cols = live[part].nonzero()[1].reshape(-1, n_live)
-                law = weights[part, None] * kernel.q.T[cols]
+                if n_term == k:
+                    law = weights[part, None] * kernel.q.T[cols]
+                else:
+                    states = nonzero[part].nonzero()[1].reshape(-1, n_term)
+                    law = (weights[part[:, None], states][:, None]
+                           * kernel.q.T[cols[:, :, None], states[:, None]])
                 law /= totals[part[:, None], cols, None]
                 tv = np.abs(law.take(first, axis=1) - law.take(second, axis=1)).sum(axis=-1)
                 best = max(best, 0.5 * float(tv.max()))

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -607,18 +608,30 @@ class TestLiveCodeTable:
         laws = glauber._woken_laws(kernel, 4, rows, nbr, cols)
         assert laws.shape == cols.shape == (4, flat.size)
 
-    @pytest.mark.parametrize("case, cap", [("cycle5-d4", None), ("k4walk-d4", None),
-                                           ("lazy5", 140)])
+    def test_law_floats_over_the_cap_get_no_table(self):
+        # the walk on the 50-state star at d=3 lists 117,698 tuples, under the cap, but its
+        # (49 + 1) x 117,650 law floats are 11 times it
+        q = np.zeros((50, 50))
+        q[0, 1:], q[1:, 0] = 1 / 49, 1.0
+        kernel = TransitionKernel(q=q, pi=np.append(0.5, np.full(49, 1 / 98)))
+        assert kernel.column_sets[0].shape[1] == 49
+        assert glauber._live_codes(kernel, 3).size == 117_650
+        assert glauber._code_tables(kernel, 3).index is None
+
+    @pytest.mark.parametrize("case, unions", [("cycle5-d4", True), ("k4walk-d4", True),
+                                              ("lazy5", False)])
     @pytest.mark.parametrize("pairing", ["independent", "identical"])
-    def test_sweeps_on_live_tables_equal_dense_sweeps(self, case, cap, pairing, monkeypatch):
+    def test_sweeps_on_live_tables_equal_dense_sweeps(self, case, unions, pairing):
         # more rows than the pair table takes: laws read off the live-code table, on the
         # first neighbor's column set or, coupled, on the union: tabled, or sorted per sweep
-        # when the cap admits lazy5's 135 listed tuples but not its 150 union states
-        if cap:
-            monkeypatch.setattr(glauber, "_LIVE_CODE_MAX", cap)
+        # as past the union table's cap: at d >= 3 the default cap admits no live-code table
+        # with sets that wide (c > 40 at k <= 80), so lazy5's union table is dropped
         kernel, d, tables = live_tables(case)
+        if not unions:
+            kernel.code_tables[d] = tables = SimpleNamespace(**{**vars(tables), "union": None,
+                                                                "slots": None})
         assert tables.index is not None and tables.pair is None
-        assert (tables.union is None) == bool(cap)
+        assert (tables.union is not None) == unions
         tree, rng = build_tree(d, 4), np.random.default_rng(99)
         sa = sample_bmc_batch(kernel, tree, rng, 64)
         sb = sample_bmc_batch(kernel, tree, rng, 64) if pairing == "independent" else sa.copy()
@@ -1004,9 +1017,9 @@ class TestDrivers:
     @pytest.mark.parametrize("driver", [estimate_hamming_decay, converge_from_iid,
                                         fixed_point_test])
     def test_negative_sweeps_rejected(self, driver):
-        # before any Dobrushin enumeration, which for walk70 at d=6 exceeds its budget
+        # before any Dobrushin enumeration, which for potts(30, 0.5) at d=8 exceeds its budget
         with pytest.raises(ValueError, match="sweeps must be nonnegative"):
-            driver(walk70(), 6, 2, -1, 5, np.random.default_rng(0))
+            driver(make_potts(30, 0.5), 8, 2, -1, 5, np.random.default_rng(0))
 
     def test_reports_are_deterministic_given_seed(self):
         a = estimate_hamming_decay(make_ising(0.2), 3, 4, 5, 300, np.random.default_rng(22))

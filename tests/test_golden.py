@@ -54,6 +54,7 @@ CASES = [
     "dobrushin --kernel walk(<tmp>/c70.txt) --d 3",
     "dobrushin --kernel potts(3,0.4) --d 1",
     "dobrushin --kernel walk(<tmp>/c70.txt) --d 2",
+    "dobrushin --kernel walk(<tmp>/c70.txt) --d 4",
     "dobrushin --kernel <tmp>/sparse.txt --d 2",
     "dobrushin --kernel <tmp>/sparse.txt --d 3",
     "spectral --kernel potts(7,0.3)",
@@ -76,6 +77,8 @@ CASES = [
     "glauber-contraction --kernel potts(3,0.2) --d 3 --depth 4 --sweeps 3 --replicas 2050"
     " --seed 9",
     "glauber-contraction --kernel walk(<tmp>/c70.txt) --d 3 --depth 4 --sweeps 3 --replicas 200"
+    " --seed 6",
+    "glauber-contraction --kernel walk(<tmp>/c70.txt) --d 4 --depth 5 --sweeps 3 --replicas 64"
     " --seed 6",
     "glauber-contraction --kernel potts(17,0.1) --d 3 --depth 4 --sweeps 3 --replicas 200"
     " --seed 6",

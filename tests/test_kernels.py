@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -152,15 +153,22 @@ class TestWalkKernel:
             make_walk_kernel(graph)
 
 
+def positive_multisets(kernel, d):
+    """The multisets of d - 1 states, in order, with q[s, u] != 0 for some s and all their u."""
+    support = kernel.q != 0
+    return [shared for shared in itertools.combinations_with_replacement(range(kernel.state_count),
+                                                                          d - 1)
+            if support[:, list(shared)].all(axis=1).any()]
+
+
 def dobrushin_per_multiset(kernel, d, support_only=False):
-    """dobrushin_coefficient as one loop over the multisets of shared neighbor states.
+    """dobrushin_coefficient as one loop over the positive multisets of shared neighbor states.
 
     ``support_only`` sums each total variation distance over the nonzero-weight
     states alone, which regroups numpy's pairwise sum.
     """
-    k = kernel.state_count
     best = 0.0
-    for shared in itertools.combinations_with_replacement(range(k), d - 1):
+    for shared in positive_multisets(kernel, d):
         w = kernel.pi.copy()
         for u in shared:
             w = w * kernel.q[:, u]
@@ -206,8 +214,20 @@ def negative_entries():
     return TransitionKernel(q=q, pi=np.full(5, 0.2))
 
 
+def skewed_sparse():
+    """Symmetric weights over twelve decades on 9 states, half of them zero."""
+    rng = np.random.default_rng(7)
+    w = 10.0 ** rng.uniform(-12, 0, size=(9, 9)) * (rng.random((9, 9)) < 0.5)
+    w = w + w.T + np.diag(10.0 ** rng.uniform(-12, 0, size=9))
+    return TransitionKernel(q=w / w.sum(axis=1, keepdims=True), pi=w.sum(axis=1) / w.sum())
+
+
 SPARSE9 = sparse_uneven(9, 17)
 WALK70 = make_walk_kernel(circulant_graph(70, [1, 2]))
+SPARSE_ZOO = {**{f"walk-{name}": kernel for name, kernel in SPARSE_WALKS.items()},
+              **{f"lazy-{name}": lazy(kernel) for name, kernel in SPARSE_WALKS.items()},
+              "sparse9": SPARSE9, "negative5": negative_entries(), "skewed9": skewed_sparse(),
+              "walk70": WALK70}
 
 
 class TestColumnSets:
@@ -247,18 +267,49 @@ class TestDobrushin:
     @pytest.mark.parametrize("kernel, d", [
         *(pytest.param(lazy(SPARSE_WALKS[name]) if lazy_walk else SPARSE_WALKS[name], d,
                        id=f"{'lazy' if lazy_walk else 'walk'}-{name}-{d}")
-          for lazy_walk in (False, True) for name in sorted(SPARSE_WALKS) for d in (1, 2, 3)),
+          for lazy_walk in (False, True) for name in sorted(SPARSE_WALKS) for d in (1, 2, 3, 4)),
         pytest.param(SPARSE9, 2, id="sparse9-2"),
         pytest.param(SPARSE9, 3, id="sparse9-3"),
         pytest.param(SPARSE9, 4, id="sparse9-4"),
+        pytest.param(SPARSE9, 5, id="sparse9-5"),
         pytest.param(negative_entries(), 2, id="negative5-2"),
         pytest.param(negative_entries(), 3, id="negative5-3"),
         pytest.param(make_potts(17, 0.1), 3, id="potts17-3"),
         pytest.param(WALK70, 2, id="walk70-2"),
         pytest.param(WALK70, 3, id="walk70-3"),
+        pytest.param(WALK70, 4, id="walk70-4"),
     ])
     def test_equals_per_multiset_loop(self, kernel, d):
         assert dobrushin_coefficient(kernel, d) == dobrushin_per_multiset(kernel, d)
+
+    @pytest.mark.parametrize("block", [None, 64], ids=["sorted", "merged"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("name", SPARSE_ZOO)
+    def test_enumerates_the_kept_rows_of_the_full_enumeration(self, name, d, block, monkeypatch):
+        # the multisets whose weights are not all zero, in order.  The rows' multisets are
+        # fewer than all for the walks on 70 states and cycle6 from d=3 and on circulant10 at
+        # d=4: sorted at once, or merged where a block of 64 entries cannot hold them (all but
+        # cycle6 at d=3).  The other kernels sift every multiset, or keep every one with a
+        # row of full support (sparse9, skewed9)
+        kernel = SPARSE_ZOO[name]
+        every = np.array(list(itertools.combinations_with_replacement(range(kernel.state_count),
+                                                                      d - 1)))
+        kept = every[(kernels._heat_bath_weights(kernel, every) != 0).any(axis=1)]
+        want, seen = dobrushin_coefficient(kernel, d), []
+        monkeypatch.setattr(kernels, "_heat_bath_weights",
+                            lambda kernel, shared, weights=kernels._heat_bath_weights:
+                            seen.append(shared) or weights(kernel, shared))
+        if block:
+            monkeypatch.setattr(kernels, "_DOBRUSHIN_BLOCK", block)
+        assert dobrushin_coefficient(kernel, d) == want
+        assert np.array_equal(np.vstack(seen), kept)
+
+    def test_budget_counts_the_multisets_of_the_rows(self):
+        # walk70 at d=4: 70 rows list C(4 + 2, 3) = 20 multisets each, fewer than C(72, 3)
+        count = 70 * math.comb(6, 3) * 70**2
+        with pytest.raises(BudgetExceededError):
+            dobrushin_coefficient(WALK70, 4, budget=count - 1)
+        assert dobrushin_coefficient(WALK70, 4, budget=count) == 1.0
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_support_only_sum_moves_the_last_bit(self, d):
@@ -270,12 +321,8 @@ class TestDobrushin:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_equals_per_multiset_loop_on_skewed_sparse_kernel(self, d):
-        # symmetric weights over twelve decades, half of them zero: tiny
-        # nonzero conditional weights must not be taken for zeros
-        rng = np.random.default_rng(7)
-        w = 10.0 ** rng.uniform(-12, 0, size=(9, 9)) * (rng.random((9, 9)) < 0.5)
-        w = w + w.T + np.diag(10.0 ** rng.uniform(-12, 0, size=9))
-        kernel = TransitionKernel(q=w / w.sum(axis=1, keepdims=True), pi=w.sum(axis=1) / w.sum())
+        # tiny nonzero conditional weights must not be taken for zeros
+        kernel = skewed_sparse()
         value = dobrushin_coefficient(kernel, d)
         assert value > 0.0
         assert value == dobrushin_per_multiset(kernel, d)

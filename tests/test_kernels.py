@@ -272,6 +272,7 @@ class TestDobrushin:
         pytest.param(SPARSE9, 3, id="sparse9-3"),
         pytest.param(SPARSE9, 4, id="sparse9-4"),
         pytest.param(SPARSE9, 5, id="sparse9-5"),
+        pytest.param(sparse_uneven(8, 48), 3, id="sparse8-3"),
         pytest.param(negative_entries(), 2, id="negative5-2"),
         pytest.param(negative_entries(), 3, id="negative5-3"),
         pytest.param(make_potts(17, 0.1), 3, id="potts17-3"),
@@ -280,6 +281,8 @@ class TestDobrushin:
         pytest.param(WALK70, 4, id="walk70-4"),
     ])
     def test_equals_per_multiset_loop(self, kernel, d):
+        # sparse8-3 moves its last bit if TVs of 3 or 4 nonzero weights, or of any at k=8,
+        # are summed on the support
         assert dobrushin_coefficient(kernel, d) == dobrushin_per_multiset(kernel, d)
 
     @pytest.mark.parametrize("block", [None, 64], ids=["sorted", "merged"])

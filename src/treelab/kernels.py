@@ -22,7 +22,7 @@ from .errors import BudgetExceededError
 from .graphs import _neighbor_fill, _read_rows, _strongly_connected, bfs
 
 ATOL = 1e-12
-_DOBRUSHIN_BLOCK = 2**16  # entries of a block of Dobrushin weights or a chunk of law differences
+_DOBRUSHIN_BLOCK = 2**16  # entries of a block of weights, a chunk of law differences or a union
 
 
 @dataclass(frozen=True)

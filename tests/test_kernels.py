@@ -156,9 +156,8 @@ class TestWalkKernel:
 def positive_multisets(kernel, d):
     """The multisets of d - 1 states, in order, with q[s, u] != 0 for some s and all their u."""
     support = kernel.q != 0
-    return [shared for shared in itertools.combinations_with_replacement(range(kernel.state_count),
-                                                                          d - 1)
-            if support[:, list(shared)].all(axis=1).any()]
+    every = itertools.combinations_with_replacement(range(kernel.state_count), d - 1)
+    return [shared for shared in every if support[:, list(shared)].all(axis=1).any()]
 
 
 def dobrushin_per_multiset(kernel, d, support_only=False):

@@ -289,10 +289,10 @@ class TestDobrushin:
     @pytest.mark.parametrize("name", SPARSE_ZOO)
     def test_enumerates_the_kept_rows_of_the_full_enumeration(self, name, d, block, monkeypatch):
         # the multisets whose weights are not all zero, in order.  The rows' multisets are
-        # fewer than all for the walks on 70 states and cycle6 from d=3 and on circulant10 at
-        # d=4: sorted at once, or merged where a block of 64 entries cannot hold them (all but
-        # cycle6 at d=3).  The other kernels sift every multiset, or keep every one with a
-        # row of full support (sparse9, skewed9)
+        # fewer than all for walk70 and walk-cycle6 from d=3 and walk-circulant10 at d=4:
+        # sorted at once, or merged where a block of 64 entries cannot hold them (all but
+        # walk-cycle6 at d=3).  The other kernels sift every multiset, or keep every one
+        # with a row of full support (sparse9, skewed9)
         kernel = SPARSE_ZOO[name]
         every = np.array(list(itertools.combinations_with_replacement(range(kernel.state_count),
                                                                       d - 1)))

@@ -22,7 +22,7 @@ from .errors import BudgetExceededError
 from .graphs import _neighbor_fill, _read_rows, _strongly_connected, bfs
 
 ATOL = 1e-12
-_DOBRUSHIN_BLOCK = 2**16  # entries of a block of weights, a chunk of law differences or a union
+_DOBRUSHIN_BLOCK = 2**16  # entries of a block of weights or a chunk of law differences
 
 
 @dataclass(frozen=True)
@@ -238,12 +238,12 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     Only multisets of positive probability count: those inside the support
     {u : q[s, u] != 0} of some row s of q.  If some row has full support, that is
     every multiset, enumerated in lexicographic order.  Else, if the rows list
-    fewer multisets than C(k+d-2, d-1), the union of the rows' multisets is taken
-    in that order: sorted at once when they fit a block, else merged (350 of 2485
-    multisets for the 70-state walk at d=3).  If they list more, every multiset is
-    enumerated and those inside no row's support are dropped.  The budget, at
-    least 1, counts min(C(k+d-2, d-1), sum over s of C(|support of s|+d-2, d-1))
-    times k^2 conditional-law evaluations.
+    fewer multisets than C(k+d-2, d-1), the rows' multisets are merged in that
+    order, repeats dropped, so that no more than a block of them is held at once
+    (350 of 2485 multisets for the 70-state walk at d=3).  If they list more, every
+    multiset is enumerated and those inside no row's support are dropped.  The
+    budget, at least 1, counts min(C(k+d-2, d-1), sum over s of
+    C(|support of s|+d-2, d-1)) times k^2 conditional-law evaluations.
 
     Each block of multisets is one set of array operations.  Its weights
     w[s] = pi[s] * prod_u q[s, u] come from one ``_heat_bath_weights`` call; a
@@ -262,8 +262,7 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     k, support = kernel.state_count, kernel.q != 0  # not > 0: entries down to -ATOL pass
-    # the support size of each row; with no zero in q, of one row, which settles the count
-    sizes = [k] if np.count_nonzero(support) == k * k else support.sum(axis=1).tolist()
+    sizes = support.sum(axis=1).tolist()
     n_all = math.comb(k + d - 2, d - 1)
     n_rows = sum(math.comb(c + d - 2, d - 1) for c in sizes)
     n_multisets = min(n_all, n_rows)
@@ -275,10 +274,7 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
     if n_rows < n_all:  # no row has full support: the union of the rows' multisets
         rows = [itertools.combinations_with_replacement(row.nonzero()[0].tolist(), d - 1)
                 for row in support]
-        if n_rows * d <= _DOBRUSHIN_BLOCK:
-            multisets = iter(sorted(set(itertools.chain.from_iterable(rows))))
-        else:  # merged in order, so that no more than a block of them is held at once
-            multisets = (m for m, _ in itertools.groupby(heapq.merge(*rows)))
+        multisets = (m for m, _ in itertools.groupby(heapq.merge(*rows)))
     else:
         multisets = itertools.combinations_with_replacement(range(k), d - 1)
     sift = n_rows >= n_all and k not in sizes
@@ -297,11 +293,12 @@ def dobrushin_coefficient(kernel: TransitionKernel, d: int, budget: int = 10**8)
         # column totals: add each multiset's nonzero-weight terms in state order
         nonzero = weights != 0
         n_nonzero = nonzero.sum(axis=1)
-        if nonzero.all():
+        if nonzero.all():  # the rows of q as they are, with no argsort or takes
             terms = zip(weights.T, kernel.q)
-        else:
+        else:  # the nonzero terms first, taking one (B, k) block of rows of q per step
             order = (~nonzero).argsort(axis=1, kind="stable")[:, :n_nonzero.max(initial=0)]
-            terms = zip(weights[np.arange(len(weights))[:, None], order].T, kernel.q[order.T])
+            terms = ((w_s, kernel.q.take(s, axis=0)) for w_s, s in
+                     zip(weights[np.arange(len(weights))[:, None], order].T, order.T))
         totals = np.zeros((len(weights), k))
         for w_s, q_s in terms:
             totals += w_s[:, None] * q_s

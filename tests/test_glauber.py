@@ -1,6 +1,5 @@
 import hashlib
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -365,6 +364,17 @@ def negative_entry_kernel():
     return TransitionKernel(q=q, pi=np.full(20, 0.05))
 
 
+def hub_kernel():
+    """Walk on a 79-cycle of leaves plus a hub: each leaf steps to the hub with probability
+    1e-13, the hub to leaf 1 with probability 1, and pi[hub] = 1e-15, all within the checks'
+    1e-12, so column 0 has 79 nonzero entries while row 0 has one."""
+    q = np.zeros((80, 80))
+    leaves = np.arange(1, 80)
+    q[leaves, np.roll(leaves, 1)] = q[leaves, np.roll(leaves, -1)] = 0.5
+    q[leaves, 0], q[0, 1] = 1e-13, 1.0
+    return TransitionKernel(q=q, pi=np.append(1e-15, np.full(79, (1 - 1e-15) / 79)))
+
+
 SPARSE_KERNELS = {"walk70": walk70, "uneven23": uneven_kernel,
                   "negative20": negative_entry_kernel, "potts17": lambda: make_potts(17, 0.1)}
 # the (name, d) whose laws are read off the live-code table; the others' are evaluated
@@ -497,7 +507,7 @@ UNION_CASES = [c for c in LIVE_TABLE_CASES if c not in ("potts17", "cycle5", "k4
 
 def live_tables(case):
     """A fresh kernel of the case, its degree, and its tables."""
-    factory, d = LIVE_TABLE_CASES[case]
+    factory, d = {**LIVE_TABLE_CASES, "hub80": (hub_kernel, 3)}[case]
     kernel = factory()
     return kernel, d, glauber._code_tables(kernel, d)
 
@@ -619,17 +629,15 @@ class TestLiveCodeTable:
         assert glauber._code_tables(kernel, 3).index is None
 
     @pytest.mark.parametrize("case, unions", [("cycle5-d4", True), ("k4walk-d4", True),
-                                              ("lazy5", False)])
+                                              ("lazy5", True), ("hub80", False)])
     @pytest.mark.parametrize("pairing", ["independent", "identical"])
     def test_sweeps_on_live_tables_equal_dense_sweeps(self, case, unions, pairing):
         # more rows than the pair table takes: laws read off the live-code table, on the
         # first neighbor's column set or, coupled, on the union: tabled, or sorted per sweep
-        # as past the union table's cap: at d >= 3 the default cap admits no live-code table
-        # with sets that wide (c > 40 at k <= 80), so lazy5's union table is dropped
+        # past the union table's cap.  With a symmetric zero pattern a column set of c
+        # states makes L >= c^3 rows, so at d >= 3 no live-code table has sets wide enough
+        # for that cap (2 c k^2 > _LIVE_CODE_MAX); hub80's column 0 is wider than its rows
         kernel, d, tables = live_tables(case)
-        if not unions:
-            kernel.code_tables[d] = tables = SimpleNamespace(**{**vars(tables), "union": None,
-                                                                "slots": None})
         assert tables.index is not None and tables.pair is None
         assert (tables.union is not None) == unions
         tree, rng = build_tree(d, 4), np.random.default_rng(99)

@@ -36,7 +36,7 @@ def shannon(dist) -> float:
     if not abs(p.sum() - 1.0) <= 1e-9:
         raise ValueError("probabilities must be finite and sum to 1")
     pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(-(pos * np.log(pos)).sum()) + 0.0  # +0.0, not -0.0, for a point mass
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,7 @@ def bmc_entropy_report(kernel: TransitionKernel, d: int) -> EntropyReport:
     if d < 3:
         raise ValueError("d must be at least 3")
     h_v = shannon(kernel.pi)
-    row_entropy = sum(
-        float(kernel.pi[s]) * shannon(kernel.q[s]) for s in range(kernel.state_count)
-    )
+    row_entropy = sum(float(p) * shannon(row) for p, row in zip(kernel.pi, kernel.q))
     h_e = h_v + row_entropy
     h_s = h_v + d * row_entropy
     return EntropyReport(
@@ -103,10 +101,13 @@ def expander_counterexample(k: int, q_deg: int, d: int) -> CounterexampleCertifi
     fails exactly when k^(d-2) > q_deg^d (checked in exact integer
     arithmetic).  Near-Ramanujan graphs make the chain's spectral radius about
     2 sqrt(q_deg-1)/q_deg, so the violation is compatible with arbitrarily
-    small correlations; the target value is reported for empirical checks.
+    small correlations; the target value is reported for empirical checks.  Raises
+    ValueError unless q_deg >= 3, d >= 3 and such a graph exists: k > q_deg, k * q_deg even.
     """
-    if k <= 1 or q_deg < 3 or d < 3:
-        raise ValueError("need k > 1, q_deg >= 3, d >= 3")
+    if q_deg < 3 or d < 3:
+        raise ValueError("need q_deg >= 3, d >= 3")
+    if k <= q_deg or k * q_deg % 2:
+        raise ValueError(f"no {q_deg}-regular simple graph has {k} vertices")
     nontypical = k ** (d - 2) > q_deg**d
     return CounterexampleCertificate(
         k=k, q_deg=q_deg, d=d, nontypical=nontypical,
@@ -133,6 +134,4 @@ def total_correlation(joint) -> float:
 
 def pinsker_tv_bound(t: float) -> float:
     """Total variation bound sqrt(t/2) from relative entropy t."""
-    if t < 0:
-        t = 0.0
-    return math.sqrt(t / 2.0)
+    return math.sqrt(max(t, 0.0) / 2.0)

@@ -34,8 +34,10 @@ arithmetic; their leading digit is the first neighbor state.  For a table of few
 the maximal coupling of every ordered pair of rows is tabulated too, on all k states;
 otherwise a coupled sweep takes its unions from a table over the k^2 pairs of first
 neighbor states, with each union state's row in either set, and reads both laws off the
-table (zeros as +0 where an evaluated law may hold -0, which moves no sum or draw).  Past
-the size caps each woken vertex evaluates its law and each coupled sweep sorts its unions.
+table (zeros as +0 where an evaluated law may hold -0, which moves no sum or draw).  The
+union table is built while c k^2 <= _LIVE_CODE_MAX for sets of width c < k, and so with
+every live-code table at d >= 3 that has no pair table (c k^2 < k^3 <= k^d).  Past the
+caps each woken vertex evaluates its law and each coupled sweep sorts its unions.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ _STAR_MAX = 100_000
 # Caps of the law tables: the live-code table while k^d (its index holds one small integer
 # per code: 0.7 MB for the 70-state walk at d=3), the tuples listed to find the live codes
 # and its (c + 1) x L law floats are at most _LIVE_CODE_MAX; its pair table while L^2 <=
-# _PAIR_TABLE_MAX for L rows; else the union table while the k^2 unions hold at most
-# _LIVE_CODE_MAX states.  Past them each woken vertex multiplies its own law (the 70-state
-# walk at d=4 has 24M codes), or each coupled sweep sorts its unions.
+# _PAIR_TABLE_MAX for L rows; else the union table while c k^2 <= _LIVE_CODE_MAX for sets of
+# width c < k, as for every live-code table (c k^2 < k^3 <= k^d).  Past them each woken vertex
+# multiplies its own law (24M codes for the 70-state walk at d=4) or each coupled sweep sorts.
 _PAIR_TABLE_MAX = 4096
 _LIVE_CODE_MAX = 2**19
 
@@ -229,8 +231,10 @@ def _unions(sets_a: np.ndarray, sets_b: np.ndarray, k: int) -> np.ndarray:
 
 def _slots(sets: np.ndarray, union: np.ndarray) -> np.ndarray:
     """The row of each state of the (w, m) ``union`` in its (c, m) column set, c if none."""
-    hit = sets[:, None] == union
-    return np.where(hit.any(axis=0), hit.argmax(axis=0), len(sets))
+    slots = np.full(union.shape, len(sets))
+    for row in range(len(sets) - 1, -1, -1):  # last to first: the first match wins
+        slots[sets[row] == union] = row
+    return slots
 
 
 def _live_codes(kernel: TransitionKernel, d: int):
@@ -257,14 +261,13 @@ def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
     (c + 1, L) ``laws`` on the first neighbor state's column set, then the sentinel; ``cum``
     of their first c rows; and if L^2 <= _PAIR_TABLE_MAX, ``pair``, the ``_pair_rows`` of
     the dense k-state laws of rows a and b at column a*L + b, laws cumulated.  Else, if the
-    sets are narrower than k and the k^2 unions of two hold at most _LIVE_CODE_MAX states:
-    ``union``, the ``_unions`` of the sets of a and b at column a*k + b, and ``slots``, their
-    ``_slots`` in the sets of a, then b.
+    sets are narrower than k and c * k^2 <= _LIVE_CODE_MAX (so at d >= 3 whenever ``index``
+    is there): ``union``, the ``_unions`` of the sets of a and b at column a*k + b, and
+    ``slots``, their ``_slots`` in the sets of a, then b.
     """
     if d not in kernel.code_tables:
         k, sets = kernel.state_count, kernel.column_sets[0]
-        tables = SimpleNamespace(index=None, laws=None, cum=None, pair=None, union=None,
-                                 slots=None)
+        tables = SimpleNamespace(**dict.fromkeys("index laws cum pair union slots".split()))
         live = _live_codes(kernel, d)
         if live is not None and (sets.shape[1] + 1) * live.size <= _LIVE_CODE_MAX:
             digits = np.array(np.unravel_index(live, (k,) * d))
@@ -278,12 +281,11 @@ def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
                 mass, *pair_laws, dead = _pair_rows(np.repeat(dense, live.size, axis=1),
                                                     np.tile(dense, live.size))
                 tables.pair = (mass, *map(_cumulate, pair_laws), dead)
-        if tables.pair is None and (c := sets.shape[1]) < k and 2 * c * k * k <= _LIVE_CODE_MAX:
-            own, other = np.repeat(sets, k, axis=0).T, np.tile(sets, (k, 1)).T
-            union = _unions(own, other, k)
+        if tables.pair is None and (c := sets.shape[1]) < k and c * k * k <= _LIVE_CODE_MAX:
+            ab = np.repeat(sets, k, axis=0).T, np.tile(sets, (k, 1)).T  # sets of a, of b
+            union = _unions(*ab, k)
             tables.union = union.astype(np.min_scalar_type(k))
-            tables.slots = np.array([_slots(own, union), _slots(other, union)],
-                                    dtype=np.min_scalar_type(c))
+            tables.slots = np.array([_slots(s, union) for s in ab], dtype=np.min_scalar_type(c))
         for a in (*vars(tables).values(), *(tables.pair or ())):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
@@ -473,11 +475,9 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
     else:
         slots = (None, None)  # of the union of the two copies' column sets, in each
         if tables.union is not None:
-            key = fa * k + fb
-            cols, slots = tables.union.take(key, axis=1), tables.slots.take(key, axis=2)
-        elif (own := _first_sets(kernel, fa)) is not None:
-            cols = _unions(own, other := _first_sets(kernel, fb), k)
-            slots = [_slots(s, cols) for s in (own, other)] if ra is not None else slots
+            cols, slots = (t.take(fa * k + fb, axis=-1) for t in (tables.union, tables.slots))
+        elif (own := _first_sets(kernel, fa)) is not None:  # evaluated laws only
+            cols = _unions(own, _first_sets(kernel, fb), k)
         pair = _pair_rows(*(_woken_laws(kernel, tree.d, r, n, cols, s)
                             for r, n, s in zip((ra, rb), (na, nb), slots)), cols, k)
     for s, x in zip((sa, sb), _pair_draw(pair, rng, code)):

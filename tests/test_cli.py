@@ -73,6 +73,11 @@ class TestCommands:
                                 "--bits"])
         assert out["h_vertex_bits"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_entropy_check_point_mass_prints_positive_zero(self, capsys):
+        run(["entropy-check", "--kernel", "uniform(1)", "--d", "3"])
+        out = capsys.readouterr().out
+        assert '"h_vertex": 0.0' in out and "-0.0" not in out
+
     def test_bmc_sample_writes_dump(self, capsys, tmp_path):
         dump = tmp_path / "config.txt"
         out = run_json(capsys, ["bmc-sample", "--kernel", "ising(0.5)", "--d", "3",
@@ -269,6 +274,8 @@ class TestContracts:
          "--sweeps", "-1", "--replicas", "5", "--seed", "1"],
         # the balanced multisets' heat-bath weights underflow to zero
         ["dobrushin", "--kernel", "ising(0.2)", "--d", "1301"],
+        # 71 * 3 is odd: no cubic graph on 71 vertices
+        ["counterexample", "--k", "71", "--q-deg", "3", "--d", "3"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {

@@ -15,6 +15,13 @@ class TestShannon:
     def test_point_mass(self):
         assert shannon([1.0, 0.0, 0.0]) == 0.0
 
+    def test_point_mass_is_positive_zero(self):
+        # -(1 ln 1) is -0.0, which JSON output would print as such
+        assert math.copysign(1.0, shannon([0.0, 1.0])) == 1.0
+        report = bmc_entropy_report(uniform_kernel(1), 3)
+        for h in (report.h_vertex, report.h_edge, report.h_star):
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
+
     def test_uniform(self):
         for k in (2, 5, 9):
             assert shannon(np.full(k, 1 / k)) == pytest.approx(math.log(k), abs=1e-12)
@@ -146,6 +153,16 @@ class TestCounterexample:
     def test_validation(self):
         with pytest.raises(ValueError):
             expander_counterexample(1, 4, 3)
+
+    @pytest.mark.parametrize("k, q_deg", [(71, 3), (4, 4), (3, 4), (65, 5), (6, 6)])
+    def test_no_regular_graph_rejected(self, k, q_deg):
+        # a q_deg-regular simple graph on k vertices needs k > q_deg and k * q_deg even
+        with pytest.raises(ValueError, match=f"no {q_deg}-regular simple graph has {k} vertices"):
+            expander_counterexample(k, q_deg, 3)
+
+    @pytest.mark.parametrize("k, q_deg", [(5, 4), (4, 3), (66, 5), (7, 6)])
+    def test_smallest_regular_graphs_accepted(self, k, q_deg):
+        assert expander_counterexample(k, q_deg, 3).k == k
 
 
 class TestTotalCorrelation:

@@ -628,18 +628,15 @@ class TestLiveCodeTable:
         assert glauber._live_codes(kernel, 3).size == 117_650
         assert glauber._code_tables(kernel, 3).index is None
 
-    @pytest.mark.parametrize("case, unions", [("cycle5-d4", True), ("k4walk-d4", True),
-                                              ("lazy5", True), ("hub80", False)])
+    @pytest.mark.parametrize("case", ["cycle5-d4", "k4walk-d4", "lazy5", "hub80"])
     @pytest.mark.parametrize("pairing", ["independent", "identical"])
-    def test_sweeps_on_live_tables_equal_dense_sweeps(self, case, unions, pairing):
+    def test_sweeps_on_live_tables_equal_dense_sweeps(self, case, pairing):
         # more rows than the pair table takes: laws read off the live-code table, on the
-        # first neighbor's column set or, coupled, on the union: tabled, or sorted per sweep
-        # past the union table's cap.  With a symmetric zero pattern a column set of c
-        # states makes L >= c^3 rows, so at d >= 3 no live-code table has sets wide enough
-        # for that cap (2 c k^2 > _LIVE_CODE_MAX); hub80's column 0 is wider than its rows
+        # first neighbor's column set or, coupled, on the union read off the union table.
+        # hub80's zero pattern is asymmetric within the 1e-12 checks: its column 0 is wider
+        # than any row, so its union table is the widest, 79 * 80^2 states under the cap
         kernel, d, tables = live_tables(case)
-        assert tables.index is not None and tables.pair is None
-        assert (tables.union is not None) == unions
+        assert tables.index is not None and tables.pair is None and tables.union is not None
         tree, rng = build_tree(d, 4), np.random.default_rng(99)
         sa = sample_bmc_batch(kernel, tree, rng, 64)
         sb = sample_bmc_batch(kernel, tree, rng, 64) if pairing == "independent" else sa.copy()
@@ -739,6 +736,71 @@ class TestPairTable:
         assert glauber._code_tables(make_potts(3, 0.4), 3) is not tables
         for a in (tables.index, tables.laws, tables.cum, *tables.pair, deeper.cum):
             assert not a.flags.writeable
+
+
+def walk400():
+    """Walk on the circulant C400(1, 2): no live-code table (400^3 codes) and no union
+    table (4 * 400^2 union states), so a coupled sweep sorts its unions."""
+    return make_walk_kernel(circulant_graph(400, [1, 2]))
+
+
+def coupled_source(kernel, d, monkeypatch):
+    """The law source one coupled sweep at degree d takes, seen in the calls it makes: the
+    pair table reads no laws; other laws are tabled or evaluated, on all k states, on the
+    union table's unions, or on unions sorted per sweep."""
+    tree, rng = build_tree(d, 3), np.random.default_rng(7)
+    sa, sb = (sample_bmc_batch(kernel, tree, rng, 16) for _ in range(2))
+    glauber._code_tables(kernel, d)  # built first: building the union table sorts unions
+    sorts, seen = [], set()
+    unions, woken_laws = glauber._unions, glauber._woken_laws
+
+    def spy_unions(*args):
+        sorts.append(args)
+        return unions(*args)
+
+    def spy_woken_laws(kernel, d, rows, nbr, cols=None, slots=None):
+        seen.add((rows is None, cols is None))
+        return woken_laws(kernel, d, rows, nbr, cols, slots)
+
+    monkeypatch.setattr(glauber, "_unions", spy_unions)
+    monkeypatch.setattr(glauber, "_woken_laws", spy_woken_laws)
+    _coupled_sweep_states(sa, sb, tree, kernel, rng)
+    if not seen:
+        return "pair"
+    (evaluated, all_k), = seen
+    return f"{'all k' if all_k else 'sorted' if sorts else 'union'}, " + (
+        "evaluated" if evaluated else "tabled")
+
+
+class TestCoupledSources:
+    @pytest.mark.parametrize("factory, d, source", [
+        pytest.param(lambda: make_ising(0.25), 3, "pair", id="ising0.25"),
+        pytest.param(walk70, 3, "union, tabled", id="walk70"),
+        pytest.param(hub_kernel, 3, "union, tabled", id="hub80"),
+        pytest.param(walk70, 4, "union, evaluated", id="walk70-d4"),
+        pytest.param(walk400, 3, "sorted, evaluated", id="walk400"),
+        pytest.param(lambda: make_potts(5, 0.4), 3, "all k, tabled", id="potts5"),
+        pytest.param(lambda: make_potts(17, 0.1), 5, "all k, evaluated", id="potts17-d5"),
+    ])
+    def test_each_source_is_reached_at_default_caps(self, factory, d, source, monkeypatch):
+        # a live-code table with no pair table and sets narrower than k has a union table,
+        # so no coupled sweep sorts its unions per sweep for tabled laws
+        kernel = factory()
+        tables = glauber._code_tables(kernel, d)
+        if tables.index is not None and tables.pair is None:
+            narrow = kernel.column_sets[0].shape[1] < kernel.state_count
+            assert (tables.union is not None) == narrow
+        assert coupled_source(kernel, d, monkeypatch) == source
+
+    @pytest.mark.parametrize("pairing", ["independent", "identical"])
+    def test_sweeps_on_unions_sorted_per_sweep_equal_dense_sweeps(self, pairing):
+        kernel, tree = walk400(), build_tree(3, 4)
+        rng = np.random.default_rng(101)
+        sa = sample_bmc_batch(kernel, tree, rng, 64)
+        sb = sample_bmc_batch(kernel, tree, rng, 64) if pairing == "independent" else sa.copy()
+        tables = glauber._code_tables(kernel, 3)
+        assert tables.index is None and tables.union is None
+        check_sweeps_equal_dense(kernel, tree, sa, sb, 102)
 
 
 class TestGlauberSweep:

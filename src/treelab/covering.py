@@ -87,8 +87,11 @@ def is_covering_at(graph, coloring, v: int, matrix: CoveringMatrix) -> bool:
 
 
 def error_ratio(graph, coloring, matrix: CoveringMatrix) -> float:
-    """Fraction of vertices at which the coloring is not a covering."""
+    """Fraction of vertices at which the coloring, a color in 0..s-1 each, is not a covering."""
     coloring = list(coloring)
+    if len(coloring) != graph.n or not all(0 <= c < matrix.s_count for c in coloring):
+        raise ValueError(f"coloring must give each of {graph.n} vertices a color in "
+                         f"0..{matrix.s_count - 1}")
     bad = sum(1 for v in range(graph.n) if not is_covering_at(graph, coloring, v, matrix))
     return bad / graph.n
 
@@ -243,11 +246,11 @@ def delta_lower_bound(matrix: CoveringMatrix, eps: float) -> float:
 
     Generic bound: 1/(|S| d^K) - eps * sum_{i<=K} d^-i with K the support
     digraph diameter (a state of high probability feeds its neighbors along
-    directed paths).  Sharper registered values override it: (1-eps)/(d+1)
-    for the dominating matrix and 1/2 - eps for the bipartite matrix.  Raises
-    when the bound degenerates to a nonpositive value (eps too large).
+    directed paths).  Sharper registered values override it: (1-eps)/(d+1) for the
+    dominating matrix and 1/2 - eps for the bipartite matrix.  Raises for a negative
+    or NaN eps and when the bound is nonpositive (eps too large).
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be nonnegative")
     value = _resolve_delta(matrix)[0](eps)
     if value <= 0.0:

@@ -30,14 +30,15 @@ of the definitions site by site.
 One table per (kernel, d) holds the laws of the live codes, the base-k codes of neighbor
 tuples (u_1..u_d) with q[s, u_j] != 0 for some s and every j (3430 of 343,000 for the
 70-state walk at d=3), with an index from codes to rows.  Codes are formed by block
-arithmetic; their leading digit is the first neighbor state.  For a table of few rows
-the maximal coupling of every ordered pair of rows is tabulated too, on all k states;
-otherwise a coupled sweep takes its unions from a table over the k^2 pairs of first
-neighbor states, with each union state's row in either set, and reads both laws off the
-table (zeros as +0 where an evaluated law may hold -0, which moves no sum or draw).  The
-union table is built while c k^2 <= _LIVE_CODE_MAX for sets of width c < k, and so with
-every live-code table at d >= 3 that has no pair table (c k^2 < k^3 <= k^d).  Past the
-caps each woken vertex evaluates its law and each coupled sweep sorts its unions.
+arithmetic; their leading digit is the first neighbor state.  The laws are kept by state,
+(k + 1) x L floats for L codes with a zero row for the sentinel, and their cumulative laws
+on the column sets.  For a table of few rows the maximal coupling of every ordered pair of
+rows is tabulated too, on all k states; otherwise a coupled sweep takes its unions from a
+table over the k^2 pairs of first neighbor states and reads both laws off the law table
+at the union's states (zeros as +0 where an evaluated law may hold -0, which moves no sum
+or draw).  The union table is built while c k^2 <= _LIVE_CODE_MAX for sets of width c < k,
+and so with every live-code table at d >= 3 that has no pair table (c k^2 < k^3 <= k^d).
+Past the caps each woken vertex evaluates its law and each coupled sweep sorts its unions.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ _STAR_MAX = 100_000
 
 # Caps of the law tables: the live-code table while k^d (its index holds one small integer
 # per code: 0.7 MB for the 70-state walk at d=3), the tuples listed to find the live codes
-# and its (c + 1) x L law floats are at most _LIVE_CODE_MAX; its pair table while L^2 <=
-# _PAIR_TABLE_MAX for L rows; else the union table while c k^2 <= _LIVE_CODE_MAX for sets of
-# width c < k, as for every live-code table (c k^2 < k^3 <= k^d).  Past them each woken vertex
-# multiplies its own law (24M codes for the 70-state walk at d=4) or each coupled sweep sorts.
+# and its (k + 1) x L law floats by state are at most _LIVE_CODE_MAX; its pair table while
+# L^2 <= _PAIR_TABLE_MAX for L rows; else the union table while c k^2 <= _LIVE_CODE_MAX for
+# sets of width c < k, as for every live-code table (c k^2 < k^3 <= k^d).  Past them a woken
+# vertex multiplies its own law (24M codes for walk-70 at d=4), a coupled sweep sorts.
 _PAIR_TABLE_MAX = 4096
 _LIVE_CODE_MAX = 2**19
 
@@ -197,15 +198,10 @@ def _row_sums(w: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     totals = np.add.reduce(w, axis=0)
     if k >= 8:
         many = ((w != 0).sum(axis=0) > 2).nonzero()[0]
-        totals[many] = _dense(w[:, many], cols[:, many], k).sum(axis=1)
+        dense = np.zeros((many.size, k + 1))  # (m, k) rows and a column for the sentinel
+        dense[np.arange(many.size), cols[:, many]] = w[:, many]
+        totals[many] = dense[:, :k].sum(axis=1)
     return totals
-
-
-def _dense(w: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """(m, k) rows of (c, m) laws on column sets, zero off the sets."""
-    dense = np.zeros((w.shape[1], k + 1))
-    dense[np.arange(w.shape[1]), cols] = w
-    return dense[:, :k]
 
 
 def _laws(kernel: TransitionKernel, nbr_states: np.ndarray, cols=None):
@@ -229,14 +225,6 @@ def _unions(sets_a: np.ndarray, sets_b: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def _slots(sets: np.ndarray, union: np.ndarray) -> np.ndarray:
-    """The row of each state of the (w, m) ``union`` in its (c, m) column set, c if none."""
-    slots = np.full(union.shape, len(sets))
-    for row in range(len(sets) - 1, -1, -1):  # last to first: the first match wins
-        slots[sets[row] == union] = row
-    return slots
-
-
 def _live_codes(kernel: TransitionKernel, d: int):
     """The codes, ascending, of the neighbor tuples (u_1..u_d) with q[s, u_j] != 0 for some s
     and every j, or None when k^d or the tuples listed, sum over s of |{u: q[s, u] != 0}|^d,
@@ -256,36 +244,37 @@ def _live_codes(kernel: TransitionKernel, d: int):
 def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
     """Read-only tables of the sweeps at degree d, kept per d on the kernel (None: absent).
 
-    If ``_live_codes`` lists the L live codes and (c + 1) * L <= _LIVE_CODE_MAX for sets of
-    width c: ``index``, each code's row (L for a zero total) in the narrowest unsigned type;
-    (c + 1, L) ``laws`` on the first neighbor state's column set, then the sentinel; ``cum``
-    of their first c rows; and if L^2 <= _PAIR_TABLE_MAX, ``pair``, the ``_pair_rows`` of
-    the dense k-state laws of rows a and b at column a*L + b, laws cumulated.  Else, if the
-    sets are narrower than k and c * k^2 <= _LIVE_CODE_MAX (so at d >= 3 whenever ``index``
-    is there): ``union``, the ``_unions`` of the sets of a and b at column a*k + b, and
-    ``slots``, their ``_slots`` in the sets of a, then b.
+    If ``_live_codes`` lists the L live codes and (k + 1) * L <= _LIVE_CODE_MAX: ``index``,
+    each code's row (L for a zero total) in the narrowest unsigned type; (k + 1, L) ``laws``
+    by state, evaluated on the first neighbor state's column set and zero off it, with the
+    sentinel k's row zero; ``cum`` of the laws on the column sets; and if L^2 <=
+    _PAIR_TABLE_MAX, ``pair``, the ``_pair_rows`` of the k-state laws of rows a and b at
+    column a*L + b, laws cumulated.  Else, if the sets are narrower than k and c * k^2 <=
+    _LIVE_CODE_MAX for sets of width c (so at d >= 3 whenever ``index`` is there):
+    ``union``, the ``_unions`` of the sets of a and b at column a*k + b.
     """
     if d not in kernel.code_tables:
         k, sets = kernel.state_count, kernel.column_sets[0]
-        tables = SimpleNamespace(**dict.fromkeys("index laws cum pair union slots".split()))
+        tables = SimpleNamespace(**dict.fromkeys("index laws cum pair union".split()))
         live = _live_codes(kernel, d)
-        if live is not None and (sets.shape[1] + 1) * live.size <= _LIVE_CODE_MAX:
+        if live is not None and (k + 1) * live.size <= _LIVE_CODE_MAX:
             digits = np.array(np.unravel_index(live, (k,) * d))
-            cols = np.hstack([sets, np.full((k, 1), k)]).T.take(digits[0], axis=1)
-            tables.laws, zero = _laws(kernel, digits, cols)
-            tables.cum = _cumulate(tables.laws[:-1])
+            cols = sets.T.take(digits[0], axis=1)
+            laws, zero = _laws(kernel, digits, cols)
+            tables.cum = _cumulate(laws)
+            tables.laws = np.zeros((k + 1, live.size))
+            tables.laws[cols, np.arange(live.size)] = laws
+            tables.laws[k] = 0.0  # the sentinel's row, where padding put 0 (nan: zero total)
             tables.index = np.full(k**d, live.size, dtype=np.min_scalar_type(live.size))
             tables.index[live[~zero]] = np.flatnonzero(~zero)
             if live.size**2 <= _PAIR_TABLE_MAX:  # nan laws: zero-total codes, no overlap
-                dense = _dense(tables.laws, cols, k).T
+                dense = tables.laws[:-1]
                 mass, *pair_laws, dead = _pair_rows(np.repeat(dense, live.size, axis=1),
                                                     np.tile(dense, live.size))
                 tables.pair = (mass, *map(_cumulate, pair_laws), dead)
         if tables.pair is None and (c := sets.shape[1]) < k and c * k * k <= _LIVE_CODE_MAX:
             ab = np.repeat(sets, k, axis=0).T, np.tile(sets, (k, 1)).T  # sets of a, of b
-            union = _unions(*ab, k)
-            tables.union = union.astype(np.min_scalar_type(k))
-            tables.slots = np.array([_slots(s, union) for s in ab], dtype=np.min_scalar_type(c))
+            tables.union = _unions(*ab, k).astype(np.min_scalar_type(k))
         for a in (*vars(tables).values(), *(tables.pair or ())):
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
@@ -346,27 +335,25 @@ def _first_sets(kernel: TransitionKernel, first):
     return None if first is None else kernel.column_sets[0].T.take(first, axis=1)
 
 
-def _woken_laws(kernel: TransitionKernel, d: int, rows, nbr, cols=None, slots=None):
+def _woken_laws(kernel: TransitionKernel, d: int, rows, nbr, cols=None):
     """(c, m) laws, states on axis 0, of woken sites with ``_woken_keys`` rows or neighbor
     states on their (c, m) states ``cols`` (None: all k).  Rows are read off the live-code
-    table on the first neighbor state's column set or, given the ``_slots`` of a union
-    ``cols``, on the union (zeros as +0); neighbor states are evaluated by ``_laws``."""
+    table, which holds each law by state with a zero row for the sentinel k (zeros as +0);
+    neighbor states are evaluated by ``_laws``."""
     if rows is None:
         laws, zero = _laws(kernel, nbr, cols)
         _raise_if_impossible(zero.any())
         return laws
     laws = _code_tables(kernel, d).laws
-    return laws[:-1].take(rows, axis=1) if slots is None else laws[slots, rows]
+    return laws[:-1].take(rows, axis=1) if cols is None else laws[cols, rows]
 
 
 def _member_weights(states: np.ndarray, member: np.ndarray, tree: TruncatedTree,
                     kernel: TransitionKernel):
     """Normalized (m, k) conditional laws for every woken (vertex, replica) pair."""
     flat = np.flatnonzero(member)
-    first, rows, nbr = _woken_keys(states, flat, tree, kernel)
-    laws = _woken_laws(kernel, tree.d, rows, nbr, cols := _first_sets(kernel, first))
-    return *np.divmod(flat, member.shape[1]), laws.T if cols is None else _dense(
-        laws, cols, kernel.state_count)
+    _, rows, nbr = _woken_keys(states, flat, tree, kernel)
+    return *np.divmod(flat, member.shape[1]), _woken_laws(kernel, tree.d, rows, nbr).T
 
 
 def _sweep_states(states: np.ndarray, tree: TruncatedTree, kernel: TransitionKernel,
@@ -473,13 +460,12 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
     if tables.pair is not None:
         pair, code = tables.pair, ra * tables.laws.shape[1] + rb
     else:
-        slots = (None, None)  # of the union of the two copies' column sets, in each
-        if tables.union is not None:
-            cols, slots = (t.take(fa * k + fb, axis=-1) for t in (tables.union, tables.slots))
+        if tables.union is not None:  # the union of the two copies' column sets
+            cols = tables.union.take(fa * k + fb, axis=1)
         elif (own := _first_sets(kernel, fa)) is not None:  # evaluated laws only
             cols = _unions(own, _first_sets(kernel, fb), k)
-        pair = _pair_rows(*(_woken_laws(kernel, tree.d, r, n, cols, s)
-                            for r, n, s in zip((ra, rb), (na, nb), slots)), cols, k)
+        pair = _pair_rows(*(_woken_laws(kernel, tree.d, r, n, cols)
+                            for r, n in zip((ra, rb), (na, nb))), cols, k)
     for s, x in zip((sa, sb), _pair_draw(pair, rng, code)):
         np.put(s, flat, x if cols is None else cols.take(x * x.size + np.arange(x.size)))
 

@@ -53,7 +53,9 @@ class TruncatedTree:
 
 
 def tree_vertex_count(d: int, depth: int) -> int:
-    """1 + d * ((d-1)^depth - 1) / (d - 2) vertices in the truncated tree."""
+    """1 + d * ((d-1)^depth - 1) / (d - 2) vertices in the truncated tree; d >= 3, depth >= 0."""
+    if d < 3 or depth < 0:
+        raise ValueError("need d >= 3 and depth >= 0")
     return 1 + d * ((d - 1) ** depth - 1) // (d - 2)
 
 

@@ -72,6 +72,14 @@ class TestIsCovering:
         m2 = bipartite_matrix(3)
         assert error_ratio(graph, [0] * 6, m2) == 1.0
 
+    @pytest.mark.parametrize("coloring", [
+        [0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 1, 2], [0, 0, 0, 1, 1, -1],
+    ])
+    def test_error_ratio_rejects_bad_colorings(self, coloring):
+        # a short coloring or a color past s-1 raised IndexError; -1 read the last color
+        with pytest.raises(ValueError, match=r"each of 6 vertices a color in 0\.\.1$"):
+            error_ratio(complete_bipartite(3, 3), coloring, bipartite_matrix(3))
+
     def test_loop_counts_twice(self):
         # vertex 0: loop (two slots to itself) plus one edge to vertex 1
         graph = graph_from_edges(2, 3, [(0, 0), (0, 1), (1, 1)])
@@ -168,6 +176,13 @@ class TestDelta:
     def test_nonpositive_signaled(self):
         with pytest.raises(ValueError):
             delta_lower_bound(dominating_matrix(3), 1.0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1e-9, float("-inf")])
+    def test_negative_or_nan_eps_rejected(self, eps):
+        # NaN used to pass both checks and come back as the bound
+        for matrix in (dominating_matrix(3), CoveringMatrix([[1, 2], [2, 1]])):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                delta_lower_bound(matrix, eps)
 
     def test_monotone_and_positive_at_zero(self):
         for matrix in (dominating_matrix(4), bipartite_matrix(5), CoveringMatrix([[1, 2], [2, 1]])):

@@ -378,8 +378,8 @@ def hub_kernel():
 SPARSE_KERNELS = {"walk70": walk70, "uneven23": uneven_kernel,
                   "negative20": negative_entry_kernel, "potts17": lambda: make_potts(17, 0.1)}
 # the (name, d) whose laws are read off the live-code table; the others' are evaluated
-LIVE_AT = {("walk70", 3), ("uneven23", 3), ("uneven23", 4), ("negative20", 3),
-           ("negative20", 4), ("potts17", 3)}
+LIVE_AT = {("walk70", 3), ("uneven23", 3), ("negative20", 3), ("negative20", 4),
+           ("potts17", 3)}
 
 
 def union_columns(cols_a, cols_b, k):
@@ -416,8 +416,7 @@ class TestColumnSets:
             dense = per_member_laws(states, member, tree, kernel)
             assert np.array_equal(_member_weights(states, member, tree, kernel)[2], dense)
             _, rows, nbr = glauber._woken_keys(states, flat, tree, kernel)
-            slots = None if rows is None else glauber._slots(sets[states[first, r_idx]].T, cols)
-            laws = glauber._woken_laws(kernel, d, rows, nbr, cols, slots)
+            laws = glauber._woken_laws(kernel, d, rows, nbr, cols)
             assert np.array_equal(scatter(laws, cols, k), dense)
             if name == "walk70":  # rows of four terms take the dense-sum fallback
                 assert (np.count_nonzero(dense, axis=1) > 2).any()
@@ -516,12 +515,12 @@ class TestLiveCodeTable:
     @pytest.mark.parametrize("case", LIVE_TABLE_CASES)
     def test_laws_equal_per_vertex_laws_bitwise(self, case):
         # every code, in blocks: a code has a row iff its dense weights have a positive total,
-        # and the row, scattered to k states, is the per-vertex law pi * prod_u q[:, u] / total
+        # and the row is the per-vertex law pi * prod_u q[:, u] / total, by state; the laws
+        # evaluated on the first state's column set, scattered to k states, are the same
         kernel, d, tables = live_tables(case)
         k, n_rows = kernel.state_count, tables.laws.shape[1]
-        assert tables.index is not None and not tables.laws[-1].any()  # the sentinel's zero row
-        assert tables.index.dtype == np.min_scalar_type(n_rows)
-        sets = np.hstack([kernel.column_sets[0], np.full((k, 1), k)])
+        assert tables.index is not None and tables.index.dtype == np.min_scalar_type(n_rows)
+        sets = kernel.column_sets[0]
         for start in range(0, k**d, 2**14):
             codes = np.arange(start, min(start + 2**14, k**d))
             digits = np.array(np.unravel_index(codes, (k,) * d))
@@ -530,16 +529,30 @@ class TestLiveCodeTable:
             rows = tables.index[codes]
             assert np.array_equal(rows == n_rows, total <= 0.0)
             ok = rows < n_rows
-            laws = tables.laws[:, rows[ok]]
-            assert np.array_equal(scatter(laws, sets[digits[0, ok]].T, k), w[ok] / total[ok, None])
+            laws = tables.laws[:-1, rows[ok]].T
+            assert np.array_equal(laws, w[ok] / total[ok, None])
             per_vertex, _ = glauber._laws(kernel, digits[:, ok], sets[digits[0, ok]].T)
-            assert np.array_equal(laws, per_vertex)
-            assert np.array_equal(tables.cum[:, rows[ok]], _cumulate(laws[:-1]))
+            assert np.array_equal(scatter(per_vertex, sets[digits[0, ok]].T, k), laws)
+            assert np.array_equal(tables.cum[:, rows[ok]], _cumulate(per_vertex))
+
+    @pytest.mark.parametrize("case", [*LIVE_TABLE_CASES, "hub80"])
+    def test_laws_are_kept_by_state(self, case):
+        # (k + 1, L) laws under the cap, +0 off each code's column set and in the sentinel's
+        # row, and cumulated on the column sets as ``cum`` (nan for zero totals)
+        kernel, d, tables = live_tables(case)
+        k, n_rows = kernel.state_count, tables.laws.shape[1]
+        assert tables.laws.shape == (k + 1, n_rows) and tables.laws.size <= glauber._LIVE_CODE_MAX
+        cols = kernel.column_sets[0].T[:, glauber._live_codes(kernel, d) // k ** (d - 1)]
+        off = np.ones(tables.laws.shape, dtype=bool)
+        off[cols, np.arange(n_rows)] = False
+        off[k] = True
+        assert not tables.laws[off].any() and not np.signbit(tables.laws[off]).any()
+        on_sets = tables.laws[cols, np.arange(n_rows)]
+        assert np.array_equal(_cumulate(on_sets), tables.cum, equal_nan=True)
 
     @pytest.mark.parametrize("case", UNION_CASES)
     def test_union_table_equals_sorted_unions(self, case):
-        # all k^2 pairs: the sort of the two sets with each repeat made a sentinel, and
-        # each copy's slots name a union state's row in its own set, or a zero-law row
+        # all k^2 pairs: the sort of the two sets with each repeat made a sentinel
         kernel, _, tables = live_tables(case)
         assert tables.pair is None
         k, sets = kernel.state_count, kernel.column_sets[0]
@@ -547,10 +560,6 @@ class TestLiveCodeTable:
         union = np.sort(np.vstack([sets[a].T, sets[b].T]), axis=0)
         union[1:][union[1:] == union[:-1]] = k
         assert np.array_equal(tables.union, union)
-        padded = np.hstack([sets, np.full((k, 1), k)])
-        for own, slots in zip((a, b), tables.slots):
-            in_set = (union[:, :, None] == sets[own][None]).any(axis=2)
-            assert np.array_equal(padded[own[:, None], slots.T].T, np.where(in_set, union, k))
 
     @pytest.mark.parametrize("case", ["walk70-d3", "uneven23", "negative20"])
     def test_union_laws_equal_per_vertex_laws(self, case):
@@ -562,10 +571,10 @@ class TestLiveCodeTable:
         flat = np.flatnonzero(_waking_mask(tree, rng.random(sa.shape)))
         v, r = np.divmod(flat, 64)
         key = sa[tree.neighbors[v, 0], r] * kernel.state_count + sb[tree.neighbors[v, 0], r]
-        cols, slots = tables.union[:, key], tables.slots[:, :, key]
-        for states, own in zip((sa, sb), slots):
+        cols = tables.union[:, key]
+        for states in (sa, sb):
             rows = glauber._woken_keys(states, flat, tree, kernel)[1]
-            looked_up = glauber._woken_laws(kernel, d, rows, None, cols, own)
+            looked_up = glauber._woken_laws(kernel, d, rows, None, cols)
             evaluated = glauber._laws(kernel, glauber._neighbor_states(states, flat, tree), cols)[0]
             assert np.array_equal(looked_up, evaluated)
 
@@ -598,7 +607,7 @@ class TestLiveCodeTable:
         tables = glauber._code_tables(kernel, 3)
         assert len(calls) == 1 and glauber._code_tables(kernel, 3) is tables
         assert glauber._code_tables(kernel, 2) is not tables and len(calls) == 2
-        arrays = (tables.index, tables.laws, tables.cum, tables.union, tables.slots)
+        arrays = (tables.index, tables.laws, tables.cum, tables.union)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 1
@@ -620,7 +629,7 @@ class TestLiveCodeTable:
 
     def test_law_floats_over_the_cap_get_no_table(self):
         # the walk on the 50-state star at d=3 lists 117,698 tuples, under the cap, but its
-        # (49 + 1) x 117,650 law floats are 11 times it
+        # (50 + 1) x 117,650 law floats are 11 times it
         q = np.zeros((50, 50))
         q[0, 1:], q[1:, 0] = 1 / 49, 1.0
         kernel = TransitionKernel(q=q, pi=np.append(0.5, np.full(49, 1 / 98)))
@@ -758,9 +767,9 @@ def coupled_source(kernel, d, monkeypatch):
         sorts.append(args)
         return unions(*args)
 
-    def spy_woken_laws(kernel, d, rows, nbr, cols=None, slots=None):
+    def spy_woken_laws(kernel, d, rows, nbr, cols=None):
         seen.add((rows is None, cols is None))
-        return woken_laws(kernel, d, rows, nbr, cols, slots)
+        return woken_laws(kernel, d, rows, nbr, cols)
 
     monkeypatch.setattr(glauber, "_unions", spy_unions)
     monkeypatch.setattr(glauber, "_woken_laws", spy_woken_laws)
@@ -778,15 +787,18 @@ class TestCoupledSources:
         pytest.param(walk70, 3, "union, tabled", id="walk70"),
         pytest.param(hub_kernel, 3, "union, tabled", id="hub80"),
         pytest.param(walk70, 4, "union, evaluated", id="walk70-d4"),
+        pytest.param(uneven_kernel, 4, "union, evaluated", id="uneven23-d4"),
         pytest.param(walk400, 3, "sorted, evaluated", id="walk400"),
         pytest.param(lambda: make_potts(5, 0.4), 3, "all k, tabled", id="potts5"),
         pytest.param(lambda: make_potts(17, 0.1), 5, "all k, evaluated", id="potts17-d5"),
     ])
     def test_each_source_is_reached_at_default_caps(self, factory, d, source, monkeypatch):
         # a live-code table with no pair table and sets narrower than k has a union table,
-        # so no coupled sweep sorts its unions per sweep for tabled laws
+        # so no coupled sweep sorts its unions per sweep for tabled laws; uneven23 at d=4
+        # lists its live codes under the cap, but their (k + 1) x L laws exceed it
         kernel = factory()
         tables = glauber._code_tables(kernel, d)
+        assert (tables.index is None) == source.endswith("evaluated")
         if tables.index is not None and tables.pair is None:
             narrow = kernel.column_sets[0].shape[1] < kernel.state_count
             assert (tables.union is not None) == narrow

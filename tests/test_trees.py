@@ -86,6 +86,13 @@ class TestBuildTree:
         assert tree.n == count
         assert tree_vertex_count(d, depth) == count
 
+    @pytest.mark.parametrize("d,depth", [(2, 3), (1, 2), (0, 1), (3, -1), (4, -2)])
+    def test_vertex_count_rejects_degenerate_input(self, d, depth):
+        # d=2 divided by zero, (1, 2) gave 2 and (3, -1) gave -1.0
+        with pytest.raises(ValueError, match=r"d >= 3 and depth >= 0"):
+            tree_vertex_count(d, depth)
+        assert tree_vertex_count(3, 0) == 1
+
     def test_structure(self):
         tree = build_tree(3, 3)
         assert tree.neighbor_count[0] == 3

@@ -9,7 +9,9 @@ ball is a tree, or a few short cycles with trees hanging off them.  The
 hanging trees are folded into the colors of the vertices they hang from as
 Aho-Hopcroft-Ullman codes, in linear time; only what remains (the 2-core and
 the path to the root; just the root for a tree ball) goes through
-individualization-refinement.
+individualization-refinement.  An exhaustive ``dcn_estimate`` meets every coloring
+of each ball shape, so it canonicalises one coloring per orbit of the shape's
+root-fixing automorphisms and files the code under the whole orbit.
 """
 
 from __future__ import annotations
@@ -163,19 +165,55 @@ def _root_balls(graph, r: int) -> list:
             for edges, verts in balls]
 
 
+def _automorphism_generators(b: int, edges) -> list[tuple]:
+    """Generators of the root-fixing automorphisms of a multigraph on 0..b-1: for each
+    i < w, one that fixes 0..i-1 and maps i to w, where one exists, found by
+    backtracking over the vertices in order (a transversal of each stabilizer level)."""
+    mult = [[0] * b for _ in range(b)]
+    for u, v in edges:
+        mult[u][v] += 1
+        if u != v:
+            mult[v][u] += 1
+
+    def extend(image: list, i: int, w: int):
+        v = len(image)
+        if v == b:
+            return tuple(image)
+        for x in (v,) if v < i else (w,) if v == i else range(b):
+            if x not in image and all(mult[x][image[u]] == mult[v][u] for u in range(v)) \
+                    and mult[x][x] == mult[v][v] and sum(mult[x]) == sum(mult[v]):
+                if found := extend(image + [x], i, w):
+                    return found
+        return None
+
+    return [g for i in range(1, b) for w in range(i + 1, b) if (g := extend([], i, w))]
+
+
 def _count_codes(balls, coloring, store: dict | None = None) -> dict[bytes, float]:
     """Law of the canonical colored ball over a uniform root, one ball per root.
-    ``store``, if given, keeps each code under (shape, local colors), which fix it."""
+    ``store``, if given, keeps per shape its automorphism generators and the code of each
+    local coloring met; a miss files its code under the coloring's orbit, all isomorphic."""
     counts: dict[bytes, int] = {}
     for edges, verts, shape in balls:
         colors = [coloring[v] for v in verts]
         if store is None:
             code = canonical_ball(edges, colors, 0)
         else:
-            key = (shape, tuple(colors))
-            if key not in store:
-                store[key] = canonical_ball(edges, colors, 0)
-            code = store[key]
+            key = tuple(colors)
+            entry = store.setdefault(shape, [None, {}])  # generators, codes
+            codes = entry[1]
+            if key not in codes:
+                codes[key] = canonical_ball(edges, colors, 0)
+                if entry[0] is None and len(set(key)) > 1:  # one color: its own orbit
+                    entry[0] = _automorphism_generators(len(verts), shape)
+                orbit = [key]
+                for tup in orbit:  # grows until no generator gives a new coloring
+                    for g in entry[0] or ():
+                        image = tuple(tup[j] for j in g)
+                        if image not in codes:
+                            codes[image] = codes[key]
+                            orbit.append(image)
+            code = codes[key]
         counts[code] = counts.get(code, 0) + 1
     return {code: c / len(balls) for code, c in counts.items()}
 
@@ -258,8 +296,9 @@ def dcn_estimate(graph_a, graph_b, r_max: int, k_max: int,
     k^max(n, n') fits the budget (exact mode); otherwise a common
     pseudo-random sample of ``samples`` colorings is used and the mode flag is
     cleared.  Sampling requires an rng.  An exhaustive family repeats each local
-    coloring k^(n-|B|) times, so there each distinct colored ball is canonicalised
-    once per call, for all roots, radii and both graphs.  Sampled mode stores no
+    coloring k^(n-|B|) times and meets every coloring of each ball shape, so there
+    one colored ball per orbit of its shape's root-fixing automorphisms is
+    canonicalised once per call, for all roots, radii and both graphs.  Sampled mode stores no
     codes: the store would grow with samples * n * r_max.
     """
     if r_max < 1 or k_max < 1:

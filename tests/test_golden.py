@@ -26,7 +26,7 @@ import pytest
 from treelab.cli import run
 from treelab.covering import CoveringMatrix, bipartite_matrix, write_covering_matrix
 from treelab.graphs import (circulant_graph, complete_bipartite, complete_graph,
-                            sample_regular_graph, write_graph)
+                            graph_from_edges, sample_regular_graph, write_graph)
 from treelab.kernels import kernel_from_matrix, write_kernel
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -46,6 +46,10 @@ SPARSE_WEIGHTS = [
     [3, 8, 6, 0, 3, 3, 1, 7],
     [6, 7, 5, 7, 3, 2, 7, 1],
 ]
+# the triangular prism and the cube Q3: vertex-transitive, so exhaustive
+# local-distance runs meet large automorphism orbits of colorings
+PRISM = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)]
+CUBE = [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit]
 
 CASES = [
     "dobrushin --kernel ising(0.2) --d 3",
@@ -108,6 +112,8 @@ CASES = [
     "local-distance --graph-a <tmp>/cubic10.txt --graph-b <tmp>/k33.txt --r-max 1 --k-max 2",
     "local-distance --graph-a <tmp>/cubic40.txt --graph-b <tmp>/cubic10.txt --r-max 2 --k-max 2"
     " --samples 20 --seed 3",
+    "local-distance --graph-a <tmp>/k33.txt --graph-b <tmp>/prism.txt --r-max 2 --k-max 2",
+    "local-distance --graph-a <tmp>/q3.txt --graph-b <tmp>/cubic8.txt --r-max 2 --k-max 2",
     "covering-min --graph <tmp>/k4.txt --matrix <tmp>/m2.txt",
     "covering-min --graph <tmp>/cubic10.txt --matrix m1",
     "covering-min --graph <tmp>/cubic10.txt --matrix m1 --budget 10 --restarts 2 --seed 1",
@@ -123,9 +129,12 @@ def write_inputs(tmp: Path) -> None:
     """The graph, kernel and matrix files the cases read."""
     write_graph(complete_graph(4), tmp / "k4.txt")
     write_graph(complete_bipartite(3, 3), tmp / "k33.txt")
+    write_graph(graph_from_edges(6, 3, PRISM), tmp / "prism.txt")
+    write_graph(graph_from_edges(8, 3, CUBE), tmp / "q3.txt")
     write_graph(circulant_graph(70, [1, 2]), tmp / "c70.txt")
     write_graph(circulant_graph(4, [1]), tmp / "c4.txt")
     write_graph(sample_regular_graph(10, 3, True, np.random.default_rng(2)), tmp / "cubic10.txt")
+    write_graph(sample_regular_graph(8, 3, True, np.random.default_rng(2)), tmp / "cubic8.txt")
     write_graph(sample_regular_graph(40, 3, True, np.random.default_rng(0)), tmp / "cubic40.txt")
     (tmp / "kernel.txt").write_text("0.7 0.3\n0.3 0.7\n")
     w = np.array(SPARSE_WEIGHTS, dtype=float)

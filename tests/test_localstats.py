@@ -17,6 +17,15 @@ from treelab.localstats import (DcnEstimate, _extract_ball, ball_distribution, c
                                 dcn_estimate, hausdorff_distance, tv_distance)
 from treelab.trees import build_tree
 
+# vertex-transitive cubic graphs whose balls have large root-fixing automorphism groups
+PRISM = graph_from_edges(6, 3, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                                (0, 3), (1, 4), (2, 5)])
+CUBE = graph_from_edges(8, 3, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)
+                               if v < v ^ bit])
+PETERSEN = graph_from_edges(10, 3, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
 
 class TestCanonicalBall:
     def test_star_orderings_agree(self):
@@ -471,15 +480,87 @@ class TestDcn:
                          rng=np.random.default_rng(1))
 
     def test_each_colored_ball_canonicalised_once(self, monkeypatch):
-        # K3,3 and the prism are vertex-transitive: one radius-1 star shared by
-        # both graphs and one radius-2 shape each, 2^4 + 2^6 + 2^6 colored balls
+        # K3,3 and the prism are vertex-transitive, but the prism's radius-1 ball holds a
+        # triangle edge: four shapes and 2^4 + 2^4 + 2^6 + 2^6 = 160 colored balls (1560
+        # with one call per coloring, radius and root).  One call per orbit of a shape's
+        # root-fixing automorphisms leaves 8 + 24 + 12 + 40 = 84 (Burnside)
         calls = []
         monkeypatch.setattr(localstats, "canonical_ball",
                             lambda *args: calls.append(args) or canonical_ball(*args))
-        prism = graph_from_edges(6, 3, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                                        (0, 3), (1, 4), (2, 5)])
-        dcn_estimate(complete_bipartite(3, 3), prism, 2, 2)
-        assert 0 < len(calls) <= 160  # 1560 with one call per coloring, radius and root
+        graphs = [complete_bipartite(3, 3), PRISM]
+        dcn_estimate(*graphs, 2, 2)
+        shapes = _ball_shapes(graphs, (1, 2))
+        assert len(shapes) == 4
+        assert len(calls) == sum(_orbit_count(b, shape, 2) for b, shape in shapes) == 84
+        calls.clear()
+        dcn_estimate(complete_graph(8), complete_graph(8), 1, 2)
+        assert len(calls) == 16  # a root color and the count of the other color, 2 * 8
+
+
+def _ball_shapes(graphs, radii) -> set:
+    """The distinct (vertex count, shape) of the rooted balls of the graphs."""
+    return {(len(verts), shape) for graph in graphs for r in radii
+            for _, verts, shape in localstats._root_balls(graph, r)}
+
+
+def _preserves(g, shape) -> bool:
+    """Whether the permutation maps the shape's sorted edge multiset onto itself."""
+    return tuple(sorted(tuple(sorted((g[u], g[v]))) for u, v in shape)) == shape
+
+
+def _brute_automorphisms(b, shape) -> set:
+    """Every permutation of 0..b-1 that fixes 0 and maps the edge multiset onto itself."""
+    perms = ((0, *p) for p in itertools.permutations(range(1, b)))
+    return {g for g in perms if _preserves(g, shape)}
+
+
+def _closure(b, gens) -> set:
+    """The group the permutations generate: products until no new one appears."""
+    group = [tuple(range(b))]
+    seen = set(group)
+    for h in group:
+        for g in gens:
+            gh = tuple(g[v] for v in h)
+            if gh not in seen:
+                seen.add(gh)
+                group.append(gh)
+    return seen
+
+
+def _orbit_count(b, shape, k) -> int:
+    """Burnside: orbits of the k-colorings under the shape's root-fixing automorphisms,
+    the mean of k^(cycles) over the group."""
+    group = _brute_automorphisms(b, shape)
+    return sum(k ** _cycle_count(g) for g in group) // len(group)
+
+
+def _cycle_count(g) -> int:
+    """Cycles of a permutation, fixed points included."""
+    seen, count = set(), 0
+    for v in range(len(g)):
+        count += v not in seen
+        while v not in seen:
+            seen.add(v)
+            v = g[v]
+    return count
+
+
+class TestAutomorphismGenerators:
+    def test_generators_close_to_the_brute_force_group(self):
+        graphs = [g for pair in _multigraph_pairs(40, 12) for g in pair]
+        graphs += [complete_graph(4), complete_bipartite(3, 3), PRISM, CUBE, PETERSEN]
+        brute = 0
+        for b, shape in _ball_shapes(graphs, (1, 2, 3)):
+            gens = localstats._automorphism_generators(b, shape)
+            assert all(g[0] == 0 and sorted(g) == list(range(b)) for g in gens)
+            group = _closure(b, gens)
+            if b <= 8:
+                assert group == _brute_automorphisms(b, shape)
+                brute += 1
+            else:  # the whole Petersen graph: 120 automorphisms, 12 fix a vertex
+                assert all(_preserves(g, shape) for g in group)
+                assert len(group) == 12
+        assert brute > 100
 
 
 def _reference_dcn(graph_a, graph_b, r_max, k_max, coloring_budget, samples=200, rng=None):
@@ -529,6 +610,13 @@ class TestDcnReference:
             est = dcn_estimate(ga, gb, r_max, k_max, coloring_budget=300)
             assert est.exact
             assert est == _reference_dcn(ga, gb, r_max, k_max, 300)
+            terms += est.terms.values()
+        # symmetric graphs, where the orbits of a ball shape's colorings are large
+        for ga, gb in ((complete_graph(4), complete_bipartite(3, 3)),
+                       (complete_bipartite(3, 3), PRISM), (PRISM, CUBE)):
+            est = dcn_estimate(ga, gb, 2, 2, coloring_budget=300)
+            assert est.exact
+            assert est == _reference_dcn(ga, gb, 2, 2, 300)
             terms += est.terms.values()
         assert any(0.0 < t < 1.0 for t in terms)
 

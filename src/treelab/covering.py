@@ -89,7 +89,8 @@ def is_covering_at(graph, coloring, v: int, matrix: CoveringMatrix) -> bool:
 def error_ratio(graph, coloring, matrix: CoveringMatrix) -> float:
     """Fraction of vertices at which the coloring, a color in 0..s-1 each, is not a covering."""
     coloring = list(coloring)
-    if len(coloring) != graph.n or not all(0 <= c < matrix.s_count for c in coloring):
+    if len(coloring) != graph.n or not all(isinstance(c, (int, np.integer))
+                                           and 0 <= c < matrix.s_count for c in coloring):
         raise ValueError(f"coloring must give each of {graph.n} vertices a color in "
                          f"0..{matrix.s_count - 1}")
     bad = sum(1 for v in range(graph.n) if not is_covering_at(graph, coloring, v, matrix))

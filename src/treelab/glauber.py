@@ -22,10 +22,9 @@ flat indices v*R + r of the block.  A woken vertex's law is taken on its column 
 the states s with q[s, w] != 0 for its first neighbor state w (in a coupled sweep, the
 union over both copies), in order, with zero-weight sentinels as padding (all k states
 for a kernel with no zero).  Laws are states-major, (c, m) for m sites, so each sum,
-cumulation and count is c vector operations.  Zero weights leave the running sums as
-they are wherever they sit, a sum of at most two nonzero terms rounds alike in any
-grouping, and longer laws are summed by numpy as dense rows: the draws are bitwise those
-of the definitions site by site.
+cumulation and count is c vector operations.  Every total of a law is its running sum in
+state order, in which the zeros off a column set change nothing, so each draw is bitwise
+that of the dense k-state law of its site, whatever the other sites woken with it.
 
 One table per (kernel, d) holds the laws of the live codes, the base-k codes of neighbor
 tuples (u_1..u_d) with q[s, u_j] != 0 for some s and every j (3430 of 343,000 for the
@@ -191,29 +190,24 @@ def conditional_dist(kernel: TransitionKernel, neighbors) -> np.ndarray:
     return w / total
 
 
-def _row_sums(w: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    """Sums over axis 0 of (c, m) laws on sorted column sets, bitwise the numpy sums of their
-    dense k-state rows: both add in state order below 8 states, and numpy sums longer rows
-    pairwise, which changes no sum of at most two nonzero terms; longer laws go dense."""
-    totals = np.add.reduce(w, axis=0)
-    if k >= 8:
-        many = ((w != 0).sum(axis=0) > 2).nonzero()[0]
-        dense = np.zeros((many.size, k + 1))  # (m, k) rows and a column for the sentinel
-        dense[np.arange(many.size), cols[:, many]] = w[:, many]
-        totals[many] = dense[:, :k].sum(axis=1)
+def _state_sums(w: np.ndarray) -> np.ndarray:
+    """Sums over axis 0 of (c, m) laws, each the running sum in state order."""
+    totals = w[0].copy()
+    for row in w[1:]:
+        totals += row
     return totals
 
 
 def _laws(kernel: TransitionKernel, nbr_states: np.ndarray, cols=None):
     """(c, m) laws of (d, m) neighbor states on the (c, m) states ``cols`` (None: all k),
-    from flat takes of q.T, and zero-total flags."""
+    from flat takes of q.T, normalized by ``_state_sums``, and zero-total flags."""
     k, (q_t, pi_t) = kernel.state_count, kernel.column_sets[1:]
     at = np.arange(k)[:, None].repeat(nbr_states.shape[1], axis=1) if cols is None else cols
     w = q_t.take(nbr_states[0] * (k + 1) + at)  # row t of q_t is q[:, t] and a sentinel 0
     for nbr in nbr_states[1:]:  # the neighbors in order, as np.prod takes them
         w = w * q_t.take(nbr * (k + 1) + at)
     w = pi_t.take(at) * w
-    totals = _row_sums(w, at, k)
+    totals = _state_sums(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         return w / totals, totals <= 0.0
 
@@ -396,9 +390,9 @@ def maximal_coupling(p, q, rng: np.random.Generator) -> tuple[int, int]:
 
     Construction: with probability 1 - TV sample both from the overlap min(p, q);
     otherwise draw X and Y independently from the normalized residuals, whose supports
-    are disjoint.  This is one law of the sweep's per-row coupled draw, and consumes its
-    three uniforms of ``rng``.  Raises ValueError unless p and q are finite, nonnegative
-    and sum to 1 within ATOL.
+    are disjoint.  This is one law of the sweep's per-row coupled draw, its masses summed
+    in state order as inside any batch, and consumes its three uniforms of ``rng``.  Raises
+    ValueError unless p and q are finite, nonnegative and sum to 1 within ATOL.
     """
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
     if p.ndim != 1 or p.shape != q.shape:
@@ -409,21 +403,18 @@ def maximal_coupling(p, q, rng: np.random.Generator) -> tuple[int, int]:
     return int(xa[0]), int(xb[0])
 
 
-def _pair_rows(pa: np.ndarray, pb: np.ndarray, cols=None, k=0):
-    """Maximal couplings of (c, m) laws on the (c, m) column sets ``cols`` of k states (None:
-    all c states): overlap masses, overlap and residual laws, and the flags of exact overlaps
-    (both draw from pa, so that an exact overlap that loses the branch lottery to roundoff
-    still agrees).  Masses are summed by ``_row_sums``."""
-    if cols is None:
-        cols, k = np.arange(len(pa))[:, None].repeat(pa.shape[1], axis=1), len(pa)
+def _pair_rows(pa: np.ndarray, pb: np.ndarray):
+    """Maximal couplings of (c, m) laws: overlap masses, overlap and residual laws, and the
+    flags of exact overlaps (both draw from pa, so that an exact overlap that loses the branch
+    lottery to roundoff still agrees).  Masses are summed by ``_state_sums``."""
     common = np.minimum(pa, pb)
     ra, rb = pa - common, pb - common  # nonnegative: common is the smaller of the two
-    sa, sb = _row_sums(ra, cols, k), _row_sums(rb, cols, k)
+    sa, sb = _state_sums(ra), _state_sums(rb)
     dead = np.minimum(sa, sb) <= 0.0
     if dead.any():
         ra[:, dead] = rb[:, dead] = pa[:, dead]
-        sa[dead] = sb[dead] = _row_sums(pa[:, dead], cols[:, dead], k)
-    c = _row_sums(common, cols, k)
+        sa[dead] = sb[dead] = _state_sums(pa[:, dead])
+    c = _state_sums(common)
     with np.errstate(divide="ignore", invalid="ignore"):  # laws no branch draws from
         return c, common / c, ra / sa, rb / sb, dead
 
@@ -465,7 +456,7 @@ def _coupled_sweep_states(sa: np.ndarray, sb: np.ndarray, tree: TruncatedTree,
         elif (own := _first_sets(kernel, fa)) is not None:  # evaluated laws only
             cols = _unions(own, _first_sets(kernel, fb), k)
         pair = _pair_rows(*(_woken_laws(kernel, tree.d, r, n, cols)
-                            for r, n in zip((ra, rb), (na, nb))), cols, k)
+                            for r, n in zip((ra, rb), (na, nb))))
     for s, x in zip((sa, sb), _pair_draw(pair, rng, code)):
         np.put(s, flat, x if cols is None else cols.take(x * x.size + np.arange(x.size)))
 

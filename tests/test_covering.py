@@ -74,9 +74,11 @@ class TestIsCovering:
 
     @pytest.mark.parametrize("coloring", [
         [0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 1, 0], [0, 0, 0, 1, 1, 2], [0, 0, 0, 1, 1, -1],
+        [0, 0, 0, 1, 1, 0.5], np.zeros(6),
     ])
     def test_error_ratio_rejects_bad_colorings(self, coloring):
-        # a short coloring or a color past s-1 raised IndexError; -1 read the last color
+        # a short coloring or a color past s-1 raised IndexError; -1 read the last color;
+        # a float color passed the range check and raised IndexError
         with pytest.raises(ValueError, match=r"each of 6 vertices a color in 0\.\.1$"):
             error_ratio(complete_bipartite(3, 3), coloring, bipartite_matrix(3))
 

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import warnings
 
 import numpy as np
@@ -193,11 +195,17 @@ class TestConditionalDist:
         assert out[0] == pytest.approx(0.6, abs=1e-12)
 
 
+def state_order_sums(w):
+    """Row totals of (m, k) laws: the running sum over the k states in order, zeros included."""
+    return functools.reduce(np.add, w.T)
+
+
 def per_member_laws(states, member, tree, kernel):
-    """The per-member formula: pi * prod_u q[:, s_u], normalized, one row per woken pair."""
+    """The per-member formula: pi * prod_u q[:, s_u], normalized by its state-order total, one
+    row per woken pair."""
     v_idx, r_idx = np.nonzero(member)
     w = kernel.pi[None, :] * np.prod(kernel.q.T[states[tree.neighbors[v_idx], r_idx[:, None]]], axis=1)
-    return w / w.sum(axis=1)[:, None]
+    return w / state_order_sums(w)[:, None]
 
 
 def weighted_walk():
@@ -258,7 +266,7 @@ def dense_coupled_draw(pa, pb, rng):
     """Row-wise maximal coupling of dense (m, k) laws: the reference for the column-set draw."""
     m = pa.shape[0]
     common = np.minimum(pa, pb)
-    c = common.sum(axis=1)
+    c = state_order_sums(common)
     u_branch, u_draw, u_draw_b = rng.random((3, m))
     same = u_branch < c
     xa = np.empty(m, dtype=np.int64)
@@ -270,12 +278,12 @@ def dense_coupled_draw(pa, pb, rng):
     if diff.any():
         ra = pa[diff] - common[diff]
         rb = pb[diff] - common[diff]
-        sa, sb = ra.sum(axis=1), rb.sum(axis=1)
+        sa, sb = state_order_sums(ra), state_order_sums(rb)
         dead = (sa <= 0.0) | (sb <= 0.0)
         if dead.any():
             ra[dead] = pa[diff][dead]
             rb[dead] = ra[dead]
-            sa[dead] = ra[dead].sum(axis=1)
+            sa[dead] = state_order_sums(ra[dead])
             sb[dead] = sa[dead]
         xa[diff] = _draw_rows(ra / sa[:, None], u_draw[diff])
         xb[diff] = _draw_rows(rb / sb[:, None], u_draw_b[diff])
@@ -284,9 +292,9 @@ def dense_coupled_draw(pa, pb, rng):
     return xa, xb
 
 
-def coupled_draw(pa, pb, rng, cols=None, k=0):
+def coupled_draw(pa, pb, rng, cols=None):
     """The per-row maximal coupling of (c, m) laws, on the states ``cols`` when given."""
-    xa, xb = glauber._pair_draw(glauber._pair_rows(pa, pb, cols, k), rng)
+    xa, xb = glauber._pair_draw(glauber._pair_rows(pa, pb), rng)
     if cols is None:
         return xa, xb
     return tuple(np.take_along_axis(cols, x[None], axis=0)[0] for x in (xa, xb))
@@ -418,8 +426,6 @@ class TestColumnSets:
             _, rows, nbr = glauber._woken_keys(states, flat, tree, kernel)
             laws = glauber._woken_laws(kernel, d, rows, nbr, cols)
             assert np.array_equal(scatter(laws, cols, k), dense)
-            if name == "walk70":  # rows of four terms take the dense-sum fallback
-                assert (np.count_nonzero(dense, axis=1) > 2).any()
 
     @pytest.mark.parametrize("name", SPARSE_KERNELS)
     @pytest.mark.parametrize("d", [3, 4])
@@ -433,7 +439,7 @@ class TestColumnSets:
         check_sweeps_equal_dense(kernel, tree, sa, sb, 61)
 
     @pytest.mark.parametrize("k", [9, 23, 70])
-    def test_row_sums_equal_dense_sums(self, k):
+    def test_state_sums_equal_dense_state_order_sums(self, k):
         # rows of 1 to 9 terms over several magnitudes, some with a -1e-12 term;
         # at k = 9 a full row widens the sets to k columns, most with sentinels
         rng = np.random.default_rng(k)
@@ -446,12 +452,12 @@ class TestColumnSets:
         live = dense != 0
         cols = np.sort(np.where(live, np.arange(k), k), axis=1)[:, : live.sum(axis=1).max()]
         w = np.take_along_axis(np.hstack([dense, np.zeros((500, 1))]), cols, axis=1)
-        assert np.array_equal(glauber._row_sums(w.T.copy(), cols.T, k), dense.sum(axis=1))
+        assert np.array_equal(glauber._state_sums(w.T.copy()), state_order_sums(dense))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_coupled_draw_on_columns_equals_dense(self, seed):
-        # sparse laws of mass 1 or 1/2, equal in some rows, so that the
-        # dense-sum fallback and the guard for a lost exact overlap are reached
+        # sparse laws of mass 1 or 1/2 on up to 12 states, equal in some rows, so that sums
+        # of more than two nonzero terms and the guard for a lost exact overlap are reached
         rng = np.random.default_rng(seed)
         m, k = 400, 30
         pa, pb = np.zeros((m, k)), np.zeros((m, k))
@@ -471,7 +477,7 @@ class TestColumnSets:
         cb = np.take_along_axis(np.hstack([pb, np.zeros((m, 1))]), cols, axis=1)
         one, ref = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
         for _ in range(5):
-            xa, xb = coupled_draw(ca.T.copy(), cb.T.copy(), one, cols.T.copy(), k)
+            xa, xb = coupled_draw(ca.T.copy(), cb.T.copy(), one, cols.T.copy())
             ya, yb = dense_coupled_draw(pa, pb, ref)
             assert np.array_equal(xa, ya) and np.array_equal(xb, yb)
         assert one.random() == ref.random()
@@ -487,6 +493,111 @@ class TestColumnSets:
                 converge_from_iid(kernel, 3, 5, 2, 32, rng)
         # walk70 is outside the Dobrushin regime, which the driver reports before sweeping
         assert ["no contraction guarantee" in str(w.message) for w in record] == [True]
+
+
+def woken_law_batch(kernel, seed, union):
+    """(d, m) neighbor states of the sites of one waking set in each of two chain samples at
+    d=3, and (c, m) states: the union table's columns of the two copies' sets, or all k."""
+    tree, rng = build_tree(3, 5), np.random.default_rng(seed)
+    sa, sb = (sample_bmc_batch(kernel, tree, rng, 64) for _ in range(2))
+    flat = np.flatnonzero(_waking_mask(tree, rng.random(sa.shape)))
+    nbrs = [glauber._neighbor_states(s, flat, tree) for s in (sa, sb)]
+    k = kernel.state_count
+    cols = (glauber._code_tables(kernel, 3).union.take(nbrs[0][0] * k + nbrs[1][0], axis=1)
+            .astype(np.intp) if union else np.arange(k)[:, None].repeat(flat.size, axis=1))
+    return nbrs, cols
+
+
+def random_laws(rng, c, m):
+    """(c, m) laws on c states, each with 3 to c nonzero terms over several magnitudes."""
+    w = np.zeros((c, m))
+    for col in w.T:
+        at = rng.choice(c, size=rng.integers(3, c + 1), replace=False)
+        col[at] = rng.random(at.size) ** 6
+    return w / state_order_sums(w.T)
+
+
+# name: (kernel factory, seed, on the union table's columns).  walk70's unions of two 4-state
+# sets have 8 states, padding included, and its laws of more than two terms are uniform on 4
+# states, exact in any order: only potts17 and the random laws tell summation orders apart
+BATCH_KERNELS = {"walk70-unions": (walk70, 110, True),
+                 "potts17": (lambda: make_potts(17, 0.1), 111, False)}
+
+
+def batch_pairs(case):
+    """(c, m) law pairs on c >= 8 states, each law with more than two nonzero terms."""
+    if case in BATCH_KERNELS:
+        factory, seed, union = BATCH_KERNELS[case]
+        kernel = factory()
+        nbrs, cols = woken_law_batch(kernel, seed, union)
+        pa, pb = (glauber._laws(kernel, nbr, cols)[0] for nbr in nbrs)
+    else:
+        rng = np.random.default_rng(int(case[6:]))
+        pa, pb = (random_laws(rng, int(case[6:]), 24) for _ in range(2))
+    keep = ((pa != 0).sum(axis=0) > 2) & ((pb != 0).sum(axis=0) > 2)
+    assert len(pa) >= 8 and keep.sum() > 1
+    # row-major, as the sweep's laws are: numpy sums a column-major block's columns pairwise
+    return np.ascontiguousarray(pa[:, keep]), np.ascontiguousarray(pb[:, keep])
+
+
+class Uniforms:
+    """A generator that hands out one given block of uniforms."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def random(self, size):
+        assert size == self.block.shape
+        return self.block.copy()
+
+
+BATCH_CASES = [*BATCH_KERNELS, "random9", "random23", "random47", "random70"]
+
+
+class TestBatchInvariance:
+    # from 8 entries on numpy sums a lone (c, 1) column pairwise but a (c, m) block row by
+    # row, so a total taken by np.add.reduce would depend on how many sites woke with it
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_pair_rows_of_one_column_equal_the_batch(self, case):
+        pa, pb = batch_pairs(case)
+        batch = glauber._pair_rows(pa, pb)
+        for i in range(pa.shape[1]):
+            one = glauber._pair_rows(pa[:, [i]], pb[:, [i]])
+            for x, y in zip(one, batch):
+                assert np.array_equal(x, y[..., [i]], equal_nan=True)
+
+    @pytest.mark.parametrize("case", BATCH_KERNELS)
+    def test_laws_of_one_site_equal_the_batch(self, case):
+        factory, seed, union = BATCH_KERNELS[case]
+        kernel = factory()
+        nbrs, cols = woken_law_batch(kernel, seed + 2, union)
+        for nbr in nbrs:
+            laws, zero = glauber._laws(kernel, nbr, cols)
+            many = (laws != 0).sum(axis=0) > 2
+            assert len(laws) >= 8 and many.sum() > 1
+            for i in np.flatnonzero(many):
+                one, one_zero = glauber._laws(kernel, nbr[:, [i]], cols[:, [i]])
+                assert np.array_equal(one, laws[:, [i]]) and one_zero == zero[i]
+
+    @pytest.mark.parametrize("case", BATCH_CASES)
+    def test_maximal_coupling_draws_as_the_batch(self, case):
+        # uniforms on the batch's boundaries and just below them, for its first 8 pairs: the
+        # branch uniform at the overlap mass, the others at the cumulative overlap and
+        # residual laws, so that a total one ulp off in either direction moves a draw
+        pa, pb = batch_pairs(case)
+        batch = glauber._pair_rows(pa, pb)
+        c, overlap, res_a, res_b, _ = batch
+        cum_o, cum_a, cum_b = (np.nan_to_num(_cumulate(law)) for law in (overlap, res_a, res_b))
+        for branch, below in itertools.product((c, np.nextafter(c, 0.0)), (False, True)):
+            for j, draw in itertools.product(range(len(cum_o)), (cum_o, cum_a)):
+                block = np.stack([branch, draw[j], cum_b[j]])
+                if below:
+                    block[1:] = np.nextafter(block[1:], 0.0)
+                xa, xb = glauber._pair_draw(batch, Uniforms(block))
+                for i in range(min(8, pa.shape[1])):
+                    one = maximal_coupling(pa[:, i], pb[:, i], Uniforms(block[:, [i]]))
+                    assert one == (xa[i], xb[i])
 
 
 LIVE_TABLE_CASES = {  # name: (kernel factory, d)
@@ -525,7 +636,7 @@ class TestLiveCodeTable:
             codes = np.arange(start, min(start + 2**14, k**d))
             digits = np.array(np.unravel_index(codes, (k,) * d))
             w = kernel.pi * np.prod(kernel.q.T[digits.T], axis=1)
-            total = w.sum(axis=1)
+            total = state_order_sums(w)
             rows = tables.index[codes]
             assert np.array_equal(rows == n_rows, total <= 0.0)
             ok = rows < n_rows
@@ -958,10 +1069,11 @@ class TestMaximalCoupling:
     @pytest.mark.parametrize("k", [2, 3, 5, 8, 13])
     @pytest.mark.parametrize("kind", ["random", "equal", "disjoint", "half"])
     def test_one_row_equals_coupled_draw(self, k, kind):
-        # numpy sums a row pairwise from 8 entries on, so k = 8 and 13 take the other
-        # summation order.  "half" takes equal laws of mass 1 - 1e-13 (within ATOL) and
-        # branch uniforms just below 1: every draw loses the branch lottery to roundoff
-        # and reaches the guard for an exact overlap, which keeps the two draws equal
+        # k = 8 and 13 are long enough for numpy to sum a lone column pairwise
+        # (TestBatchInvariance ties one column to a batch).  "half" takes equal laws of
+        # mass 1 - 1e-13 (within ATOL) and branch uniforms just below 1: every draw loses
+        # the branch lottery to roundoff and reaches the guard for an exact overlap, which
+        # keeps the two draws equal
         rng = np.random.default_rng(k)
         generator = HighBranch if kind == "half" else np.random.default_rng
         for _ in range(40):

@@ -28,16 +28,12 @@ that of the dense k-state law of its site, whatever the other sites woken with i
 
 One table per (kernel, d) holds the laws of the live codes, the base-k codes of neighbor
 tuples (u_1..u_d) with q[s, u_j] != 0 for some s and every j (3430 of 343,000 for the
-70-state walk at d=3), with an index from codes to rows.  Codes are formed by block
-arithmetic; their leading digit is the first neighbor state.  The laws are kept by state,
-(k + 1) x L floats for L codes with a zero row for the sentinel, and their cumulative laws
-on the column sets.  For a table of few rows the maximal coupling of every ordered pair of
-rows is tabulated too, on all k states; otherwise a coupled sweep takes its unions from a
-table over the k^2 pairs of first neighbor states and reads both laws off the law table
-at the union's states (zeros as +0 where an evaluated law may hold -0, which moves no sum
-or draw).  The union table is built while c k^2 <= _LIVE_CODE_MAX for sets of width c < k,
-and so with every live-code table at d >= 3 that has no pair table (c k^2 < k^3 <= k^d).
-Past the caps each woken vertex evaluates its law and each coupled sweep sorts its unions.
+70-state walk at d=3), by state with an index from codes to rows; a code's leading digit is
+the first neighbor state.  Beside it sit either the maximal couplings of every ordered pair
+of rows, or the unions of the column sets of every pair of first neighbor states, at which a
+coupled sweep reads both laws off the law table (zeros as +0 where an evaluated law may hold
+-0, which moves no sum or draw).  ``_code_tables`` states which is built under which cap;
+past the caps each woken vertex evaluates its law and each coupled sweep sorts its unions.
 """
 
 from __future__ import annotations
@@ -49,8 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ImpossibleConfigurationError
-from .kernels import (ATOL, NeighborConfig, TransitionKernel, _heat_bath_weights,
-                      dobrushin_coefficient)
+from .kernels import ATOL, NeighborConfig, TransitionKernel, dobrushin_coefficient
 from .trees import (Configuration, RealField, TruncatedTree, _count_columns, _cumulate,
                     build_tree, exact_bmc_marginals, sample_bmc_batch, tree_vertex_count)
 # Not called here: bench/reference.py's per-member sweep reads it as glauber._draw_rows.
@@ -63,14 +58,9 @@ _CHUNK = 2048
 # Largest k^(d+1) for which fixed_point_test compares the star law.
 _STAR_MAX = 100_000
 
-# Caps of the law tables: the live-code table while k^d (its index holds one small integer
-# per code: 0.7 MB for the 70-state walk at d=3), the tuples listed to find the live codes
-# and its (k + 1) x L law floats by state are at most _LIVE_CODE_MAX; its pair table while
-# L^2 <= _PAIR_TABLE_MAX for L rows; else the union table while c k^2 <= _LIVE_CODE_MAX for
-# sets of width c < k, as for every live-code table (c k^2 < k^3 <= k^d).  Past them a woken
-# vertex multiplies its own law (24M codes for walk-70 at d=4), a coupled sweep sorts.
-_PAIR_TABLE_MAX = 4096
-_LIVE_CODE_MAX = 2**19
+# Caps of the sweep tables, applied as the _code_tables docstring states:
+_PAIR_TABLE_MAX = 4096  # L^2 for the pair table of L live-code rows
+_LIVE_CODE_MAX = 2**19  # k^d, the tuples listed, (k + 1) L law floats, c k^2 union states
 
 
 def wake_probability(d: int) -> float:
@@ -174,20 +164,20 @@ def conditional_dist(kernel: TransitionKernel, neighbors) -> np.ndarray:
     """Heat-bath law of a vertex state given its neighbor states.
 
     P(s | omega) = pi[s] * prod_u q[s, omega_u], normalized; exchangeable in
-    the neighbors.  Raises ImpossibleConfigurationError when omega has
+    the neighbors.  Computed as one site of ``_laws``, so it is bitwise the law a
+    sweep draws.  Raises ImpossibleConfigurationError when omega has
     probability zero under the chain, ValueError unless omega lists ints in 0..k-1.
     """
     states = np.asarray(neighbors.states if isinstance(neighbors, NeighborConfig) else neighbors)
     if states.ndim != 1 or states.size and (states.dtype.kind not in "iu" or states.min() < 0
                                             or states.max() >= kernel.state_count):
         raise ValueError(f"neighbor states must be integers in 0..{kernel.state_count - 1}")
-    w = _heat_bath_weights(kernel, states)
-    total = w.sum()
-    if total <= 0.0:
+    law, zero = _laws(kernel, states.astype(np.int64)[:, None])
+    if zero[0]:
         raise ImpossibleConfigurationError(
             "neighbor configuration has probability zero under the chain"
         )
-    return w / total
+    return law[:, 0]
 
 
 def _state_sums(w: np.ndarray) -> np.ndarray:
@@ -200,11 +190,12 @@ def _state_sums(w: np.ndarray) -> np.ndarray:
 
 def _laws(kernel: TransitionKernel, nbr_states: np.ndarray, cols=None):
     """(c, m) laws of (d, m) neighbor states on the (c, m) states ``cols`` (None: all k),
-    from flat takes of q.T, normalized by ``_state_sums``, and zero-total flags."""
+    from flat takes of q.T times pi (pi alone for d = 0), normalized by ``_state_sums``,
+    and zero-total flags."""
     k, (q_t, pi_t) = kernel.state_count, kernel.column_sets[1:]
     at = np.arange(k)[:, None].repeat(nbr_states.shape[1], axis=1) if cols is None else cols
-    w = q_t.take(nbr_states[0] * (k + 1) + at)  # row t of q_t is q[:, t] and a sentinel 0
-    for nbr in nbr_states[1:]:  # the neighbors in order, as np.prod takes them
+    w = np.ones(at.shape)
+    for nbr in nbr_states:  # the neighbors in order; row t of q_t is q[:, t] and a sentinel 0
         w = w * q_t.take(nbr * (k + 1) + at)
     w = pi_t.take(at) * w
     totals = _state_sums(w)
@@ -238,14 +229,15 @@ def _live_codes(kernel: TransitionKernel, d: int):
 def _code_tables(kernel: TransitionKernel, d: int) -> SimpleNamespace:
     """Read-only tables of the sweeps at degree d, kept per d on the kernel (None: absent).
 
-    If ``_live_codes`` lists the L live codes and (k + 1) * L <= _LIVE_CODE_MAX: ``index``,
-    each code's row (L for a zero total) in the narrowest unsigned type; (k + 1, L) ``laws``
-    by state, evaluated on the first neighbor state's column set and zero off it, with the
-    sentinel k's row zero; ``cum`` of the laws on the column sets; and if L^2 <=
-    _PAIR_TABLE_MAX, ``pair``, the ``_pair_rows`` of the k-state laws of rows a and b at
-    column a*L + b, laws cumulated.  Else, if the sets are narrower than k and c * k^2 <=
-    _LIVE_CODE_MAX for sets of width c (so at d >= 3 whenever ``index`` is there):
-    ``union``, the ``_unions`` of the sets of a and b at column a*k + b.
+    If k^d and the tuples ``_live_codes`` lists are at most _LIVE_CODE_MAX, and (k + 1) * L
+    is too for the L live codes (0.7 MB of index and 2 MB of laws for the 70-state walk at
+    d=3): ``index``, each code's row (L for a zero total) in the narrowest unsigned type;
+    (k + 1, L) ``laws`` by state, evaluated on the first neighbor state's column set and
+    zero off it, with the sentinel k's row zero; ``cum`` of the laws on the column sets; and
+    if L^2 <= _PAIR_TABLE_MAX, ``pair``, the ``_pair_rows`` of the k-state laws of rows a and
+    b at column a*L + b, laws cumulated.  Else, if the sets are narrower than k and c * k^2
+    <= _LIVE_CODE_MAX for sets of width c (so at d >= 3 whenever ``index`` is there, as
+    c k^2 < k^3 <= k^d): ``union``, the ``_unions`` of the sets of a and b at column a*k + b.
     """
     if d not in kernel.code_tables:
         k, sets = kernel.state_count, kernel.column_sets[0]

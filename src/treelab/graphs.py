@@ -196,9 +196,9 @@ def matching_color_count(colors, nu):
 
     ``colors`` labels n points (n even, n <= 12); ``nu`` maps ordered
     color pairs to probabilities and must be symmetric.  Every matching edge
-    contributes both orientations with weight 1/2 each to the empirical law;
-    equality with nu is exact (rational arithmetic).  Brute force over all
-    (n-1)!! matchings.
+    contributes both orientations with weight 1/2 each to the empirical law, so
+    a matching counts when its directed-pair counts equal n * nu exactly
+    (rational arithmetic).  Brute force over all (n-1)!! matchings.
     """
     colors = list(colors)
     n = len(colors)
@@ -206,16 +206,12 @@ def matching_color_count(colors, nu):
         raise ValueError("need an even number of points")
     if n > _MATCHING_MAX:
         raise BudgetExceededError(f"matching enumeration capped at {_MATCHING_MAX} points")
-    target = {pair: _as_fraction(p) for pair, p in nu.items() if _as_fraction(p) != 0}
-    for (a, b), p in target.items():
-        if target.get((b, a)) != p:
+    target = {pair: n * _as_fraction(p) for pair, p in nu.items() if _as_fraction(p) != 0}
+    for (a, b), c in target.items():
+        if target.get((b, a)) != c:
             raise ValueError("nu must be symmetric on ordered pairs")
-    count = 0
-    for matching in iter_perfect_matchings(list(range(n))):
-        emp = {pair: Fraction(c, n) for pair, c in _directed_pair_counts(matching, colors).items()}
-        if emp == target:
-            count += 1
-    return count
+    return sum(_directed_pair_counts(matching, colors) == target
+               for matching in iter_perfect_matchings(list(range(n))))
 
 
 def coloring_count(color_counts) -> int:
@@ -246,40 +242,35 @@ class MatchingIdentityRecord:
 def matching_identity_check(n: int) -> list[MatchingIdentityRecord]:
     """Exact count identity |M_f| * H(mu, n) = PM(n) * H(nu, n/2) over 2 colors.
 
-    For every achievable pair (vertex color distribution mu, symmetric
-    directed-pair distribution nu) on n points, both sides are computed by
-    independent enumerations: the left by scanning matchings against a fixed
-    coloring and counting colorings with the multinomial; the right by the
-    double-factorial formula times the number of ordered-pair colorings of the
-    n/2 edges whose symmetrized empirical law is nu, from one scan of them all.
+    The achievable pairs (vertex color counts mu, symmetric directed-pair counts
+    nu) on n points are mu = (c, n - c) with nu = (c - e, e, e, n - c - e) for
+    c = 0..n and e = c mod 2, c mod 2 + 2, ..., min(c, n - c): e edges join the
+    colors and the rest pair up within one.  They are listed sorted, so by c, then
+    e descending.  Both sides are computed by independent enumerations: the left
+    by scanning matchings against the coloring 0^c 1^(n-c) and counting colorings
+    with the multinomial; the right by the double-factorial formula times the
+    number of ordered-pair colorings of the n/2 edges whose symmetrized empirical
+    law is nu, from one scan of them all.
     """
     if n % 2 != 0 or n < 2 or n > 10:
         raise ValueError("n must be a small even integer")
-    points = list(range(n))
-    matchings = list(iter_perfect_matchings(points))
     pairs = [(a, b) for a in range(2) for b in range(2)]
-
-    witness: dict = {}  # (mu, nu) -> its first coloring in lexicographic order
-    for bits in itertools.product(range(2), repeat=n):
-        mu = (bits.count(0), bits.count(1))
-        for matching in matchings:
-            counts = _directed_pair_counts(matching, bits)
-            witness.setdefault((mu, tuple(counts.get(p, 0) for p in pairs)), bits)
-
     # ordered-pair colorings of the n/2 edges, counted by their symmetrized law nu
     pair_colorings = Counter(
         tuple(_directed_pair_counts(assign, (0, 1)).get(p, 0) for p in pairs)
         for assign in itertools.product(pairs, repeat=n // 2))
     records = []
-    for (mu, nu_key), f in sorted(witness.items()):
-        nu = {p: Fraction(c, n) for p, c in zip(pairs, nu_key)}
-        m_f = matching_color_count(f, nu)
-        h_mu = coloring_count(mu)
-        h_nu = pair_colorings[nu_key]
-        records.append(MatchingIdentityRecord(
-            n=n, mu_counts=mu, nu_counts=nu_key, m_f=m_f, colorings_mu=h_mu,
-            pair_colorings_nu=h_nu, lhs=m_f * h_mu, rhs=pm_count(n) * h_nu,
-        ))
+    for c in range(n + 1):
+        for e in reversed(range(c % 2, min(c, n - c) + 1, 2)):
+            mu, nu_key = (c, n - c), (c - e, e, e, n - c - e)
+            nu = {p: Fraction(count, n) for p, count in zip(pairs, nu_key)}
+            m_f = matching_color_count((0,) * c + (1,) * (n - c), nu)
+            h_mu = coloring_count(mu)
+            h_nu = pair_colorings[nu_key]
+            records.append(MatchingIdentityRecord(
+                n=n, mu_counts=mu, nu_counts=nu_key, m_f=m_f, colorings_mu=h_mu,
+                pair_colorings_nu=h_nu, lhs=m_f * h_mu, rhs=pm_count(n) * h_nu,
+            ))
     return records
 
 

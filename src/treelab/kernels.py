@@ -217,7 +217,9 @@ def _heat_bath_weights(kernel: TransitionKernel, neighbors) -> np.ndarray:
     """Unnormalized heat-bath laws pi[s] * prod_u q[s, u], multiplied in neighbor order.
 
     ``neighbors`` holds neighbor states on its last axis under any leading shape,
-    which the result keeps, with the k center states as its last axis.
+    which the result keeps, with the k center states as its last axis.  Its only
+    caller is ``dobrushin_coefficient``, whose goldens pin this pi-first order; the
+    sweeps and ``glauber.conditional_dist`` multiply pi last (``glauber._laws``).
     """
     neighbors = np.asarray(neighbors, dtype=np.int64)
     w = np.ones(neighbors.shape[:-1] + (1,)) * kernel.pi

@@ -276,6 +276,10 @@ class TestContracts:
         ["dobrushin", "--kernel", "ising(0.2)", "--d", "1301"],
         # 71 * 3 is odd: no cubic graph on 71 vertices
         ["counterexample", "--k", "71", "--q-deg", "3", "--d", "3"],
+        ["correlation", "--kernel", "potts(3,0.5)", "--d", "3", "--distance", "1",
+         "--seed", "1", "--encoding", "pm1"],
+        ["covering-min", "--graph", "{k4}", "--matrix", "m1", "--budget", "1"],
+        ["epsilon0", "--family", "dominating"],
     ])
     def test_bad_input_exits_2(self, capsys, tmp_path, argv):
         files = {
@@ -308,6 +312,10 @@ class TestContracts:
             assert "kernel is reducible" in captured.err
         if argv[argv.index("--budget") + 1 if "--budget" in argv else 0] == "-1":
             assert "budget must be at least 1" in captured.err
+        messages = {"--encoding pm1": "pm1 encoding needs a 2-state kernel",
+                    "--budget 1": "local search needs --seed",
+                    "--family dominating": "--family needs --d"}
+        assert messages.get(" ".join(argv[-2:]), "error") in captured.err
 
     @pytest.mark.parametrize("argv, nulls, note", [
         # one sweep of five replicas: fewer than two sweeps to fit a rate to

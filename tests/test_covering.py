@@ -115,6 +115,9 @@ class TestMinError:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             min_error_exact(cycle_graph(5), bipartite_matrix(3))
+        with pytest.raises(ValueError, match="graph degree 2 does not match matrix degree 3"):
+            min_error_local_search(cycle_graph(5), bipartite_matrix(3), 1,
+                                   np.random.default_rng(0))
 
     def test_budget(self):
         graph = sample_regular_graph(40, 3, simple=True, rng=np.random.default_rng(0))
@@ -233,6 +236,7 @@ class TestEpsilon0:
         report = epsilon0(CoveringMatrix([[1, 2], [2, 1]]))
         assert report.epsilon0 > 0.0
         assert report.delta_id == "generic"
+        assert report.ratio_bound is None
 
     @pytest.mark.parametrize("d", [48, 60, 79, 80])
     def test_tiny_thresholds_return(self, d):
@@ -248,6 +252,8 @@ class TestEpsilon0:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             epsilon0("nonsense", d=3)
+        with pytest.raises(ValueError, match="d of at least 3"):
+            epsilon0("dominating", d=2)
 
     def test_tables(self):
         rows = dominating_table(3, 4)

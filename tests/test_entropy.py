@@ -88,6 +88,11 @@ class TestEntropyReport:
             assert report.h_edge <= 2 * report.h_vertex + 1e-12
 
 
+    def test_degree_below_three_rejected(self):
+        with pytest.raises(ValueError, match="d must be at least 3"):
+            bmc_entropy_report(uniform_kernel(3), 2)
+
+
 class TestInequalities:
     def test_edge_vertex_uniform_passes_all_degrees(self):
         for d in range(3, 11):
@@ -153,6 +158,9 @@ class TestCounterexample:
     def test_validation(self):
         with pytest.raises(ValueError):
             expander_counterexample(1, 4, 3)
+        for q_deg, d in ((2, 3), (4, 2)):
+            with pytest.raises(ValueError, match="need q_deg >= 3, d >= 3"):
+                expander_counterexample(70, q_deg, d)
 
     @pytest.mark.parametrize("k, q_deg", [(71, 3), (4, 4), (3, 4), (65, 5), (6, 6)])
     def test_no_regular_graph_rejected(self, k, q_deg):

@@ -194,6 +194,21 @@ class TestConditionalDist:
         out = conditional_dist(make_ising(0.2), np.array([1, 0, 0], dtype=np.uint8))
         assert out[0] == pytest.approx(0.6, abs=1e-12)
 
+    @pytest.mark.parametrize("make, d", [(lambda: make_potts(17, 0.1), 3),
+                                         (lambda: make_potts(5, 0.4), 4),
+                                         (lambda: walk70(), 3), (lambda: make_ising(0.3), 5)],
+                             ids=["potts17", "potts5", "walk70", "ising"])
+    def test_equals_the_sweep_law_bitwise(self, make, d):
+        # 500 neighbor tuples of positive probability (all neighbors of one state s): each law
+        # is bitwise the live-code table's row for the tuple's code, which a sweep draws from
+        kernel = make()
+        k, tables = kernel.state_count, glauber._code_tables(kernel, d)
+        rng = np.random.default_rng(d * k)
+        for s in rng.integers(0, k, size=500):
+            omega = rng.choice(np.flatnonzero(kernel.q[s]), size=d)
+            row = tables.index[np.ravel_multi_index(omega, (k,) * d)]
+            assert np.array_equal(conditional_dist(kernel, omega), tables.laws[:-1, row])
+
 
 def state_order_sums(w):
     """Row totals of (m, k) laws: the running sum over the k states in order, zeros included."""
@@ -1202,6 +1217,12 @@ class TestDrivers:
             with pytest.raises(ValueError, match="edge law needs a window depth of at least 1"):
                 fixed_point_test(make_ising(0.25), 3, depth, 1, 10, np.random.default_rng(0),
                                  window_depth=window_depth)
+
+    @pytest.mark.parametrize("window_depth", [-1, 5])
+    def test_window_depth_out_of_range_rejected(self, window_depth):
+        with pytest.raises(ValueError, match="window depth out of range"):
+            estimate_hamming_decay(make_ising(0.25), 3, 4, 1, 10, np.random.default_rng(0),
+                                   window_depth=window_depth)
 
     def test_fixed_point_depth_one_with_window_one(self):
         report = fixed_point_test(make_ising(0.25), 3, 1, 2, 2000, np.random.default_rng(32),

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from treelab.errors import BudgetExceededError
 from treelab.graphs import (_shortest_cycle_through, adjacency_matrix, bfs,
-                            complete_bipartite, complete_graph, cycle_graph,
+                            circulant_graph, complete_bipartite, complete_graph, cycle_graph,
                             eigen_experiment, girth_profile, graph_from_edges,
                             iter_perfect_matchings, matching_color_count,
                             matching_identity_check, pm_count, read_graph,
@@ -88,6 +89,25 @@ class TestSampling:
     def test_odd_total_degree_rejected(self):
         with pytest.raises(ValueError):
             sample_regular_graph(3, 3, simple=False, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+            sample_regular_graph(0, 3, simple=False, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1), (0, 2), (0, 3), (0, 1), (1, 2), (2, 3)],  # vertex 0 has degree 4
+        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 0)],  # a loop needs two free slots of 0
+    ])
+    def test_vertex_over_degree_rejected(self, edges):
+        with pytest.raises(ValueError, match="vertex degrees exceed 3"):
+            graph_from_edges(4, 3, edges)
+
+    def test_unbalanced_bipartite_rejected(self):
+        with pytest.raises(ValueError, match="only balanced bipartite graphs are regular"):
+            complete_bipartite(2, 3)
+
+    @pytest.mark.parametrize("offsets", [[0], [1, 4], [5]])
+    def test_circulant_offsets_rejected(self, offsets):
+        with pytest.raises(ValueError, match="0 < o < n/2"):
+            circulant_graph(8, offsets)
 
     def test_retry_budget_exhausted(self):
         # no simple 3-regular graph on two vertices exists
@@ -200,6 +220,35 @@ class TestMatchingCounts:
         assert rec.colorings_mu == 6
         assert rec.pair_colorings_nu == 4
         assert rec.lhs == rec.rhs == 12
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_closed_form_pairs_equal_the_scan(self, n):
+        # reference: every coloring against every matching, the pairs sorted as found
+        pairs = [(a, b) for a in range(2) for b in range(2)]
+        found = set()
+        for bits in itertools.product(range(2), repeat=n):
+            for matching in iter_perfect_matchings(list(range(n))):
+                counts = Counter()
+                for u, v in matching:
+                    counts[bits[u], bits[v]] += 1
+                    counts[bits[v], bits[u]] += 1
+                found.add(((bits.count(0), bits.count(1)), tuple(counts[p] for p in pairs)))
+        records = matching_identity_check(n)
+        assert [(r.mu_counts, r.nu_counts) for r in records] == sorted(found)
+
+    def test_nu_off_the_1_over_n_grid_counts_nothing(self):
+        # 1/3 of 4 points is no whole number of directed pairs
+        nu = {("a", "a"): Fraction(1, 3), ("a", "b"): Fraction(1, 3), ("b", "a"): Fraction(1, 3)}
+        assert matching_color_count(["a", "a", "a", "b"], nu) == 0
+
+    def test_odd_point_count_rejected(self):
+        with pytest.raises(ValueError, match="even number of points"):
+            matching_color_count(["a"] * 3, {("a", "a"): 1})
+
+    @pytest.mark.parametrize("n", [3, 0, 12])
+    def test_identity_sizes_rejected(self, n):
+        with pytest.raises(ValueError, match="small even integer"):
+            matching_identity_check(n)
 
     def test_m_f_constant_over_colorings_with_same_counts(self):
         # |M_f| depends on the coloring only through its color counts
@@ -327,6 +376,18 @@ class TestEigenExperiment:
     def test_rejects_eigenpair_index_out_of_range(self, which):
         with pytest.raises(ValueError, match="which must lie in -6..5"):
             eigen_experiment(complete_bipartite(3, 3), which, 1)
+
+    def test_rejects_zero_levels(self):
+        with pytest.raises(ValueError, match="levels must be at least 1"):
+            eigen_experiment(complete_bipartite(3, 3), 0, 0)
+
+    def test_levels_at_least_the_distinct_values_keep_the_vector(self):
+        # one level per vertex is never fewer than the distinct entries: no k-means runs
+        graph = complete_bipartite(3, 3)
+        exact, quantized = eigen_experiment(graph, 1, None), eigen_experiment(graph, 1, 6)
+        assert np.array_equal(quantized.centers, exact.centers)
+        assert quantized.error_ratio == exact.error_ratio
+        assert quantized.max_residual == exact.max_residual
 
 
 def test_near_ramanujan_walk_spectra():

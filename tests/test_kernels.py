@@ -10,9 +10,9 @@ from treelab.glauber import conditional_dist
 from treelab import kernels
 from treelab.graphs import (circulant_graph, complete_bipartite, complete_graph, cycle_graph,
                             graph_from_edges, sample_regular_graph)
-from treelab.kernels import (TransitionKernel, dobrushin_coefficient, kernel_from_matrix,
-                             load_kernel, make_ising, make_potts, make_walk_kernel,
-                             spectral_radius, uniform_kernel, write_kernel)
+from treelab.kernels import (NeighborConfig, TransitionKernel, dobrushin_coefficient,
+                             kernel_from_matrix, load_kernel, make_ising, make_potts,
+                             make_walk_kernel, spectral_radius, uniform_kernel, write_kernel)
 
 
 def dobrushin_bruteforce(kernel, d):
@@ -65,6 +65,12 @@ class TestConstruction:
             TransitionKernel(q=[[0.5, 0.4], [0.5, 0.5]], pi=[0.5, 0.5])
         with pytest.raises(ValueError):
             TransitionKernel(q=[[1.2, -0.2], [0.5, 0.5]], pi=[0.5, 0.5])
+        with pytest.raises(ValueError, match="must be square"):
+            TransitionKernel(q=[[0.5, 0.5]], pi=[0.5, 0.5])
+        with pytest.raises(ValueError, match="at least one state"):
+            TransitionKernel(q=np.zeros((0, 0)), pi=[])
+        with pytest.raises(ValueError, match="k must be positive"):
+            uniform_kernel(0)
 
     def test_rejects_bad_pi(self):
         q = [[0.5, 0.5], [0.5, 0.5]]
@@ -72,6 +78,14 @@ class TestConstruction:
             TransitionKernel(q=q, pi=[1.0, 0.0])
         with pytest.raises(ValueError):
             TransitionKernel(q=q, pi=[0.7, 0.7])
+        with pytest.raises(ValueError, match="wrong length"):
+            TransitionKernel(q=q, pi=[0.5, 0.25, 0.25])
+
+    @pytest.mark.parametrize("states, message", [((), "cannot be empty"),
+                                                 ((0, -1), "nonnegative indices")])
+    def test_neighbor_config_rejects_empty_and_negative(self, states, message):
+        with pytest.raises(ValueError, match=message):
+            NeighborConfig(states=states)
 
 
     def test_rejects_non_finite(self):
@@ -436,6 +450,10 @@ class TestDobrushin:
     def test_budget_below_one(self, budget):
         with pytest.raises(ValueError, match="budget must be at least 1"):
             dobrushin_coefficient(make_ising(0.2), 3, budget=budget)
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="d must be positive"):
+            dobrushin_coefficient(make_ising(0.2), 0)
 
 
 class TestSpectralRadius:

@@ -138,6 +138,10 @@ class TestCanonicalBall:
         with pytest.raises(ValueError, match="root"):
             canonical_ball([(0, 1), (1, 2)], [0, 0, 0], root)
 
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            canonical_ball([], [], 0)
+
     @pytest.mark.parametrize("edge", [(0, -1), (0, 2), (-1, -1)])
     def test_edge_endpoint_out_of_range(self, edge):
         # a negative endpoint used to alias vertex n-1
@@ -338,6 +342,10 @@ class TestBallDistribution:
         with pytest.raises(ValueError, match="radius"):
             ball_distribution(complete_graph(4), [0] * 4, -1)
 
+    def test_short_coloring_rejected(self):
+        with pytest.raises(ValueError, match="coloring length must equal the vertex count"):
+            ball_distribution(complete_graph(4), [0] * 3, 1)
+
     def test_monochrome_radius_four_on_cubic_300(self):
         # symmetric hung trees made the search visit one leaf per automorphism,
         # so this did not finish before pendant trees were folded
@@ -478,6 +486,11 @@ class TestDcn:
         with pytest.raises(ValueError, match="coloring_budget"):
             dcn_estimate(complete_graph(4), complete_graph(4), 1, 1, coloring_budget=budget,
                          rng=np.random.default_rng(1))
+
+    @pytest.mark.parametrize("r_max, k_max", [(0, 1), (1, 0)])
+    def test_radius_and_colors_below_one(self, r_max, k_max):
+        with pytest.raises(ValueError, match="r_max and k_max must be at least 1"):
+            dcn_estimate(complete_graph(4), complete_graph(4), r_max, k_max)
 
     def test_each_colored_ball_canonicalised_once(self, monkeypatch):
         # K3,3 and the prism are vertex-transitive, but the prism's radius-1 ball holds a

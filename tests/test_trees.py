@@ -118,6 +118,15 @@ class TestBuildTree:
     def test_degree_check(self):
         with pytest.raises(ValueError):
             build_tree(2, 3)
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            build_tree(3, 0)
+
+    def test_field_lengths_checked(self):
+        tree = build_tree(3, 2)
+        with pytest.raises(ValueError, match="state array length must equal the vertex count"):
+            trees.Configuration(tree, np.zeros(tree.n - 1, dtype=np.int64))
+        with pytest.raises(ValueError, match="value array length must equal the vertex count"):
+            trees.RealField(tree, np.zeros(tree.n + 1))
 
     def test_tree_distance(self):
         tree = build_tree(3, 3)
